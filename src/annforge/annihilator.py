@@ -3,24 +3,30 @@
 Gate lifts h_i recover gate values through the encoding (h_i composed with
 the map equals y_i); the generator of the annihilator ideal is
 h = z_{n+s+1} - h_s + beta, monic of degree 1 in the last variable.  The
-brute-force degree-bounded kernel search is exact linear algebra over the
-coefficient field and returns certificate vectors, not probabilistic claims.
+brute-force degree-bounded kernel search eliminates modular-first: over the
+rationals it works mod 2^61 - 1, lifts the kernel by rational reconstruction
+and keeps it only after an exact check over QQ (else it eliminates over QQ),
+so it returns certificate vectors, not probabilistic claims.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 
 from . import config
 from .circuit import expand
 from .encoding import LocalEncoding, PolynomialMap, compose_polynomial
 from .errors import (
     DecompositionMismatchError,
+    ModularReductionError,
     NotAnAnnihilatorError,
     SearchSpaceTooLargeError,
 )
-from .poly import MONOMIAL_ONE, Monomial, Polynomial
+from .fields import QQ, PrimeField
+from .linalg import kernel_basis, rational_reconstruction
+from .poly import Monomial, Polynomial
 
 
 @dataclass(frozen=True)
@@ -173,11 +179,18 @@ def annihilator_basis_search(
 ) -> list[Polynomial]:
     """Basis of the degree-bounded annihilator space by exact kernel search.
 
-    Candidate polynomials of total degree <= D over the out_len output
-    variables are mapped linearly to their composition with the map; the
-    kernel of that coefficient map is computed by exact Gaussian elimination
-    over the field.  Every returned polynomial composes to zero by
-    construction (certificates, not samples).
+    Candidate monomials of total degree <= D over the out_len output
+    variables are mapped linearly to their composition with the map, built
+    incrementally as image(m * z_i) = image(m) * f_i.  The basis is the
+    kernel of that coefficient matrix in reduced row echelon form, one
+    vector per free candidate, so it is canonical.  Over GF(p) it is
+    computed directly.  Over QQ the matrix is first reduced mod
+    config.DEFAULT_PRIME: an empty mod-p kernel proves the rational one
+    empty, and otherwise the mod-p basis is lifted by rational
+    reconstruction and returned only if every lifted vector is exactly in
+    the rational kernel; if it is not, or if reduction or reconstruction
+    fails, the kernel is recomputed over QQ.  Every returned polynomial
+    composes to zero (certificates, not samples).
     """
     if max_total_degree < 0:
         raise ValueError("max_total_degree must be >= 0")
@@ -190,67 +203,59 @@ def annihilator_basis_search(
     f = pmap.field
     candidates = monomials_up_to(pmap.out_len, max_total_degree)
 
-    # Column j = coefficient vector of candidate_j composed with the map.
-    columns: list[dict[Monomial, object]] = []
-    row_index: dict[Monomial, int] = {}
-    for mono in candidates:
-        image = compose_polynomial(pmap, Polynomial(f, {mono: f.one}))
-        col = {}
+    # Row per seed monomial of the images, column j = candidate j.
+    images: dict[Monomial, Polynomial] = {}
+    row_of: dict[Monomial, dict[int, object]] = {}
+    for j, mono in enumerate(candidates):
+        if mono.exps:
+            var = mono.exps[-1][0]
+            image = images[mono.divide(Monomial.of({var: 1}))] * pmap.outputs[var]
+        else:
+            image = Polynomial.constant(f, f.one)
+        images[mono] = image
         for m, c in image.iter_terms():
-            if m not in row_index:
-                row_index[m] = len(row_index)
-            col[row_index[m]] = c
-        columns.append(col)
+            row_of.setdefault(m, {})[j] = c
+    rows = list(row_of.values())
 
-    n_rows = len(row_index)
-    # Dense matrix over the field; desk scale keeps this small.
-    matrix = [[f.zero] * n_cols for _ in range(n_rows)]
-    for j, col in enumerate(columns):
-        for i, c in col.items():
-            matrix[i][j] = c
-
-    kernel = _kernel_basis(matrix, n_rows, n_cols, f)
-    basis = []
-    for vec in kernel:
-        terms = {candidates[j]: c for j, c in enumerate(vec) if not f.is_zero(c)}
-        basis.append(Polynomial(f, terms))
-    return basis
+    if f.characteristic == 0:
+        kernel = _rational_kernel(rows, n_cols)
+    else:
+        kernel = kernel_basis(rows, n_cols, f)
+    return [Polynomial(f, {candidates[j]: c for j, c in vec.items()}) for vec in kernel]
 
 
-def _kernel_basis(matrix, n_rows: int, n_cols: int, f) -> list[list]:
-    """Kernel of a dense matrix by reduced row echelon form over the field."""
-    pivots: list[int] = []
-    row = 0
-    for col in range(n_cols):
-        pivot = next(
-            (r for r in range(row, n_rows) if not f.is_zero(matrix[r][col])), None
-        )
-        if pivot is None:
-            continue
-        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
-        inv = f.inv(matrix[row][col])
-        matrix[row] = [f.mul(x, inv) for x in matrix[row]]
-        for r in range(n_rows):
-            if r != row and not f.is_zero(matrix[r][col]):
-                factor = matrix[r][col]
-                matrix[r] = [
-                    f.sub(x, f.mul(factor, y)) for x, y in zip(matrix[r], matrix[row])
-                ]
-        pivots.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        vec = [f.zero] * n_cols
-        vec[free] = f.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = f.neg(matrix[r][free])
-        basis.append(vec)
-    return basis
+def _rational_kernel(rows: list[dict[int, Fraction]], n_cols: int) -> list[dict]:
+    """kernel_basis over QQ, computed mod p first.
+
+    rank_p <= rank_QQ, so dim_QQ <= dim_p, and dim_p independent rational
+    kernel vectors are a basis.  Each mod-p vector is zero past its own free
+    column, so the lifted vectors fix the rational free columns and equal
+    the rational reduced echelon basis.
+    """
+    gf = PrimeField(config.DEFAULT_PRIME)
+    try:
+        reduced = [{j: gf.normalize(c) for j, c in row.items()} for row in rows]
+    except ModularReductionError:
+        return kernel_basis(rows, n_cols, QQ)
+    lifted = []
+    for vec in kernel_basis(reduced, n_cols, gf):
+        exact = {j: rational_reconstruction(c, gf.p) for j, c in vec.items()}
+        if None in exact.values():
+            return kernel_basis(rows, n_cols, QQ)
+        lifted.append(exact)
+    # A v = 0 exactly; scaling rows and vectors to integers keeps it Fraction-free.
+    integral = [_cleared(vec) for vec in lifted]
+    for row in map(_cleared, rows):
+        for vec in integral:
+            if sum(c * vec[j] for j, c in row.items() if j in vec) != 0:
+                return kernel_basis(rows, n_cols, QQ)
+    return lifted
+
+
+def _cleared(vec: dict[int, Fraction]) -> dict[int, int]:
+    """vec times the lcm of its denominators."""
+    scale = lcm(*(c.denominator for c in vec.values()))
+    return {j: c.numerator * (scale // c.denominator) for j, c in vec.items()}
 
 
 def extract_hard_multiple(p: Polynomial, enc: LocalEncoding) -> Polynomial:

@@ -18,7 +18,7 @@ from . import config
 from .annihilator import annihilator_basis_search, principal_generator, verify_annihilates
 from .circuit import expand, metrics, parse_circuit
 from .encoding import encoding_metrics, local_encode, pad, parallel_compose
-from .errors import AnnforgeError, ResourceLimitError
+from .errors import AnnforgeError, InvariantError, ResourceLimitError
 from .fields import PrimeField, field_from_spec
 from .instances import (
     det_circuit,
@@ -312,7 +312,8 @@ def cmd_ips_refute(args) -> int:
     ref = canonical_geometric_refutation(enc)
     system = system_of(enc.map)
     check = verify_geometric(ref, system)
-    assert check.accepted, "canonical refutation must verify"
+    if not check.accepted:
+        raise InvariantError(f"canonical refutation does not verify ({check.reason})")
     payload = refutation_to_json(ref, system)
     if args.out:
         _write(args.out, dumps(payload))

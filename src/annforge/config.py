@@ -1,4 +1,4 @@
-"""Run configuration: budgets, ceilings, RNG seeds, default field choices.
+"""Run configuration: budgets, ceilings, trial counts and the default prime.
 
 Env overrides: AF_TERM_BUDGET (circuit expansion term budget) and
 AF_MONOMIAL_CEILING (annihilator kernel-search monomial count guard) are read
@@ -8,9 +8,9 @@ at call time so a single process can honour per-invocation overrides.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
-#: Default prime for randomized rank / PIT work (Mersenne, fits in 64 bits).
+#: Default prime for randomized rank / PIT work and the modular-first kernel
+#: search (Mersenne, fits in 64 bits).
 DEFAULT_PRIME = 2**61 - 1
 
 DEFAULT_TERM_BUDGET = 1_000_000
@@ -39,22 +39,3 @@ def monomial_ceiling(override: int | None = None) -> int:
         return override
     env = os.environ.get("AF_MONOMIAL_CEILING")
     return int(env) if env else DEFAULT_MONOMIAL_CEILING
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Bundle of knobs threaded through CLI commands.
-
-    All randomized commands echo ``seed`` back in their reports so every run
-    is reproducible from the report alone.
-    """
-
-    field_spec: str = "rational"  # "rational" or "prime:<p>"
-    seed: int = 0
-    trials: int = DEFAULT_TRIALS
-    grid_size: int | None = None  # None: 2*degree_bound + 1
-    term_budget: int | None = None
-    monomial_ceiling: int | None = None
-    point_budget: int = DEFAULT_POINT_BUDGET
-    rank_prime: int = DEFAULT_PRIME
-    extra: dict = field(default_factory=dict)

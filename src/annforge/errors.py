@@ -19,6 +19,12 @@ class FieldMismatchError(AnnforgeError):
     code = "field.mismatch"
 
 
+class ModularReductionError(AnnforgeError, ZeroDivisionError):
+    """A rational value has no image in F_p: p divides its denominator."""
+
+    code = "field.not_reducible"
+
+
 class ParseError(AnnforgeError):
     code = "parse.error"
 
@@ -65,3 +71,9 @@ class DecompositionMismatchError(AnnforgeError):
 
 class SystemSatisfiableError(AnnforgeError):
     code = "ips.system_satisfiable"
+
+
+class InvariantError(AnnforgeError):
+    """An internal consistency check failed; the result cannot be trusted."""
+
+    code = "annforge.invariant"

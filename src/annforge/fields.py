@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from typing import Union
 
-from .errors import FieldMismatchError, ParseError
+from .errors import FieldMismatchError, ModularReductionError, ParseError
 
 FieldValue = Union[Fraction, int]
 
@@ -172,7 +172,10 @@ class PrimeField(Field):
         if isinstance(value, Fraction):
             den = value.denominator % self.p
             if den == 0:
-                raise ZeroDivisionError(f"denominator divisible by p={self.p}")
+                raise ModularReductionError(
+                    f"coefficient {value} has no value mod p={self.p}: "
+                    "p divides its denominator"
+                )
             return value.numerator * pow(den, -1, self.p) % self.p
         return int(value) % self.p
 

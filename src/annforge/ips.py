@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .annihilator import principal_generator
 from .circuit import evaluate_circuit
 from .encoding import LocalEncoding, PolynomialMap
-from .errors import SupportOverflowError, SystemSatisfiableError
+from .errors import InvariantError, SupportOverflowError, SystemSatisfiableError
 from .poly import Namespace, Polynomial
 
 
@@ -127,7 +127,8 @@ def canonical_geometric_refutation(enc: LocalEncoding) -> Refutation:
     constant = cert.h.constant_term()
     # Cross-check against the circuit-evaluation route.
     value = evaluate_circuit(enc.circuit, enc.alpha)
-    assert constant == f.sub(enc.beta, value), "h(0) must equal beta - f(alpha)"
+    if constant != f.sub(enc.beta, value):
+        raise InvariantError("h(0) differs from beta - f(alpha)")
     if f.is_zero(constant):
         raise SystemSatisfiableError(
             "circuit(alpha) = beta holds; the encoded system is satisfiable"

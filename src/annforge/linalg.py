@@ -1,4 +1,5 @@
-"""Polynomial matrices: Jacobians, rank estimation, Sylvester resultants.
+"""Exact elimination and polynomial matrices: sparse row reduction over a
+field, Jacobians, rank estimation, Sylvester resultants.
 
 Rank over the function field is estimated by evaluating the matrix at
 random points of F_p (sound: never exceeds the true rank; complete with
@@ -13,10 +14,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
+from typing import Iterable, Mapping
 
 from . import config
-from .errors import MatrixTooLargeError
-from .fields import Field, PrimeField
+from .errors import InvariantError, MatrixTooLargeError
+from .fields import Field, FieldValue, PrimeField
 from .poly import Polynomial
 
 
@@ -66,35 +69,85 @@ def jacobian(polys: list[Polynomial], variables: list[int]) -> PolyMatrix:
     )
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """In-place Gaussian elimination over F_p."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if rows[r][col] % p != 0), None)
-        if pivot is None:
+def row_reduce(
+    rows: Iterable[Mapping[int, FieldValue]], n_cols: int, field: Field
+) -> dict[int, dict[int, FieldValue]]:
+    """Reduced row echelon form of a sparse matrix over ``field``.
+
+    Rows map column -> value (zeros are dropped).  The result maps each pivot
+    column to its row: value one at the pivot, which is the row's smallest
+    column, and no entry in any other pivot column.  That form is unique, so
+    it equals the dense column-by-column elimination's.  Rows are inserted
+    one at a time; reducing by a pivot row touches only that row's nonzeros,
+    and the scan stops once the rank reaches ``n_cols``.
+    """
+    zero = field.zero
+    sub, mul, is_zero = field.sub, field.mul, field.is_zero
+    echelon: dict[int, dict[int, FieldValue]] = {}
+
+    def eliminate(row: dict, col: int, pivot_row: dict) -> None:
+        factor = row[col]
+        for k, x in pivot_row.items():
+            y = sub(row.get(k, zero), mul(factor, x))
+            if is_zero(y):
+                del row[k]
+            else:
+                row[k] = y
+
+    for source in rows:
+        row = {k: x for k, x in source.items() if not is_zero(x)}
+        # Pivot rows hold no other pivot column, so one pass clears them all.
+        for col in [c for c in row if c in echelon]:
+            eliminate(row, col, echelon[col])
+        if not row:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col] % p, -1, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for r in range(n_rows):
-            if r != rank and rows[r][col] % p:
-                factor = rows[r][col]
-                rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == n_rows:
+        lead = min(row)
+        inv = field.inv(row[lead])
+        row = {k: mul(x, inv) for k, x in row.items()}
+        for other in echelon.values():
+            if lead in other:
+                eliminate(other, lead, row)
+        echelon[lead] = row
+        if len(echelon) == n_cols:
             break
-    return rank
+    return echelon
 
 
-def _value_mod_p(value, p: int) -> int:
-    if isinstance(value, Fraction):
-        den = value.denominator % p
-        if den == 0:
-            raise ZeroDivisionError("coefficient denominator divisible by p")
-        return value.numerator * pow(den, -1, p) % p
-    return int(value) % p
+def kernel_basis(
+    rows: Iterable[Mapping[int, FieldValue]], n_cols: int, field: Field
+) -> list[dict[int, FieldValue]]:
+    """Basis of {v : A v = 0} for the sparse matrix A with ``n_cols`` columns.
+
+    One vector per free (non-pivot) column j, in increasing j: v[j] = 1,
+    zero at every other free column, and -R[c][j] at each pivot column c.
+    Vectors are sparse (column -> nonzero value).
+    """
+    echelon = row_reduce(rows, n_cols, field)
+    basis = {j: {j: field.one} for j in range(n_cols) if j not in echelon}
+    for col, row in echelon.items():
+        for j, x in row.items():
+            if j != col:
+                basis[j][col] = field.neg(x)
+    return list(basis.values())
+
+
+def rational_reconstruction(a: int, m: int) -> Fraction | None:
+    """The fraction n/d with |n|, d <= sqrt(m/2) and n = a*d (mod m), or None.
+
+    Half-extended Euclid on (m, a) stopped at the first remainder within the
+    bound (Wang, Guy & Davenport 1982); such a fraction is unique when it
+    exists.
+    """
+    bound = isqrt(m // 2)
+    r0, r1 = m, a % m
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound:
+        return None
+    return Fraction(r1, s1)
 
 
 def rank_random_eval(
@@ -105,21 +158,20 @@ def rank_random_eval(
     points of F_p.  Never exceeds the true rank; equal with high probability."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    field = matrix.field
-    if isinstance(field, PrimeField):
-        p = field.p  # evaluate natively; a foreign modulus would be unsound
+    entries = matrix.entries
+    if isinstance(matrix.field, PrimeField):
+        gf = matrix.field  # evaluate natively; a foreign modulus would be unsound
     else:
-        PrimeField(p)  # validates primality
+        gf = PrimeField(p)  # validates primality
+        # Reduce the coefficients once; evaluation then stays in F_p.
+        entries = [[Polynomial(gf, dict(e.iter_terms())) for e in row] for row in entries]
     rng = random.Random(seed)
     variables = sorted(matrix.variables())
     best = 0
     for _ in range(trials):
-        point = {v: rng.randrange(p) for v in variables}
-        rows = [
-            [_value_mod_p(entry.evaluate(point), p) for entry in row]
-            for row in matrix.entries
-        ]
-        best = max(best, _rank_mod_p(rows, p))
+        point = {v: rng.randrange(gf.p) for v in variables}
+        rows = [dict(enumerate(entry.evaluate(point) for entry in row)) for row in entries]
+        best = max(best, len(row_reduce(rows, matrix.cols, gf)))
     return best
 
 
@@ -147,7 +199,8 @@ def rank_exact(matrix: PolyMatrix, size_limit: int = config.DET_SIZE_LIMIT) -> i
                     continue
                 num = rows[r][c] * piv - rows[r][col] * rows[rank][c]
                 q = num.exact_divide(prev)
-                assert q is not None, "Bareiss division must be exact"
+                if q is None:
+                    raise InvariantError("Bareiss division left a remainder")
                 rows[r][c] = q
             rows[r][col] = Polynomial.zero(f)
         prev = piv

@@ -9,6 +9,7 @@ default to natural-sorted identifiers collected from the polynomial texts.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .annihilator import AnnihilatorCertificate
@@ -22,6 +23,21 @@ from .poly import Namespace, Polynomial, format_polynomial, parse_polynomial
 
 def dumps(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _reader(read):
+    """Report a missing or mistyped key in ``read``'s input as a ParseError."""
+
+    @functools.wraps(read)
+    def checked(*args):
+        try:
+            return read(*args)
+        except KeyError as exc:
+            raise ParseError(f"{read.__name__}: missing key {exc}") from exc
+        except (TypeError, AttributeError) as exc:
+            raise ParseError(f"{read.__name__}: mistyped value ({exc})") from exc
+
+    return checked
 
 
 # -- polynomial maps ----------------------------------------------------------
@@ -39,6 +55,7 @@ def map_to_json(pmap: PolynomialMap) -> dict:
     }
 
 
+@_reader
 def map_from_json(obj: dict) -> PolynomialMap:
     field = field_from_json(obj["field"]) if "field" in obj else QQ
     texts = obj["outputs"]
@@ -77,6 +94,7 @@ def encoding_to_json(enc: LocalEncoding) -> dict:
     return obj
 
 
+@_reader
 def encoding_from_json(obj: dict) -> LocalEncoding:
     """Rebuild from provenance and check the stored outputs match."""
     prov = obj.get("provenance")
@@ -112,6 +130,7 @@ def certificate_to_json(cert: AnnihilatorCertificate) -> dict:
     }
 
 
+@_reader
 def certificate_from_json(obj: dict) -> AnnihilatorCertificate:
     enc = encoding_from_json(obj["encoding"])
     field = enc.map.field
@@ -139,6 +158,7 @@ def system_to_json(system: EquationSystem) -> dict:
     }
 
 
+@_reader
 def system_from_json(obj: dict) -> EquationSystem:
     field = field_from_json(obj["field"]) if "field" in obj else QQ
     texts = obj["equations"]
@@ -170,6 +190,7 @@ def refutation_to_json(ref: Refutation, system: EquationSystem) -> dict:
     }
 
 
+@_reader
 def refutation_from_json(obj: dict, system: EquationSystem) -> Refutation:
     field = field_from_json(obj["field"]) if "field" in obj else system.field
     kind = obj["kind"]

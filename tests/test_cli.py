@@ -1,10 +1,20 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import annforge
+from annforge import cli
 from annforge.cli import main
+from annforge.instances import kayal_map
+from annforge.ips import VerifyResult
+from annforge.poly import Namespace, format_polynomial
+from annforge.serialize import dumps, map_from_json, map_to_json
+
+from dense_reference import reference_basis_search
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CIRCUIT = str(FIXTURES / "squares_diff.txt")
@@ -253,3 +263,62 @@ def test_console_entry_point_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "size 4" in proc.stdout
+
+
+def run_process(*argv) -> tuple[int, str, str]:
+    """Run the CLI in a fresh interpreter, so an uncaught error shows as a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(annforge.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "annforge.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("damage", ["missing", "mistyped"])
+def test_malformed_encoding_exits_2(tmp_path, damage):
+    obj = json.loads((FIXTURES / "squares_diff_enc.json").read_text())
+    if damage == "missing":
+        del obj["outputs"]
+    else:
+        obj["outputs"] = 7
+    enc = tmp_path / "enc.json"
+    enc.write_text(json.dumps(obj))
+    poly = tmp_path / "p.txt"
+    poly.write_text("z1")
+    for argv in (["verify", "--encoding", str(enc), "--poly", str(poly)],
+                 ["annihilate", "--encoding", str(enc)]):
+        code, _, err = run_process(*argv)
+        assert code == 2, err
+        assert "parse.error" in err and "Traceback" not in err
+
+
+def test_jacobian_small_prime_denominator_exits_2(tmp_path):
+    polys = tmp_path / "polys.json"
+    polys.write_text(json.dumps(["1/3*x1^2 + x2"]))
+    code, _, err = run_process("jacobian", "--polys", str(polys), "--prime", "3")
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert "p=3" in err and "2/3" in err
+
+
+def test_ips_refute_that_fails_to_verify_exits_2(tmp_path, capsys, monkeypatch):
+    enc = tmp_path / "enc.json"
+    run(capsys, "encode", "--circuit", CIRCUIT, "--alpha", "1,2", "--beta", "0",
+        "--out", str(enc))
+    monkeypatch.setattr(cli, "verify_geometric",
+                        lambda ref, system: VerifyResult(False, "forced", 0))
+    assert main(["ips-refute", "--encoding", str(enc)]) == 2
+    assert "annforge.invariant" in capsys.readouterr().err
+
+
+def test_search_ann_matches_dense_reference(tmp_path, capsys):
+    kayal = tmp_path / "kayal.json"
+    kayal.write_text(dumps(map_to_json(kayal_map(2, 2))))
+    for path, degree in ((FIXTURES / "squares_diff_enc.json", 3), (kayal, 4)):
+        pmap = map_from_json(json.loads(path.read_text()))
+        zs = Namespace.outputs(pmap.out_len)
+        basis = [format_polynomial(q, zs) for q in reference_basis_search(pmap, degree)]
+        expected = [f"annihilator space at degree <= {degree}: dimension {len(basis)}"]
+        expected += [f"  {text}" for text in basis]
+        code, out = run(capsys, "search-ann", "--map", str(path), "--degree", str(degree))
+        assert code == 0
+        assert out == "\n".join(expected) + "\n"

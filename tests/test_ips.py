@@ -5,7 +5,8 @@ import pytest
 from annforge.annihilator import principal_generator, verify_annihilates
 from annforge.circuit import parse_circuit
 from annforge.encoding import local_encode, pad, parallel_compose
-from annforge.errors import SupportOverflowError, SystemSatisfiableError
+from annforge import ips
+from annforge.errors import InvariantError, SupportOverflowError, SystemSatisfiableError
 from annforge.fields import QQ
 from annforge.instances import det_circuit, masser_philippon_system
 from annforge.ips import (
@@ -141,6 +142,13 @@ def test_det2_singular_matrix_satisfiable():
     det2 = det_circuit(2)
     with pytest.raises(SystemSatisfiableError):
         canonical_geometric_refutation(local_encode(det2, [1, 1, 1, 1], 0))
+
+
+def test_constant_term_cross_check_is_a_typed_error(monkeypatch, single_add_circuit):
+    # h(0) = beta - f(alpha) is checked against a second evaluation route.
+    monkeypatch.setattr(ips, "evaluate_circuit", lambda circuit, point: 0)
+    with pytest.raises(InvariantError):
+        canonical_geometric_refutation(local_encode(single_add_circuit, [1, 2], 5))
 
 
 def test_refutation_divides_back_to_h(single_add_circuit):

@@ -4,7 +4,7 @@ import pytest
 
 from annforge.circuit import random_circuit
 from annforge.encoding import local_encode
-from annforge.errors import MatrixTooLargeError
+from annforge.errors import InvariantError, MatrixTooLargeError
 from annforge.fields import QQ
 from annforge.linalg import (
     PolyMatrix,
@@ -104,6 +104,13 @@ def test_rank_exact_matches_triangular_structure():
     enc = local_encode(c, [1, -1], 0)
     mat = jacobian(list(enc.map.outputs[:6]), list(range(6)))
     assert rank_exact(mat) == 6
+
+
+def test_rank_exact_inexact_division_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(Polynomial, "exact_divide", lambda self, divisor: None)
+    mat = PolyMatrix(((p("x1"), p("x2")), (p("x2"), p("x1"))))
+    with pytest.raises(InvariantError):
+        rank_exact(mat)
 
 
 def test_rank_exact_guard():
