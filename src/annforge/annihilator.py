@@ -17,9 +17,10 @@ from math import comb, lcm
 
 from . import config
 from .circuit import expand
-from .encoding import LocalEncoding, PolynomialMap, compose_polynomial
+from .encoding import LocalEncoding, PolynomialMap, annihilates, triangular_inverse
 from .errors import (
     DecompositionMismatchError,
+    InvariantError,
     ModularReductionError,
     NotAnAnnihilatorError,
     SearchSpaceTooLargeError,
@@ -49,57 +50,27 @@ def synthesize_gate_lifts(enc: LocalEncoding) -> tuple[tuple[Polynomial, ...], i
     """Lift polynomials h_1..h_s over z_1..z_{n+s} and the straight-line
     gate count of the synthesis.
 
-    An add gate k with children u, w yields h_k = z_{n+k} + Lhat(u) + Lhat(w);
-    a mul gate yields h_k = z_{n+k} + Lhat(u)*Lhat(w), where Lhat maps a
-    const gate to its constant, input gate i to z_i + alpha_i, and the j-th
-    internal gate to h_j.
+    An add gate k with children u, w has h_k = z_{n+k} + Lhat(u) + Lhat(w);
+    a mul gate has h_k = z_{n+k} + Lhat(u)*Lhat(w), where Lhat maps a const
+    gate to its constant, input gate i to z_i + alpha_i, and the j-th
+    internal gate to h_j.  These are the y-block of the triangular inverse
+    of the encoding's first n+s outputs, which computes them.  Each gate
+    costs two straight-line gates, plus one per input with nonzero alpha
+    that a gate reads.
     """
     f = enc.map.field
     circuit = enc.circuit
-    n = enc.n
-    gate_count = 0
-
-    # Lhat per circuit gate, with the straight-line cost of first computing it.
-    lhat: dict[int, Polynomial] = {}
-    shifted_input_cost: dict[int, int] = {}
-    position = {gid: j for j, gid in enumerate(circuit.internal_order, start=1)}
-
-    def child_poly(gid: int) -> Polynomial:
-        nonlocal gate_count
-        gate = circuit.gates[gid]
-        if gid in lhat:
-            return lhat[gid]
-        if gate.op == "const":
-            p = Polynomial.constant(f, gate.value)
-        elif gate.op == "input":
-            p = Polynomial.variable(f, gate.var) + Polynomial.constant(f, enc.alpha[gate.var])
-            if not f.is_zero(enc.alpha[gate.var]) and gate.var not in shifted_input_cost:
-                shifted_input_cost[gate.var] = 1
-                gate_count += 1
-        else:
-            raise AssertionError("internal children are lifted before use")
-        lhat[gid] = p
-        return p
-
-    lifts: list[Polynomial] = []
-    for gid in circuit.internal_order:
-        gate = circuit.gates[gid]
-        k = position[gid]
-        zvar = Polynomial.variable(f, n + k - 1)
-        left = child_poly(gate.left)
-        right = child_poly(gate.right)
-        if gate.op == "add":
-            h_k = zvar + left + right
-            gate_count += 2
-        else:
-            h_k = zvar + left * right
-            gate_count += 2
-        lhat[gid] = h_k
-        lifts.append(h_k)
-
+    inverse = triangular_inverse(enc.map.outputs, enc.map.seed_len)
+    if inverse is None:
+        raise InvariantError("local encoding is not triangular in its seed order")
+    gates = circuit.gates
+    read = {gates[child].var for gid in circuit.internal_order
+            for child in (gates[gid].left, gates[gid].right) if gates[child].op == "input"}
+    gate_count = 2 * enc.s + sum(1 for i in read if not f.is_zero(enc.alpha[i]))
     budget = config.LIFT_GATES_PER_STEP * enc.s + config.LIFT_GATES_SLACK
-    assert gate_count <= budget, f"synthesis used {gate_count} gates, budget {budget}"
-    return tuple(lifts), gate_count
+    if gate_count > budget:
+        raise InvariantError(f"synthesis used {gate_count} gates, budget {budget}")
+    return tuple(inverse[enc.n:]), gate_count
 
 
 def principal_generator(enc: LocalEncoding) -> AnnihilatorCertificate:
@@ -115,8 +86,8 @@ def principal_generator(enc: LocalEncoding) -> AnnihilatorCertificate:
 
 
 def verify_annihilates(p: Polynomial, pmap: PolynomialMap) -> bool:
-    """Exact decision of p o map = 0."""
-    return compose_polynomial(pmap, p).is_zero()
+    """Exact decision of p o map = 0 (see encoding.annihilates)."""
+    return annihilates(p, pmap.outputs, pmap.seed_len)
 
 
 @dataclass(frozen=True)

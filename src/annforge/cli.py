@@ -10,6 +10,7 @@ seed in the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -18,7 +19,7 @@ from . import config
 from .annihilator import annihilator_basis_search, principal_generator, verify_annihilates
 from .circuit import expand, metrics, parse_circuit
 from .encoding import encoding_metrics, local_encode, pad, parallel_compose
-from .errors import AnnforgeError, InvariantError, ResourceLimitError
+from .errors import AnnforgeError, InvariantError, ParseError, ResourceLimitError
 from .fields import PrimeField, field_from_spec
 from .instances import (
     det_circuit,
@@ -218,9 +219,14 @@ def cmd_hit(args) -> int:
 def cmd_jacobian(args) -> int:
     obj = _read_json(args.polys)
     field = field_from_spec(args.field)
-    texts = obj["polynomials"] if isinstance(obj, dict) else obj
-    ns = Namespace(obj["var_names"]) if isinstance(obj, dict) and "var_names" in obj \
-        else Namespace.inferred(texts)
+    texts = obj.get("polynomials") if isinstance(obj, dict) else obj
+    names = obj.get("var_names") if isinstance(obj, dict) else None
+    if not _is_str_list(texts) or not (names is None or _is_str_list(names)):
+        raise ParseError(
+            f"{args.polys}: expected a list of polynomial texts or an object with "
+            "'polynomials' (and optional 'var_names') lists of strings"
+        )
+    ns = Namespace(names) if names is not None else Namespace.inferred(texts)
     polys = [parse_polynomial(t, field, ns) for t in texts]
     variables = sorted(set().union(set(), *[p.variables() for p in polys]))
     if not variables:
@@ -250,6 +256,10 @@ def cmd_jacobian(args) -> int:
         ],
     )
     return 0
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(t, str) for t in value)
 
 
 def cmd_resultant(args) -> int:
@@ -533,9 +543,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ResourceLimitError as exc:

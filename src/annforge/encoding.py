@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .circuit import Circuit
-from .errors import CircuitError, SupportOverflowError
+from .errors import CircuitError, InvariantError, SupportOverflowError
 from .fields import FieldValue
-from .poly import Namespace, Polynomial
+from .poly import Monomial, Namespace, Polynomial
 
 
 @dataclass(frozen=True)
@@ -155,25 +156,25 @@ def local_encode(circuit: Circuit, alpha, beta) -> LocalEncoding:
 
 def encoding_metrics(enc: LocalEncoding) -> EncodingReport:
     """Recompute the expected output shapes from (circuit, alpha, beta) and
-    assert the stored map matches; any mismatch signals a construction bug."""
+    check the stored map matches; any mismatch signals a construction bug."""
     rebuilt = local_encode(enc.circuit, enc.alpha, enc.beta)
     if rebuilt.map != enc.map:
-        raise AssertionError("stored encoding differs from reconstruction")
-    n, s = enc.n, enc.s
+        raise InvariantError("stored encoding differs from reconstruction")
     m = enc.map
-    assert m.seed_len == n + s, "seed length must be n+s"
-    assert m.stretch == 1, "local encodings stretch by exactly 1"
-    assert m.degree <= 2, "local encodings have degree <= 2"
-    # Construction cost per output: one subtraction for the input/output
-    # blocks, one subtraction plus one add/mul for the internal block.
-    sizes = [1] * n + [2] * s + [1]
-    assert max(sizes) <= 2
+    if m.seed_len != enc.n + enc.s:
+        raise InvariantError(f"seed length {m.seed_len} is not n+s = {enc.n + enc.s}")
+    if m.stretch != 1:
+        raise InvariantError(f"local encoding stretches by {m.stretch}, not 1")
+    if m.degree > 2:
+        raise InvariantError(f"local encoding has degree {m.degree} > 2")
+    # Every output is one subtraction, plus one add or mul for an internal
+    # gate, and a local encoding has at least one internal gate.
     return EncodingReport(
         seed_len=m.seed_len,
         out_len=m.out_len,
         stretch=m.stretch,
         degree=m.degree,
-        max_formula_size=max(sizes),
+        max_formula_size=2,
     )
 
 
@@ -225,10 +226,84 @@ def parallel_compose(pmap: PolynomialMap, copies: int) -> PolynomialMap:
 def compose_polynomial(pmap: PolynomialMap, p: Polynomial) -> Polynomial:
     """p composed with the map: output variable i-1 (id) becomes outputs[i-1];
     the result is a polynomial over the seed variables."""
-    overflow = [v for v in p.variables() if v >= pmap.out_len]
+    _check_support(p, pmap.out_len)
+    return p.compose({v: pmap.outputs[v] for v in p.variables()})
+
+
+def _check_support(p: Polynomial, out_len: int) -> None:
+    overflow = [v for v in p.variables() if v >= out_len]
     if overflow:
         raise SupportOverflowError(
-            f"polynomial uses variable ids {overflow} >= out_len {pmap.out_len}"
+            f"polynomial uses variable ids {overflow} >= out_len {out_len}"
         )
-    subst = {v: pmap.outputs[v] for v in p.variables()}
-    return p.compose(subst)
+
+
+def triangular_inverse(
+    outputs: Sequence[Polynomial], n_vars: int
+) -> list[Polynomial] | None:
+    """Inverse of the first n_vars outputs when they are triangular.
+
+    Output j < N = n_vars must read c_j*v_j + g_j(v_0, ..., v_{j-1}) with
+    c_j a nonzero constant; then the map psi = (F_0, ..., F_{N-1}) has the
+    polynomial inverse psi^-1_j = (z_j - g_j o psi^-1) / c_j, built in the
+    order j = 0, 1, ...  Returns [psi^-1_0, ..., psi^-1_{N-1}] over the ids
+    0..N-1, or None when an output has another shape or there are fewer
+    than N outputs.  For a local encoding psi^-1 of the y-block is exactly
+    the gate lifts h_1..h_s.
+    """
+    if len(outputs) < n_vars:
+        return None
+    subst: dict[int, Polynomial] = {}
+    for j in range(n_vars):
+        out = outputs[j]
+        f = out.field
+        diagonal = Monomial(((j, 1),))
+        c = out.coefficient(diagonal)
+        if f.is_zero(c):
+            return None
+        unit = c == f.one
+        inv = f.one if unit else f.inv(c)
+        minus_inv = f.neg(inv)
+        step: dict[Monomial, FieldValue] = {}
+        for mono, coeff in out.iter_terms():
+            if mono == diagonal:
+                step[mono] = inv
+            elif mono.exps and mono.exps[-1][0] >= j:
+                return None
+            else:
+                step[mono] = f.neg(coeff) if unit else f.mul(coeff, minus_inv)
+        # (v_j - g_j) / c_j with v_j kept as z_j and v_<j replaced by psi^-1.
+        subst[j] = Polynomial.variable(f, j)
+        subst[j] = Polynomial(f, step).compose(subst)
+    return [subst[j] for j in range(n_vars)]
+
+
+def annihilates(p: Polynomial, outputs: Sequence[Polynomial], n_vars: int) -> bool:
+    """Exact decision of p(F_0, ..., F_{m-1}) = 0 for outputs F over the
+    variable ids 0..n_vars-1.
+
+    When the first N = n_vars outputs are triangular (see
+    triangular_inverse), each tail variable z_j (j >= N) that p uses is
+    replaced, by Horner's rule, with T_j = F_j o psi^-1, and p o F = 0 iff
+    the result p(z_0, ..., z_{N-1}, T_N, ...) is zero.  Proof: let tau send
+    z_j to F_j and sigma send v_j to psi^-1_j (j < N).  sigma(tau(z_j)) =
+    F_j o psi^-1 = z_j by construction of psi^-1, and tau(sigma(v_j)) = v_j
+    by induction on j (psi^-1_j o psi = (F_j - g_j(v_<j)) / c_j = v_j), so
+    sigma is a ring isomorphism and sigma(p o F) = p(z_<N, T) vanishes iff
+    p o F does.  Nothing is sampled or reduced modulo a prime.  Otherwise
+    (not triangular in this variable order, or fewer than N outputs) p o F
+    is expanded in full.  Raises SupportOverflowError when p uses an id
+    >= len(outputs).
+    """
+    _check_support(p, len(outputs))
+    inverse = triangular_inverse(outputs, n_vars)
+    if inverse is None:
+        return p.compose({v: outputs[v] for v in p.variables()}).is_zero()
+    subst = dict(enumerate(inverse))
+    for j in sorted(v for v in p.variables() if v >= n_vars):
+        value = outputs[j].compose(subst)
+        coeffs = p.coefficients_in(j)
+        p = coeffs[-1]
+        for q in reversed(coeffs[:-1]):
+            p = p * value + q
+    return p.is_zero()

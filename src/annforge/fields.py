@@ -47,6 +47,9 @@ class Field:
     """Interface shared by RationalField and PrimeField."""
 
     characteristic: int
+    #: Normalized constants (shared; field values are immutable).
+    zero: FieldValue
+    one: FieldValue
 
     def normalize(self, value) -> FieldValue:
         raise NotImplementedError
@@ -81,14 +84,6 @@ class Field:
             e >>= 1
         return out
 
-    @property
-    def zero(self) -> FieldValue:
-        return self.normalize(0)
-
-    @property
-    def one(self) -> FieldValue:
-        return self.normalize(1)
-
     def is_zero(self, a: FieldValue) -> bool:
         return a == self.zero
 
@@ -118,6 +113,8 @@ class RationalField(Field):
     """The field of rational numbers; elements are reduced Fractions."""
 
     characteristic = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def normalize(self, value) -> Fraction:
         return value if type(value) is Fraction else Fraction(value)
@@ -161,6 +158,9 @@ class RationalField(Field):
 
 class PrimeField(Field):
     """F_p for prime p; elements are int residues in [0, p)."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if not is_prime(p):

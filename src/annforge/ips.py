@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .annihilator import principal_generator
 from .circuit import evaluate_circuit
-from .encoding import LocalEncoding, PolynomialMap
+from .encoding import LocalEncoding, PolynomialMap, annihilates
 from .errors import InvariantError, SupportOverflowError, SystemSatisfiableError
 from .poly import Namespace, Polynomial
 
@@ -70,11 +70,15 @@ class VerifyResult:
 
 
 def verify_geometric(ref: Refutation, system: EquationSystem) -> VerifyResult:
-    """Accept iff r(f_1, ..., f_m) = 0 exactly and r(0, ..., 0) = 1."""
+    """Accept iff r(f_1, ..., f_m) = 0 exactly and r(0, ..., 0) = 1.
+
+    The composition is decided by encoding.annihilates over the system's
+    n_vars variables: by triangular reduction when the first n_vars
+    equations are triangular (as a local encoding's are), else by full
+    expansion."""
     if ref.kind != "geometric":
         raise ValueError("refutation kind must be geometric")
     m = len(system.equations)
-    f = system.field
     r = ref.r
     bad = [v for v in r.variables() if v >= m]
     if bad:
@@ -82,11 +86,9 @@ def verify_geometric(ref: Refutation, system: EquationSystem) -> VerifyResult:
             f"refutation uses z-ids {bad} but the system has {m} equations"
         )
     degree = r.degree()
-    origin = r.evaluate([f.zero] * m)
-    if origin != f.one:
+    if r.constant_term() != system.field.one:
         return VerifyResult(False, "constant-term", degree)
-    composed = r.compose({v: system.equations[v] for v in r.variables()})
-    if not composed.is_zero():
+    if not annihilates(r, system.equations, system.n_vars):
         return VerifyResult(False, "composition-nonzero", degree)
     return VerifyResult(True, None, degree)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import config
 from .circuit import Circuit, evaluate_circuit, expand, metrics
-from .encoding import PolynomialMap, compose_polynomial
+from .encoding import PolynomialMap, annihilates
 from .errors import PointBudgetExceededError, SupportOverflowError
 from .fields import Field, FieldValue, PrimeField
 from .poly import Polynomial
@@ -95,7 +95,8 @@ def generator_pit(
 ) -> PitVerdict:
     """Test the composition (circuit o map).
 
-    symbolic: expand the circuit, compose with the map, exact zero test.
+    symbolic: expand the circuit and decide exactly whether the map
+    annihilates it (encoding.annihilates).
     randomized: sample random seed points, push through the map, evaluate.
     deterministic_grid: evaluate the composition on the full grid of side
     deg(circuit)*deg(map)+1 over the seed variables (exact, but the point
@@ -107,8 +108,7 @@ def generator_pit(
         )
     f = circuit.field
     if mode == "symbolic":
-        composed = compose_polynomial(pmap, expand(circuit, term_budget))
-        zero = composed.is_zero()
+        zero = annihilates(expand(circuit, term_budget), pmap.outputs, pmap.seed_len)
         return PitVerdict(
             verdict="zero" if zero else "nonzero",
             trials_run=0, failure_bound=Fraction(0), mode=mode,
@@ -172,4 +172,5 @@ def hit_test(pmap: PolynomialMap, p: Polynomial) -> HitResult:
     and Fooled when the map annihilates it."""
     if p.is_zero():
         return HitResult.ZERO_INPUT
-    return HitResult.FOOLED if compose_polynomial(pmap, p).is_zero() else HitResult.HIT
+    fooled = annihilates(p, pmap.outputs, pmap.seed_len)
+    return HitResult.FOOLED if fooled else HitResult.HIT

@@ -195,16 +195,8 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         check_same_field(self.field, other.field)
-        f = self.field
         out: dict[Monomial, FieldValue] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                mono = ma.mul(mb)
-                c = f.add(out.get(mono, f.zero), f.mul(ca, cb))
-                if f.is_zero(c):
-                    out.pop(mono, None)
-                else:
-                    out[mono] = c
+        _add_product(out, self.field, self.field.one, self._terms, other._terms)
         return self._wrap(out)
 
     def __pow__(self, e: int) -> "Polynomial":
@@ -263,21 +255,29 @@ class Polynomial:
         for v in self.variables():
             if v not in subst:
                 raise MissingAssignmentError(f"no substitution for variable id {v}")
-        powers: dict[int, list[Polynomial]] = {}
+        powers: dict[int, list[Polynomial]] = {}  # v -> [subst[v]^1, subst[v]^2, ...]
 
         def power(v: int, e: int) -> Polynomial:
-            cache = powers.setdefault(v, [Polynomial.constant(f, 1)])
-            while len(cache) <= e:
+            cache = powers.get(v)
+            if cache is None:
+                cache = powers[v] = [subst[v]]
+            while len(cache) < e:
                 cache.append(cache[-1] * subst[v])
-            return cache[e]
+            return cache[e - 1]
 
-        acc = Polynomial.zero(f)
+        # Each term's last factor is multiplied straight into the sum.
+        unit = {MONOMIAL_ONE: f.one}
+        out: dict[Monomial, FieldValue] = {}
         for mono, coeff in self._terms.items():
-            term = Polynomial.constant(f, coeff)
-            for v, e in mono.exps:
-                term = term * power(v, e)
-            acc = acc + term
-        return acc
+            if not mono.exps:
+                _add_product(out, f, coeff, unit, unit)
+                continue
+            v, e = mono.exps[-1]
+            left = power(v, e - 1) if e > 1 else None
+            for u, d in mono.exps[:-1]:
+                left = power(u, d) if left is None else left * power(u, d)
+            _add_product(out, f, coeff, unit if left is None else left._terms, subst[v]._terms)
+        return self._wrap(out)
 
     def substitute(self, partial: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Like compose, but variables absent from ``partial`` stay themselves."""
@@ -352,6 +352,33 @@ class Polynomial:
             quot[qm] = qc
             rem = rem - divisor * Polynomial(f, {qm: qc})
         return Polynomial(f, quot)
+
+
+def _add_product(out: dict, f: Field, coeff: FieldValue, left: dict, right: dict) -> None:
+    """out += coeff * left * right for term dicts over f (coeff nonzero).
+
+    Products of nonzero field elements are nonzero, so a new monomial is
+    stored without an addition; only sums can cancel, and zero sums are
+    dropped.  Multiplications by one are skipped."""
+    add, mul, is_zero, one = f.add, f.mul, f.is_zero, f.one
+    get = out.get
+    scaled = coeff != one
+    for ma, ca in left.items():
+        if scaled:
+            ca = mul(coeff, ca)
+        unit = ca == one
+        for mb, cb in right.items():
+            mono = ma.mul(mb) if ma.exps else mb
+            term = cb if unit else mul(ca, cb)
+            prev = get(mono)
+            if prev is None:
+                out[mono] = term
+            else:
+                c = add(prev, term)
+                if is_zero(c):
+                    del out[mono]
+                else:
+                    out[mono] = c
 
 
 # -- namespaces and the text grammar ----------------------------------------
@@ -433,7 +460,7 @@ def parse_polynomial(text: str, field: Field, ns: Namespace) -> Polynomial:
     if not tokens:
         raise ParseError("empty polynomial text")
 
-    result = Polynomial.zero(field)
+    terms: dict[Monomial, FieldValue] = {}
     i = 0
     while i < len(tokens):
         sign = 1
@@ -471,8 +498,13 @@ def parse_polynomial(text: str, field: Field, ns: Namespace) -> Polynomial:
             break
         if not saw_factor:
             raise ParseError(f"empty term in {text!r}")
-        result = result + Polynomial.monomial(field, coeff, exps)
-    return result
+        mono = Monomial.of(exps)
+        c = field.add(terms.get(mono, field.zero), coeff)
+        if field.is_zero(c):
+            terms.pop(mono, None)
+        else:
+            terms[mono] = c
+    return Polynomial(field)._wrap(terms)
 
 
 def format_polynomial(p: Polynomial, ns: Namespace | None = None) -> str:

@@ -130,18 +130,6 @@ def certificate_to_json(cert: AnnihilatorCertificate) -> dict:
     }
 
 
-@_reader
-def certificate_from_json(obj: dict) -> AnnihilatorCertificate:
-    enc = encoding_from_json(obj["encoding"])
-    field = enc.map.field
-    zs = Namespace.outputs(enc.out_len)
-    h = parse_polynomial(obj["h"], field, zs)
-    lifts = tuple(parse_polynomial(t, field, zs) for t in obj["gate_lifts"])
-    return AnnihilatorCertificate(
-        h=h, gate_lifts=lifts, lift_gate_count=int(obj["lift_gate_count"]), encoding=enc
-    )
-
-
 # -- equation systems and refutations ------------------------------------------
 
 

@@ -322,3 +322,35 @@ def test_search_ann_matches_dense_reference(tmp_path, capsys):
         code, out = run(capsys, "search-ann", "--map", str(path), "--degree", str(degree))
         assert code == 0
         assert out == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("payload", [{"polys": ["x1"]}, {"polynomials": "x1"},
+                                     {"polynomials": ["x1"], "var_names": "x1"}, [1, 2]])
+def test_jacobian_malformed_polys_exits_2(tmp_path, payload):
+    polys = tmp_path / "polys.json"
+    polys.write_text(json.dumps(payload))
+    code, _, err = run_process("jacobian", "--polys", str(polys))
+    assert code == 2, err
+    assert "parse.error" in err and "Traceback" not in err
+
+
+def test_pipeline_on_five_squarings(tmp_path, capsys):
+    # (x1 + 2)^16 at x1 = 1 is 3^16, so the claim 3^16 + 1 is false.  verify
+    # and ips-verify decide h o F = 0 by triangular reduction, without
+    # expanding the composition.
+    circuit = tmp_path / "chain5.txt"
+    circuit.write_text("circuit chain5\ninputs x1\ng1 = add x1 2\n"
+                       + "".join(f"g{k} = mul g{k - 1} g{k - 1}\n" for k in range(2, 6))
+                       + "output g5\n")
+    p = {name: str(tmp_path / name) for name in ("enc.json", "cert.json", "h.txt",
+                                                  "r.json", "sys.json")}
+    codes = [main(["encode", "--circuit", str(circuit), "--alpha", "1",
+                   "--beta", str(3**16 + 1), "--out", p["enc.json"]]),
+             main(["annihilate", "--encoding", p["enc.json"], "--out", p["cert.json"]])]
+    (tmp_path / "h.txt").write_text(json.loads((tmp_path / "cert.json").read_text())["h"])
+    codes += [main(["verify", "--encoding", p["enc.json"], "--poly", p["h.txt"]]),
+              main(["ips-refute", "--encoding", p["enc.json"], "--out", p["r.json"],
+                    "--system-out", p["sys.json"]]),
+              main(["ips-verify", "--system", p["sys.json"], "--refutation", p["r.json"]])]
+    assert codes == [0, 0, 0, 0, 0]
+    assert capsys.readouterr().out.splitlines()[-1].startswith("Accept")

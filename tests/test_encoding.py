@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from annforge.encoding import (
     pad,
     parallel_compose,
 )
-from annforge.errors import CircuitError, SupportOverflowError
+from annforge.errors import CircuitError, InvariantError, SupportOverflowError
 from annforge.fields import QQ
 from annforge.poly import Namespace, Polynomial
 from annforge.serialize import encoding_to_json, dumps
@@ -91,6 +92,12 @@ def test_encoding_metrics_fig(fig_encoding):
     r = encoding_metrics(fig_encoding)
     assert (r.seed_len, r.out_len, r.stretch, r.degree) == (6, 7, 1, 2)
     assert r.max_formula_size <= 2
+
+
+def test_encoding_metrics_rejects_a_map_that_is_not_the_reconstruction(fig_encoding):
+    tampered = dataclasses.replace(fig_encoding, beta=fig_encoding.beta + 1)
+    with pytest.raises(InvariantError):
+        encoding_metrics(tampered)
 
 
 def test_encoding_metrics_size_one_circuit():
