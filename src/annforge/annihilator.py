@@ -56,7 +56,8 @@ def synthesize_gate_lifts(enc: LocalEncoding) -> tuple[tuple[Polynomial, ...], i
     internal gate to h_j.  These are the y-block of the triangular inverse
     of the encoding's first n+s outputs, which computes them.  Each gate
     costs two straight-line gates, plus one per input with nonzero alpha
-    that a gate reads.
+    that a gate reads; a gate reads at most two inputs, so the count is at
+    most 4s.
     """
     f = enc.map.field
     circuit = enc.circuit
@@ -67,9 +68,6 @@ def synthesize_gate_lifts(enc: LocalEncoding) -> tuple[tuple[Polynomial, ...], i
     read = {gates[child].var for gid in circuit.internal_order
             for child in (gates[gid].left, gates[gid].right) if gates[child].op == "input"}
     gate_count = 2 * enc.s + sum(1 for i in read if not f.is_zero(enc.alpha[i]))
-    budget = config.LIFT_GATES_PER_STEP * enc.s + config.LIFT_GATES_SLACK
-    if gate_count > budget:
-        raise InvariantError(f"synthesis used {gate_count} gates, budget {budget}")
     return tuple(inverse[enc.n:]), gate_count
 
 
@@ -96,14 +94,14 @@ class Decomposition:
     g: Polynomial  # h - z_{n+s+1} + f_shifted - beta, in <z_{n+1}..z_{n+s}>
 
 
-def decompose(cert: AnnihilatorCertificate, term_budget: int | None = None) -> Decomposition:
+def decompose(cert: AnnihilatorCertificate) -> Decomposition:
     """Split h into its circuit part and gate-variable error term, verifying
     the structural claims (g in <z_{n+1},...,z_{n+s}>, and the restriction of
     h at z_{n+1}=...=z_{n+s}=0 equals z_{n+s+1} - f_shifted + beta)."""
     enc = cert.encoding
     f = enc.map.field
     n, s = enc.n, enc.s
-    circuit_poly = expand(enc.circuit, term_budget)
+    circuit_poly = expand(enc.circuit)
     shift = {i: Polynomial.variable(f, i) + Polynomial.constant(f, enc.alpha[i])
              for i in range(n)}
     f_shifted = circuit_poly.substitute(shift)

@@ -14,8 +14,6 @@ Circuit DSL::
     g1 = add|mul <ref> <ref>    # ref: input, previous gate, or rational
     ...
     output g<k>
-
-There is a JSON mirror with the same fields.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from functools import cached_property
 
 from . import config
 from .errors import BudgetExceededError, CircuitError, ParseError
-from .fields import QQ, Field, FieldValue, field_from_json
+from .fields import QQ, Field, FieldValue
 from .poly import Polynomial
 
 _LITERAL_RE = re.compile(r"-?\d+(/\d+)?")
@@ -128,13 +126,13 @@ def evaluate_circuit(circuit: Circuit, point) -> FieldValue:
     return vals[circuit.output]
 
 
-def expand(circuit: Circuit, term_budget: int | None = None) -> Polynomial:
+def expand(circuit: Circuit) -> Polynomial:
     """The polynomial computed by the circuit, by gate-order accumulation.
 
     Aborts with BudgetExceededError as soon as any intermediate polynomial
-    exceeds the term budget; expansion is an oracle, not a scalable path.
+    exceeds config.term_budget(); expansion is an oracle, not a scalable path.
     """
-    budget = config.term_budget(term_budget)
+    budget = config.term_budget()
     f = circuit.field
     polys: list[Polynomial] = []
     for i, g in enumerate(circuit.gates):
@@ -239,9 +237,6 @@ class CircuitBuilder:
     def mul(self, a: int, b: int) -> int:
         self.gates.append(Gate.mul(a, b))
         return len(self.gates) - 1
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.mul(self.const(-1), b))
 
     def tree_reduce(self, op: str, operands: list[int]) -> int:
         """Left-deep binary tree of fan-in-2 ``op`` gates over the operands;
@@ -389,40 +384,3 @@ def serialize_circuit(circuit: Circuit) -> str:
     lines.append(f"output {ref(circuit.output)}")
     return "\n".join(lines) + "\n"
 
-
-def circuit_to_json(circuit: Circuit) -> dict:
-    gate_names = {gid: f"g{pos}" for pos, gid in enumerate(circuit.internal_order, start=1)}
-
-    def ref(gid: int) -> str:
-        g = circuit.gates[gid]
-        if g.op == "input":
-            return circuit.input_names[g.var]
-        if g.op == "const":
-            return circuit.field.format_value(g.value)
-        return gate_names[gid]
-
-    return {
-        "schema_version": 1,
-        "kind": "circuit",
-        "field": circuit.field.to_json(),
-        "name": circuit.name,
-        "inputs": list(circuit.input_names),
-        "gates": [
-            {
-                "name": gate_names[gid],
-                "op": circuit.gates[gid].op,
-                "args": [ref(circuit.gates[gid].left), ref(circuit.gates[gid].right)],
-            }
-            for gid in circuit.internal_order
-        ],
-        "output": ref(circuit.output),
-    }
-
-
-def circuit_from_json(obj: dict) -> Circuit:
-    field = field_from_json(obj["field"]) if "field" in obj else QQ
-    lines = [f"circuit {obj.get('name', 'circuit')}", "inputs " + " ".join(obj["inputs"])]
-    for g in obj["gates"]:
-        lines.append(f"{g['name']} = {g['op']} {g['args'][0]} {g['args'][1]}")
-    lines.append(f"output {obj['output']}")
-    return parse_circuit("\n".join(lines), field)

@@ -445,13 +445,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    def common(p: argparse.ArgumentParser, field: bool = False) -> argparse.ArgumentParser:
+        """--json everywhere; --field only where no input file fixes the field."""
         p.add_argument("--json", action="store_true", help="JSON report on stdout")
-        p.add_argument("--field", default="rational",
-                       help="rational (default) or prime:<p>")
+        if field:
+            p.add_argument("--field", default="rational",
+                           help="rational (default) or prime:<p>")
         return p
 
-    p = common(sub.add_parser("encode", help="build a local encoding"))
+    p = common(sub.add_parser("encode", help="build a local encoding"), field=True)
     p.add_argument("--circuit", required=True)
     p.add_argument("--alpha", required=True, help="comma-separated field values")
     p.add_argument("--beta", required=True)
@@ -473,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True, help="file with polynomial text over z1..")
     p.set_defaults(func=cmd_verify)
 
-    p = common(sub.add_parser("pit", help="polynomial identity testing"))
+    p = common(sub.add_parser("pit", help="polynomial identity testing"), field=True)
     p.add_argument("--circuit", required=True)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--grid", type=int, default=None)
@@ -489,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True)
     p.set_defaults(func=cmd_hit)
 
-    p = common(sub.add_parser("jacobian", help="randomized Jacobian rank"))
+    p = common(sub.add_parser("jacobian", help="randomized Jacobian rank"), field=True)
     p.add_argument("--polys", required=True,
                    help="JSON file: [poly-text, ...] or {polynomials, var_names}")
     p.add_argument("--trials", type=int, default=config.DEFAULT_TRIALS)
@@ -497,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_jacobian)
 
-    p = common(sub.add_parser("resultant", help="Sylvester resultant"))
+    p = common(sub.add_parser("resultant", help="Sylvester resultant"), field=True)
     p.add_argument("--f", required=True, help="polynomial text")
     p.add_argument("--g", required=True, help="polynomial text")
     p.add_argument("--var", required=True)
@@ -517,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the encoding's equation system")
     p.set_defaults(func=cmd_ips_refute)
 
-    p = common(sub.add_parser("instance", help="build a named instance"))
+    p = common(sub.add_parser("instance", help="build a named instance"), field=True)
     p.add_argument("--family", required=True,
                    choices=["kayal", "kayal-chain", "masser-philippon", "det", "cnf3"])
     p.add_argument("--n", type=int, default=2)
@@ -534,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_stretch)
 
-    p = common(sub.add_parser("metrics", help="circuit or encoding metrics"))
+    p = common(sub.add_parser("metrics", help="circuit or encoding metrics"), field=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--circuit")
     group.add_argument("--encoding")

@@ -1,6 +1,7 @@
 """Run configuration: budgets, ceilings, trial counts and the default prime.
 
-Env overrides: AF_TERM_BUDGET (circuit expansion term budget) and
+Every limit is read from here when the guarded function runs.  Env
+overrides: AF_TERM_BUDGET (circuit expansion term budget) and
 AF_MONOMIAL_CEILING (annihilator kernel-search monomial count guard) are read
 at call time so a single process can honour per-invocation overrides.
 """
@@ -19,16 +20,10 @@ DEFAULT_POINT_BUDGET = 200_000
 DEFAULT_TRIALS = 2
 #: Guard on Sylvester/exact-determinant matrix size (cofactor expansion).
 DET_SIZE_LIMIT = 12
-#: Straight-line gate-lift synthesis emits at most LIFT_GATES_PER_STEP gates
-#: per circuit gate, plus LIFT_GATES_SLACK for assembling the generator.
-LIFT_GATES_PER_STEP = 4
-LIFT_GATES_SLACK = 4
 
 
-def term_budget(override: int | None = None) -> int:
-    """Effective expansion term budget (override > env > default)."""
-    if override is not None:
-        return override
+def term_budget() -> int:
+    """Effective expansion term budget (env > default)."""
     env = os.environ.get("AF_TERM_BUDGET")
     return int(env) if env else DEFAULT_TERM_BUDGET
 

@@ -60,10 +60,6 @@ class PolynomialMap:
     def seed_namespace(self) -> Namespace:
         return Namespace(self.seed_names)
 
-    @property
-    def output_namespace(self) -> Namespace:
-        return Namespace.outputs(self.out_len)
-
 
 @dataclass(frozen=True)
 class BlockSpans:

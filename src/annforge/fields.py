@@ -8,7 +8,6 @@ exactness: there is no floating point anywhere in the package.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import Union
 
@@ -16,13 +15,17 @@ from .errors import FieldMismatchError, ModularReductionError, ParseError
 
 FieldValue = Union[Fraction, int]
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: The least strong pseudoprime to all of _MR_BASES: below it the test is exact.
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3 * 10^24."""
+    """Deterministic Miller-Rabin for n < _MR_BOUND; larger n raise ValueError."""
     if n < 2:
         return False
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} >= {_MR_BOUND}, the bound of the exact prime test")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -86,10 +89,6 @@ class Field:
 
     def is_zero(self, a: FieldValue) -> bool:
         return a == self.zero
-
-    def random_element(self, rng: random.Random, bound: int) -> FieldValue:
-        """Uniform sample from {0, ..., bound-1} embedded in the field."""
-        return self.normalize(rng.randrange(bound))
 
     def format_value(self, a: FieldValue) -> str:
         raise NotImplementedError

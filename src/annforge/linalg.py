@@ -175,12 +175,13 @@ def rank_random_eval(
     return best
 
 
-def rank_exact(matrix: PolyMatrix, size_limit: int = config.DET_SIZE_LIMIT) -> int:
+def rank_exact(matrix: PolyMatrix) -> int:
     """Exact symbolic rank by fraction-free (Bareiss-style) elimination on
     the polynomial entries; guarded for certification-scale inputs only."""
-    if max(matrix.rows, matrix.cols) > size_limit:
+    limit = config.DET_SIZE_LIMIT
+    if max(matrix.rows, matrix.cols) > limit:
         raise MatrixTooLargeError(
-            f"{matrix.rows}x{matrix.cols} exceeds exact-rank guard {size_limit}"
+            f"{matrix.rows}x{matrix.cols} exceeds exact-rank guard {limit}"
         )
     f = matrix.field
     rows = [list(r) for r in matrix.entries]
@@ -251,13 +252,14 @@ def sylvester(f: Polynomial, g: Polynomial, var: int) -> PolyMatrix:
     return PolyMatrix(tuple(tuple(row) for row in entries))
 
 
-def determinant(matrix: PolyMatrix, size_limit: int = config.DET_SIZE_LIMIT) -> Polynomial:
+def determinant(matrix: PolyMatrix) -> Polynomial:
     """Exact determinant by cofactor expansion along the first rows, memoized
     on column subsets; guarded size."""
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
-    if matrix.rows > size_limit:
-        raise MatrixTooLargeError(f"size {matrix.rows} exceeds guard {size_limit}")
+    limit = config.DET_SIZE_LIMIT
+    if matrix.rows > limit:
+        raise MatrixTooLargeError(f"size {matrix.rows} exceeds guard {limit}")
     f = matrix.field
     entries = matrix.entries
     cache: dict[tuple[int, ...], Polynomial] = {}
@@ -282,15 +284,14 @@ def determinant(matrix: PolyMatrix, size_limit: int = config.DET_SIZE_LIMIT) -> 
     return minor(tuple(range(matrix.cols)))
 
 
-def resultant(f: Polynomial, g: Polynomial, var: int,
-              size_limit: int = config.DET_SIZE_LIMIT) -> Polynomial:
+def resultant(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
     """det of the Sylvester matrix; zero iff f and g share a factor involving
     ``var``.  The result does not involve ``var``."""
-    return determinant(sylvester(f, g, var), size_limit)
+    return determinant(sylvester(f, g, var))
 
 
 def resultant_with_cofactors(
-    f: Polynomial, g: Polynomial, var: int, size_limit: int = config.DET_SIZE_LIMIT
+    f: Polynomial, g: Polynomial, var: int
 ) -> tuple[Polynomial, Polynomial, Polynomial]:
     """(res, u, v) with u*f + v*g = res, deg_var u < deg_var g and
     deg_var v < deg_var f.
@@ -301,10 +302,8 @@ def resultant_with_cofactors(
     n = f.degree_in(var)
     m = g.degree_in(var)
     mat = sylvester(f, g, var)
-    if mat.rows > size_limit:
-        raise MatrixTooLargeError(f"size {mat.rows} exceeds guard {size_limit}")
     field = f.field
-    res = determinant(mat, size_limit)
+    res = determinant(mat)
     size = n + m
     last = size - 1
 
@@ -323,7 +322,7 @@ def resultant_with_cofactors(
         coeffs.append(Polynomial.constant(field, 1))
     else:
         for i in range(size):
-            mnr = determinant(drop(last, i), size_limit)
+            mnr = determinant(drop(last, i))
             coeffs.append(mnr if (last + i) % 2 == 0 else -mnr)
 
     u = Polynomial.zero(field)

@@ -90,8 +90,6 @@ def generator_pit(
     mode: str = "symbolic",
     trials: int = 10,
     seed: int = 0,
-    term_budget: int | None = None,
-    point_budget: int = config.DEFAULT_POINT_BUDGET,
 ) -> PitVerdict:
     """Test the composition (circuit o map).
 
@@ -100,7 +98,7 @@ def generator_pit(
     randomized: sample random seed points, push through the map, evaluate.
     deterministic_grid: evaluate the composition on the full grid of side
     deg(circuit)*deg(map)+1 over the seed variables (exact, but the point
-    count is guarded by ``point_budget``).
+    count is guarded by config.DEFAULT_POINT_BUDGET).
     """
     if circuit.n_inputs > pmap.out_len:
         raise SupportOverflowError(
@@ -108,7 +106,7 @@ def generator_pit(
         )
     f = circuit.field
     if mode == "symbolic":
-        zero = annihilates(expand(circuit, term_budget), pmap.outputs, pmap.seed_len)
+        zero = annihilates(expand(circuit), pmap.outputs, pmap.seed_len)
         return PitVerdict(
             verdict="zero" if zero else "nonzero",
             trials_run=0, failure_bound=Fraction(0), mode=mode,
@@ -138,9 +136,9 @@ def generator_pit(
         d = max(metrics(circuit).degree_bound * max(pmap.degree, 1), 1)
         side = d + 1
         total = side ** pmap.seed_len
-        if total > point_budget:
+        if total > config.DEFAULT_POINT_BUDGET:
             raise PointBudgetExceededError(
-                f"{total} grid points exceed budget {point_budget}"
+                f"{total} grid points exceed budget {config.DEFAULT_POINT_BUDGET}"
             )
         _check_grid(f, side)
         count = 0

@@ -34,7 +34,7 @@ def _reader(read):
             return read(*args)
         except KeyError as exc:
             raise ParseError(f"{read.__name__}: missing key {exc}") from exc
-        except (TypeError, AttributeError) as exc:
+        except (TypeError, AttributeError, OverflowError) as exc:
             raise ParseError(f"{read.__name__}: mistyped value ({exc})") from exc
 
     return checked

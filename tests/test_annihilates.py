@@ -123,7 +123,7 @@ def test_triangular_inverse_is_the_gate_lifts(enc):
     f = enc.map.field
     for i, lift in enumerate(inverse):
         assert compose_polynomial(enc.map, lift) == Polynomial.variable(f, i)
-    assert count <= config.LIFT_GATES_PER_STEP * enc.s + config.LIFT_GATES_SLACK
+    assert count <= 4 * enc.s + 4
 
 
 def test_non_triangular_maps_take_the_full_compose():

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from annforge import config
 from annforge.annihilator import (
     annihilator_basis_search,
     count_monomials,
@@ -40,7 +39,7 @@ def test_gate_lift_single_add():
     enc = local_encode(parse_circuit(SINGLE_ADD_TEXT), [0, 0], 0)
     lifts, count = synthesize_gate_lifts(enc)
     assert list(lifts) == [Z("z3 + z1 + z2", 4)]
-    assert count <= config.LIFT_GATES_PER_STEP * 1 + config.LIFT_GATES_SLACK
+    assert count <= 4 * 1 + 4
 
 
 def test_lift_identities_random_circuits():

@@ -354,3 +354,55 @@ def test_pipeline_on_five_squarings(tmp_path, capsys):
               main(["ips-verify", "--system", p["sys.json"], "--refutation", p["r.json"]])]
     assert codes == [0, 0, 0, 0, 0]
     assert capsys.readouterr().out.splitlines()[-1].startswith("Accept")
+
+
+FILE_FIELD_COMMANDS = {
+    "annihilate": ["--encoding", "enc.json"],
+    "search-ann": ["--map", "enc.json", "--degree", "2"],
+    "verify": ["--encoding", "enc.json", "--poly", "h.txt"],
+    "hit": ["--map", "enc.json", "--poly", "h.txt"],
+    "ips-verify": ["--system", "sys.json", "--refutation", "r.json"],
+    "ips-refute": ["--encoding", "enc.json"],
+    "stretch": ["--map", "enc.json", "--copies", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FILE_FIELD_COMMANDS))
+def test_field_option_only_where_no_file_fixes_the_field(command, capsys):
+    # These commands take the field from their input file; --field is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main([command, *FILE_FIELD_COMMANDS[command], "--field", "prime:7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --field prime:7" in capsys.readouterr().err
+
+
+def test_field_option_on_commands_without_an_input_field(capsys):
+    runs = [["encode", "--circuit", CIRCUIT, "--alpha", "1,2", "--beta", "3"],
+            ["pit", "--circuit", CIRCUIT, "--trials", "2"],
+            ["resultant", "--f", "y - a", "--g", "y - b", "--var", "y"],
+            ["instance", "--family", "det", "--n", "2"],
+            ["metrics", "--circuit", CIRCUIT]]
+    for argv in runs:
+        assert main([*argv, "--field", "prime:7"]) == 0
+
+
+@pytest.mark.parametrize("modulus, message", [
+    (318665857834031151167461, "is not prime"),  # strong pseudoprime to bases 2..37
+    (3317044064679887385961981, ">= 3317044064679887385961981"),  # ... to bases 2..41
+])
+def test_pseudoprime_or_unbounded_modulus_exits_2(modulus, message):
+    code, _, err = run_process("metrics", "--circuit", CIRCUIT, "--field", f"prime:{modulus}")
+    assert code == 2, err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed_len", ["Infinity", "1e400"])
+def test_infinite_seed_len_exits_2(tmp_path, seed_len):
+    text = (FIXTURES / "squares_diff_enc.json").read_text()
+    path = tmp_path / "map.json"
+    path.write_text(text.replace('"seed_len": 6', f'"seed_len": {seed_len}'))
+    for argv in (["search-ann", "--map", str(path), "--degree", "1"],
+                 ["stretch", "--map", str(path), "--copies", "2"]):
+        code, _, err = run_process(*argv)
+        assert code == 2, err
+        assert "parse.error" in err and "Traceback" not in err

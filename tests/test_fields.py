@@ -42,6 +42,29 @@ def test_is_prime_small_cases():
         assert is_prime(n) == (n in primes or all(n % d for d in range(2, n)))
 
 
+#: Least strong pseudoprimes to the first 12 and 13 prime bases (2..37, 2..41).
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_past_twelve_bases():
+    # PSI_12 is composite but passes Miller-Rabin to every base 2..37.
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12)
+    with pytest.raises(ValueError, match="not prime"):
+        field_from_spec(f"prime:{PSI_12}")
+    assert is_prime(2**61 - 1)
+    assert field_from_spec(f"prime:{2**61 - 1}") == PrimeField(2**61 - 1)
+
+
+def test_is_prime_refuses_moduli_at_the_bound():
+    for n in (PSI_13, PSI_13 + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match=str(PSI_13)):
+            is_prime(n)
+        with pytest.raises(ValueError, match=str(PSI_13)):
+            PrimeField(n)
+
+
 def test_prime_field_arithmetic():
     gf = PrimeField(13)
     assert gf.add(7, 9) == 3

@@ -1,0 +1,114 @@
+"""Mutated input files: every JSON reader the CLI reaches gives exit 0 or 2.
+
+Each example takes one input file (the fixture encoding, an equation system
+or a geometric refutation), either drops one key or list entry or replaces
+one value, and runs the command that reads the file.  A bad file must end in
+a usage error (exit 2), never in a traceback or in exit 1, which is reserved
+for Reject.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from annforge import canonical_geometric_refutation, local_encode, parse_circuit, system_of
+from annforge.cli import main
+from annforge.serialize import dumps, refutation_to_json, system_to_json
+
+FIXTURES = Path(__file__).parent / "fixtures"
+DROP = object()
+REPLACEMENTS = [DROP, None, [], {}, "x", 1.5, float("inf"), 10**30]
+
+
+def _inputs() -> dict[str, dict]:
+    enc = local_encode(parse_circuit((FIXTURES / "squares_diff.txt").read_text()), [1, 2], 0)
+    system = system_of(enc.map)
+    return {
+        "enc.json": json.loads((FIXTURES / "squares_diff_enc.json").read_text()),
+        "sys.json": system_to_json(system),
+        "r.json": refutation_to_json(canonical_geometric_refutation(enc), system),
+    }
+
+
+INPUTS = _inputs()
+
+
+def _paths(obj, prefix=()):
+    """Every key path into a JSON value, parents before children."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+PATHS = {name: list(_paths(obj)) for name, obj in INPUTS.items()}
+
+
+def mutated(name: str, path: tuple, value) -> dict:
+    obj = json.loads(json.dumps(INPUTS[name]))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return obj
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("readers")
+    h = json.loads((FIXTURES / "squares_diff_cert.json").read_text())["h"]
+    (root / "h.txt").write_text(h)
+    for name, obj in INPUTS.items():
+        (root / name).write_text(dumps(obj))
+    return root
+
+
+def command(root: Path, name: str, path: Path) -> list[str]:
+    """The command that reads ``name``, with ``path`` in its place."""
+    files = {n: str(root / n) for n in INPUTS}
+    files[name] = str(path)
+    if name == "enc.json":
+        return ["verify", "--encoding", files["enc.json"], "--poly", str(root / "h.txt")]
+    return ["ips-verify", "--system", files["sys.json"], "--refutation", files["r.json"]]
+
+
+@st.composite
+def mutations(draw):
+    name = draw(st.sampled_from(sorted(INPUTS)))
+    return name, draw(st.sampled_from(PATHS[name])), draw(st.sampled_from(REPLACEMENTS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations())
+@example(("enc.json", ("seed_len",), float("inf")))
+@example(("sys.json", ("n_vars",), float("inf")))
+def test_mutated_input_file_exits_0_or_2(workdir, mutation):
+    name, path, value = mutation
+    target = workdir / f"mutated_{name}"
+    target.write_text(json.dumps(mutated(name, path, value)))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(command(workdir, name, target))
+    assert code in (0, 2), (name, path, value, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+def test_unmutated_inputs_are_accepted(workdir):
+    for name in INPUTS:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(command(workdir, name, workdir / name)) == 0

@@ -192,7 +192,7 @@ def test_resultant_guard():
     f = p("y^8 + 1")
     g = p("y^7 - 1")
     with pytest.raises(MatrixTooLargeError):
-        resultant(f, g, NS.id("y"), size_limit=12)
+        resultant(f, g, NS.id("y"))
 
 
 def test_determinant_matches_cofactor_hand_calc():

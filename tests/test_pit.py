@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from annforge import config
 from annforge.circuit import (
     CircuitBuilder,
     circuit_from_polynomial,
@@ -112,10 +113,11 @@ def test_generator_pit_deterministic_grid_matches_symbolic():
     assert grid_verdict.failure_bound == 0
 
 
-def test_generator_pit_grid_point_budget_guard(fig_encoding, fig_cert):
+def test_generator_pit_grid_point_budget_guard(fig_encoding, fig_cert, monkeypatch):
+    monkeypatch.setattr(config, "DEFAULT_POINT_BUDGET", 100)
     c = circuit_from_polynomial(fig_cert.h, 7, name="h_circuit")
     with pytest.raises(PointBudgetExceededError):
-        generator_pit(c, fig_encoding.map, mode="deterministic_grid", point_budget=100)
+        generator_pit(c, fig_encoding.map, mode="deterministic_grid")
 
 
 def test_generator_pit_randomized_agrees_with_symbolic_on_nonzero():
