@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import config
 from .annihilator import annihilator_basis_search, principal_generator, verify_annihilates
 from .circuit import expand, metrics, parse_circuit
-from .encoding import encoding_metrics, local_encode, pad, parallel_compose
+from .encoding import local_encode, pad, parallel_compose
 from .errors import AnnforgeError, InvariantError, ParseError, ResourceLimitError
 from .fields import PrimeField, field_from_spec
 from .instances import (
@@ -92,23 +92,22 @@ def cmd_encode(args) -> int:
     alpha = _parse_alpha(args.alpha, field)
     beta = field.parse_value(args.beta)
     enc = local_encode(circuit, alpha, beta)
-    report = encoding_metrics(enc)
-    payload = encoding_to_json(enc)
+    m = enc.map
     if args.out:
-        _write(args.out, dumps(payload))
+        _write(args.out, dumps(encoding_to_json(enc)))
     _emit(
         {
             "command": "encode",
-            "seed_len": report.seed_len,
-            "out_len": report.out_len,
-            "stretch": report.stretch,
-            "degree": report.degree,
+            "seed_len": m.seed_len,
+            "out_len": m.out_len,
+            "stretch": m.stretch,
+            "degree": m.degree,
             "out": args.out,
         },
         args.json,
         [
-            f"encoded {circuit.name}: seed {report.seed_len} -> out {report.out_len} "
-            f"(stretch {report.stretch}, degree {report.degree})"
+            f"encoded {circuit.name}: seed {m.seed_len} -> out {m.out_len} "
+            f"(stretch {m.stretch}, degree {m.degree})"
         ]
         + ([f"wrote {args.out}"] if args.out else []),
     )
@@ -121,18 +120,17 @@ def cmd_annihilate(args) -> int:
     payload = certificate_to_json(cert)
     if args.out:
         _write(args.out, dumps(payload))
-    zs = Namespace.outputs(enc.out_len)
     _emit(
         {
             "command": "annihilate",
-            "h": format_polynomial(cert.h, zs),
+            "h": payload["h"],
             "degree": cert.h.degree(),
             "lift_gate_count": cert.lift_gate_count,
             "out": args.out,
         },
         args.json,
         [
-            f"h = {format_polynomial(cert.h, zs)}",
+            f"h = {payload['h']}",
             f"degree {cert.h.degree()}, straight-line lift gates {cert.lift_gate_count}",
         ]
         + ([f"wrote {args.out}"] if args.out else []),
@@ -269,22 +267,14 @@ def cmd_resultant(args) -> int:
     g_poly = parse_polynomial(args.g, field, ns)
     var = ns.id(args.var)
     if args.cofactors:
-        res, u, v = resultant_with_cofactors(f_poly, g_poly, var)
-        report = {
-            "command": "resultant",
-            "resultant": format_polynomial(res, ns),
-            "u": format_polynomial(u, ns),
-            "v": format_polynomial(v, ns),
-        }
-        lines = [
-            f"res = {format_polynomial(res, ns)}",
-            f"u = {format_polynomial(u, ns)}",
-            f"v = {format_polynomial(v, ns)}",
-        ]
+        res, u, v = (format_polynomial(p, ns)
+                     for p in resultant_with_cofactors(f_poly, g_poly, var))
+        report = {"command": "resultant", "resultant": res, "u": u, "v": v}
+        lines = [f"res = {res}", f"u = {u}", f"v = {v}"]
     else:
-        res = resultant(f_poly, g_poly, var)
-        report = {"command": "resultant", "resultant": format_polynomial(res, ns)}
-        lines = [f"res = {format_polynomial(res, ns)}"]
+        res = format_polynomial(resultant(f_poly, g_poly, var), ns)
+        report = {"command": "resultant", "resultant": res}
+        lines = [f"res = {res}"]
     _emit(report, args.json, lines)
     return 0
 
@@ -329,17 +319,16 @@ def cmd_ips_refute(args) -> int:
         _write(args.out, dumps(payload))
     if args.system_out:
         _write(args.system_out, dumps(system_to_json(system)))
-    zs = Namespace.outputs(enc.out_len)
     _emit(
         {
             "command": "ips-refute",
             "kind": "geometric",
             "degree": check.degree,
-            "r": format_polynomial(ref.r, zs),
+            "r": payload["r"],
             "out": args.out,
         },
         args.json,
-        [f"r = {format_polynomial(ref.r, zs)}", f"degree {check.degree}"]
+        [f"r = {payload['r']}", f"degree {check.degree}"]
         + ([f"wrote {args.out}"] if args.out else []),
     )
     return 0
@@ -419,19 +408,21 @@ def cmd_metrics(args) -> int:
         }
         lines = [f"size {m.size}, depth {m.depth}, degree bound {m.degree_bound}"]
     else:
-        enc = encoding_from_json(_read_json(args.encoding))
-        r = encoding_metrics(enc)
+        m = encoding_from_json(_read_json(args.encoding)).map
+        # Every output is one subtraction, plus one add or mul for an
+        # internal gate, and a local encoding has at least one internal gate.
+        max_formula_size = 2
         report = {
             "command": "metrics",
-            "seed_len": r.seed_len,
-            "out_len": r.out_len,
-            "stretch": r.stretch,
-            "degree": r.degree,
-            "max_formula_size": r.max_formula_size,
+            "seed_len": m.seed_len,
+            "out_len": m.out_len,
+            "stretch": m.stretch,
+            "degree": m.degree,
+            "max_formula_size": max_formula_size,
         }
         lines = [
-            f"seed {r.seed_len}, out {r.out_len}, stretch {r.stretch}, "
-            f"degree {r.degree}, per-output formula size <= {r.max_formula_size}"
+            f"seed {m.seed_len}, out {m.out_len}, stretch {m.stretch}, "
+            f"degree {m.degree}, per-output formula size <= {max_formula_size}"
         ]
     _emit(report, args.json, lines)
     return 0

@@ -10,12 +10,13 @@ The system {outputs = 0} is satisfiable iff the claim holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
+from . import config
 from .circuit import Circuit
-from .errors import CircuitError, InvariantError, SupportOverflowError
+from .errors import BudgetExceededError, CircuitError, SupportOverflowError
 from .fields import FieldValue
 from .poly import Monomial, Namespace, Polynomial
 
@@ -72,11 +73,47 @@ class BlockSpans:
 
 @dataclass(frozen=True)
 class LocalEncoding:
-    map: PolynomialMap
+    """The claim ``circuit(alpha) = beta``; ``map`` is its local encoding.
+
+    The map is derived once, at construction, from the claim alone.  Output
+    order: input block, internal block (in internal_order), output block.
+    The L-function sends a const gate to its constant, input gate i to x_i,
+    and the j-th internal gate to y_j; constants therefore fold directly
+    into the internal outputs.  Build through local_encode, which validates
+    and normalizes the claim.
+    """
+
     circuit: Circuit
     alpha: tuple[FieldValue, ...]
     beta: FieldValue
-    blocks: BlockSpans
+    map: PolynomialMap = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        circuit, f, n, s = self.circuit, self.circuit.field, self.n, self.s
+        # L(gate) as a polynomial over the seed variables x1..xn, y1..ys.
+        position = {gid: j for j, gid in enumerate(circuit.internal_order, start=1)}
+        lfun: dict[int, Polynomial] = {}
+        for gid, gate in enumerate(circuit.gates):
+            if gate.op == "input":
+                lfun[gid] = Polynomial.variable(f, gate.var)
+            elif gate.op == "const":
+                lfun[gid] = Polynomial.constant(f, gate.value)
+            else:
+                lfun[gid] = Polynomial.variable(f, n + position[gid] - 1)
+
+        outputs: list[Polynomial] = []
+        for i in range(n):
+            outputs.append(Polynomial.variable(f, i) - Polynomial.constant(f, self.alpha[i]))
+        for gid in circuit.internal_order:
+            gate = circuit.gates[gid]
+            child = lfun[gate.left] + lfun[gate.right] if gate.op == "add" \
+                else lfun[gate.left] * lfun[gate.right]
+            outputs.append(lfun[gid] - child)
+        outputs.append(Polynomial.variable(f, n + s - 1) - Polynomial.constant(f, self.beta))
+
+        names = tuple(circuit.input_names) + tuple(f"y{j}" for j in range(1, s + 1))
+        object.__setattr__(self, "map", PolynomialMap(
+            outputs=tuple(outputs), seed_len=n + s, seed_names=names))
 
     @property
     def n(self) -> int:
@@ -90,87 +127,25 @@ class LocalEncoding:
     def out_len(self) -> int:
         return self.map.out_len
 
-
-@dataclass(frozen=True)
-class EncodingReport:
-    seed_len: int
-    out_len: int
-    stretch: int
-    degree: int
-    max_formula_size: int
+    @property
+    def blocks(self) -> BlockSpans:
+        n, s = self.n, self.s
+        return BlockSpans(input=(0, n), internal=(n, n + s), output=(n + s, n + s + 1))
 
 
 def local_encode(circuit: Circuit, alpha, beta) -> LocalEncoding:
-    """Build the local encoding of ``circuit(alpha) = beta``.
-
-    Output order: input block, internal block (in internal_order), output
-    block.  The L-function sends a const gate to its constant, input gate i
-    to x_i, and the j-th internal gate to y_j; constants therefore fold
-    directly into the internal outputs.
-    """
+    """The local encoding of ``circuit(alpha) = beta``, with alpha and beta
+    normalized into the circuit's field."""
     f = circuit.field
     n = circuit.n_inputs
-    s = circuit.size
     if len(alpha) != n:
         raise CircuitError(f"alpha has length {len(alpha)}, circuit has {n} inputs")
-    if s == 0:
+    if circuit.size == 0:
         raise CircuitError("cannot encode a circuit with no internal gates")
-    alpha = tuple(f.normalize(a) for a in alpha)
-    beta = f.normalize(beta)
-
-    # L(gate) as a polynomial over the seed variables x1..xn, y1..ys.
-    position = {gid: j for j, gid in enumerate(circuit.internal_order, start=1)}
-    lfun: dict[int, Polynomial] = {}
-    for gid, gate in enumerate(circuit.gates):
-        if gate.op == "input":
-            lfun[gid] = Polynomial.variable(f, gate.var)
-        elif gate.op == "const":
-            lfun[gid] = Polynomial.constant(f, gate.value)
-        else:
-            lfun[gid] = Polynomial.variable(f, n + position[gid] - 1)
-
-    outputs: list[Polynomial] = []
-    for i in range(n):
-        outputs.append(Polynomial.variable(f, i) - Polynomial.constant(f, alpha[i]))
-    for gid in circuit.internal_order:
-        gate = circuit.gates[gid]
-        child = lfun[gate.left] + lfun[gate.right] if gate.op == "add" \
-            else lfun[gate.left] * lfun[gate.right]
-        outputs.append(lfun[gid] - child)
-    outputs.append(Polynomial.variable(f, n + s - 1) - Polynomial.constant(f, beta))
-
-    names = tuple(circuit.input_names) + tuple(f"y{j}" for j in range(1, s + 1))
-    pmap = PolynomialMap(outputs=tuple(outputs), seed_len=n + s, seed_names=names)
     return LocalEncoding(
-        map=pmap,
         circuit=circuit,
-        alpha=alpha,
-        beta=beta,
-        blocks=BlockSpans(input=(0, n), internal=(n, n + s), output=(n + s, n + s + 1)),
-    )
-
-
-def encoding_metrics(enc: LocalEncoding) -> EncodingReport:
-    """Recompute the expected output shapes from (circuit, alpha, beta) and
-    check the stored map matches; any mismatch signals a construction bug."""
-    rebuilt = local_encode(enc.circuit, enc.alpha, enc.beta)
-    if rebuilt.map != enc.map:
-        raise InvariantError("stored encoding differs from reconstruction")
-    m = enc.map
-    if m.seed_len != enc.n + enc.s:
-        raise InvariantError(f"seed length {m.seed_len} is not n+s = {enc.n + enc.s}")
-    if m.stretch != 1:
-        raise InvariantError(f"local encoding stretches by {m.stretch}, not 1")
-    if m.degree > 2:
-        raise InvariantError(f"local encoding has degree {m.degree} > 2")
-    # Every output is one subtraction, plus one add or mul for an internal
-    # gate, and a local encoding has at least one internal gate.
-    return EncodingReport(
-        seed_len=m.seed_len,
-        out_len=m.out_len,
-        stretch=m.stretch,
-        degree=m.degree,
-        max_formula_size=2,
+        alpha=tuple(f.normalize(a) for a in alpha),
+        beta=f.normalize(beta),
     )
 
 
@@ -181,6 +156,7 @@ def pad(pmap: PolynomialMap, target_out_len: int) -> PolynomialMap:
         raise ValueError(f"target {target_out_len} below out_len {pmap.out_len}")
     if extra == 0:
         return pmap
+    check_map_size("pad", pmap.seed_len + extra, target_out_len)
     taken = set(pmap.seed_names)
     fresh: list[str] = []
     i = 1
@@ -205,6 +181,7 @@ def parallel_compose(pmap: PolynomialMap, copies: int) -> PolynomialMap:
     if copies < 1:
         raise ValueError("copies must be >= 1")
     ell = pmap.seed_len
+    check_map_size("parallel_compose", copies * ell, copies * pmap.out_len)
     outputs: list[Polynomial] = []
     names: list[str] = []
     for k in range(copies):
@@ -217,6 +194,15 @@ def parallel_compose(pmap: PolynomialMap, copies: int) -> PolynomialMap:
         seed_len=copies * ell,
         seed_names=tuple(names),
     )
+
+
+def check_map_size(stage: str, seed_len: int, out_len: int) -> None:
+    """Refuse a map larger than the term budget before building it."""
+    budget = config.term_budget()
+    if max(seed_len, out_len) > budget:
+        raise BudgetExceededError(
+            f"{stage}: seed length {seed_len} and {out_len} outputs exceed budget {budget}"
+        )
 
 
 def compose_polynomial(pmap: PolynomialMap, p: Polynomial) -> Polynomial:

@@ -167,9 +167,11 @@ def rank_random_eval(
         entries = [[Polynomial(gf, dict(e.iter_terms())) for e in row] for row in entries]
     rng = random.Random(seed)
     variables = sorted(matrix.variables())
+    point = [0] * (variables[-1] + 1 if variables else 0)
     best = 0
     for _ in range(trials):
-        point = {v: rng.randrange(gf.p) for v in variables}
+        for v in variables:
+            point[v] = rng.randrange(gf.p)
         rows = [dict(enumerate(entry.evaluate(point) for entry in row)) for row in entries]
         best = max(best, len(row_reduce(rows, matrix.cols, gf)))
     return best

@@ -226,24 +226,17 @@ class Polynomial:
 
     # -- evaluation / substitution -------------------------------------------
 
-    def evaluate(self, point: Sequence[FieldValue] | Mapping[int, FieldValue]) -> FieldValue:
-        """Exact value at a point; every variable in the support must be
-        assigned."""
+    def evaluate(self, point: Sequence[FieldValue]) -> FieldValue:
+        """Exact value at a point indexed by variable id; every variable in
+        the support must be assigned."""
         f = self.field
-        get = point.get if isinstance(point, Mapping) else None
         acc = f.zero
         for mono, coeff in self._terms.items():
             val = coeff
             for v, e in mono.exps:
-                if get is not None:
-                    a = get(v)
-                    if a is None:
-                        raise MissingAssignmentError(f"no value for variable id {v}")
-                else:
-                    if v >= len(point):
-                        raise MissingAssignmentError(f"no value for variable id {v}")
-                    a = point[v]
-                val = f.mul(val, f.pow(f.normalize(a), e))
+                if v >= len(point):
+                    raise MissingAssignmentError(f"no value for variable id {v}")
+                val = f.mul(val, f.pow(f.normalize(point[v]), e))
             acc = f.add(acc, val)
         return acc
 

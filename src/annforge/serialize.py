@@ -9,12 +9,13 @@ default to natural-sorted identifiers collected from the polynomial texts.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 
 from .annihilator import AnnihilatorCertificate
 from .circuit import parse_circuit, serialize_circuit
-from .encoding import BlockSpans, LocalEncoding, PolynomialMap, local_encode
+from .encoding import BlockSpans, LocalEncoding, PolynomialMap, check_map_size, local_encode
 from .errors import ParseError
 from .fields import QQ, Field, field_from_json
 from .ips import EquationSystem, Refutation
@@ -65,6 +66,7 @@ def map_from_json(obj: dict) -> PolynomialMap:
     else:
         names = list(Namespace.inferred(texts).names)
         if len(names) < seed_len:
+            check_map_size("map_from_json", seed_len, len(texts))
             names += [f"u{i}" for i in range(1, seed_len - len(names) + 1)]
     if len(names) != seed_len:
         raise ParseError(f"seed_names has {len(names)} entries, seed_len is {seed_len}")
@@ -79,11 +81,7 @@ def map_from_json(obj: dict) -> PolynomialMap:
 def encoding_to_json(enc: LocalEncoding) -> dict:
     obj = map_to_json(enc.map)
     obj["kind"] = "local_encoding"
-    obj["blocks"] = {
-        "input": list(enc.blocks.input),
-        "internal": list(enc.blocks.internal),
-        "output": list(enc.blocks.output),
-    }
+    obj["blocks"] = _blocks_to_json(enc.blocks)
     field = enc.map.field
     obj["provenance"] = {
         "type": "local_encoding",
@@ -94,9 +92,13 @@ def encoding_to_json(enc: LocalEncoding) -> dict:
     return obj
 
 
+def _blocks_to_json(blocks: BlockSpans) -> dict:
+    return {name: list(span) for name, span in dataclasses.asdict(blocks).items()}
+
+
 @_reader
 def encoding_from_json(obj: dict) -> LocalEncoding:
-    """Rebuild from provenance and check the stored outputs match."""
+    """Rebuild from provenance and check the stored map and blocks match."""
     prov = obj.get("provenance")
     if not prov or prov.get("type") != "local_encoding":
         raise ParseError("JSON lacks local_encoding provenance")
@@ -108,6 +110,8 @@ def encoding_from_json(obj: dict) -> LocalEncoding:
     stored = map_from_json(obj)
     if stored != enc.map:
         raise ParseError("stored outputs disagree with provenance reconstruction")
+    if "blocks" in obj and obj["blocks"] != _blocks_to_json(enc.blocks):
+        raise ParseError("stored blocks disagree with provenance reconstruction")
     return enc
 
 

@@ -1,7 +1,9 @@
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -216,7 +218,8 @@ def test_metrics_command(capsys):
     code, out = run(capsys, "metrics",
                     "--encoding", str(FIXTURES / "squares_diff_enc.json"), "--json")
     assert code == 0
-    assert json.loads(out)["stretch"] == 1
+    report = json.loads(out)
+    assert (report["stretch"], report["max_formula_size"]) == (1, 2)
 
 
 def test_usage_error_exit_code(capsys):
@@ -406,3 +409,49 @@ def test_infinite_seed_len_exits_2(tmp_path, seed_len):
         code, _, err = run_process(*argv)
         assert code == 2, err
         assert "parse.error" in err and "Traceback" not in err
+
+
+def test_wrong_blocks_exit_2(tmp_path):
+    obj = json.loads((FIXTURES / "squares_diff_enc.json").read_text())
+    obj["blocks"] = {"input": [0, 5], "internal": [9, 9], "output": [0, 1]}
+    enc = tmp_path / "enc.json"
+    enc.write_text(json.dumps(obj))
+    code, _, err = run_process("metrics", "--encoding", str(enc))
+    assert code == 2, err
+    assert "stored blocks disagree" in err and "Traceback" not in err
+
+
+def test_encoding_without_blocks_is_read(tmp_path, capsys):
+    obj = json.loads((FIXTURES / "squares_diff_enc.json").read_text())
+    del obj["blocks"]
+    enc = tmp_path / "enc.json"
+    enc.write_text(json.dumps(obj))
+    assert run(capsys, "metrics", "--encoding", str(enc))[0] == 0
+
+
+@pytest.mark.parametrize("case, options", [
+    ("seed_len", ["--copies", "1"]),
+    ("copies", ["--copies", str(10**9)]),
+    ("pad", ["--copies", "1", "--pad", str(10**9)]),
+])
+def test_counts_beyond_the_term_budget_exit_3(tmp_path, capsys, monkeypatch, case, options):
+    # Refused before any list of that length is built.
+    monkeypatch.setenv("AF_TERM_BUDGET", "1000")
+    path = tmp_path / "map.json"
+    if case == "seed_len":
+        path.write_text(json.dumps({"seed_len": 10**30, "outputs": ["x1"]}))
+    else:
+        path.write_text((FIXTURES / "squares_diff_enc.json").read_text())
+    argv = ["stretch", "--map", str(path), *options]
+    # A fresh interpreter with 1 GiB of address space first, so a missing
+    # guard fails here instead of filling the memory of the test process.
+    env = dict(os.environ, PYTHONPATH=str(Path(annforge.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "annforge.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                (2**30, 2**30)))
+    assert proc.returncode == 3, proc.stderr
+    assert "budget 1000" in proc.stderr and "Traceback" not in proc.stderr
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1

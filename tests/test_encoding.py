@@ -1,24 +1,32 @@
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from annforge import config
 from annforge.annihilator import annihilator_basis_search, principal_generator
 from annforge.circuit import evaluate_circuit, parse_circuit, random_circuit
 from annforge.encoding import (
+    LocalEncoding,
     PolynomialMap,
     compose_polynomial,
-    encoding_metrics,
     local_encode,
     pad,
     parallel_compose,
 )
-from annforge.errors import CircuitError, InvariantError, SupportOverflowError
-from annforge.fields import QQ
+from annforge.errors import BudgetExceededError, CircuitError, SupportOverflowError
+from annforge.fields import QQ, PrimeField
 from annforge.poly import Namespace, Polynomial
 from annforge.serialize import encoding_to_json, dumps
 
 from conftest import SINGLE_ADD_TEXT, P, Z
+from encoding_reference import reference_local_encode
+
+FIELDS = [QQ, PrimeField(7), PrimeField(config.DEFAULT_PRIME)]
 
 
 def seed_ns(n, s):
@@ -89,21 +97,51 @@ def test_encode_rejects_gateless_circuit():
 
 
 def test_encoding_metrics_fig(fig_encoding):
-    r = encoding_metrics(fig_encoding)
-    assert (r.seed_len, r.out_len, r.stretch, r.degree) == (6, 7, 1, 2)
-    assert r.max_formula_size <= 2
-
-
-def test_encoding_metrics_rejects_a_map_that_is_not_the_reconstruction(fig_encoding):
-    tampered = dataclasses.replace(fig_encoding, beta=fig_encoding.beta + 1)
-    with pytest.raises(InvariantError):
-        encoding_metrics(tampered)
+    m = fig_encoding.map
+    assert (m.seed_len, m.out_len, m.stretch, m.degree) == (6, 7, 1, 2)
+    # y - (a op b) over variables and constants: at most three terms.
+    assert max(p.term_count() for p in m.outputs) <= 3
 
 
 def test_encoding_metrics_size_one_circuit():
     c = parse_circuit(SINGLE_ADD_TEXT)
-    r = encoding_metrics(local_encode(c, [0, 0], 0))
-    assert r.seed_len == 2 + 1 and r.stretch == 1
+    m = local_encode(c, [0, 0], 0).map
+    assert m.seed_len == 2 + 1 and m.stretch == 1
+
+
+def test_local_encoding_holds_only_its_claim():
+    init = [f.name for f in dataclasses.fields(LocalEncoding) if f.init]
+    assert init == ["circuit", "alpha", "beta"]
+
+
+def test_replace_beta_rederives_the_map(fig_circuit, fig_encoding):
+    for beta in (fig_encoding.beta + 1, Fraction(-1, 2), 0):
+        changed = dataclasses.replace(fig_encoding, beta=beta)
+        assert changed.map == local_encode(fig_circuit, [0, 0], beta).map
+    assert dataclasses.replace(fig_encoding, beta=0).map == fig_encoding.map
+
+
+@st.composite
+def claims(draw):
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(0, 3))
+    s = draw(st.integers(1, 8))
+    pool = tuple(draw(st.lists(st.integers(-3, 3), min_size=0 if n else 1, max_size=3)))
+    circuit = random_circuit(n, s, seed=draw(st.integers(0, 10**6)),
+                             const_pool=pool, field=field)
+    alpha = [draw(st.integers(-10, 10)) for _ in range(n)]
+    return circuit, alpha, draw(st.integers(-10, 10))
+
+
+@settings(max_examples=150, deadline=None)
+@given(claims())
+def test_derived_map_equals_reference_encoding(claim):
+    circuit, alpha, beta = claim
+    enc = local_encode(circuit, alpha, beta)
+    pmap, blocks = reference_local_encode(circuit, alpha, beta)
+    assert enc.map == pmap
+    assert enc.blocks == blocks
+    assert enc.out_len == pmap.out_len == enc.n + enc.s + 1
 
 
 def test_purely_additive_encoding_has_degree_one():
@@ -136,6 +174,16 @@ def test_pad_to_ten(fig_encoding):
     assert padded.seed_names[-3:] == ("u1", "u2", "u3")
     for j in range(3):
         assert padded.outputs[7 + j] == Polynomial.variable(QQ, 6 + j)
+
+
+def test_pad_and_copies_beyond_the_term_budget(fig_encoding, monkeypatch):
+    monkeypatch.setenv("AF_TERM_BUDGET", "20")
+    assert pad(fig_encoding.map, 20).out_len == 20
+    assert parallel_compose(fig_encoding.map, 2).out_len == 14
+    with pytest.raises(BudgetExceededError, match="pad: seed length 20 and 21 outputs"):
+        pad(fig_encoding.map, 21)
+    with pytest.raises(BudgetExceededError, match="parallel_compose: .* budget 20"):
+        parallel_compose(fig_encoding.map, 3)
 
 
 def test_pad_below_out_len_rejected(fig_encoding):

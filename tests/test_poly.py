@@ -103,8 +103,6 @@ def test_evaluate_det2_at_identity():
 def test_evaluate_missing_assignment():
     with pytest.raises(MissingAssignmentError):
         poly("x1 + x3").evaluate([1])
-    with pytest.raises(MissingAssignmentError):
-        poly("x1 + x3").evaluate({0: 1})
 
 
 # -- composition ------------------------------------------------------------------
