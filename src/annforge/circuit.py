@@ -109,21 +109,33 @@ class CircuitMetrics:
 
 
 def evaluate_circuit(circuit: Circuit, point) -> FieldValue:
-    """Gate-by-gate exact evaluation at a point of length n_inputs."""
+    """Gate-by-gate exact evaluation at a point of length n_inputs.
+
+    Inputs are normalized into the field.  Over F_p each gate reduces its
+    int value with ``%``; over QQ an integral value is carried as an int
+    (mixed int/Fraction arithmetic stays exact).  The output is normalized
+    once."""
     if len(point) != circuit.n_inputs:
         raise CircuitError(f"expected {circuit.n_inputs} inputs, got {len(point)}")
     f = circuit.field
+    p = f.characteristic
     vals: list[FieldValue] = []
     for g in circuit.gates:
-        if g.op == "input":
-            vals.append(f.normalize(point[g.var]))
-        elif g.op == "const":
-            vals.append(g.value)
-        elif g.op == "add":
-            vals.append(f.add(vals[g.left], vals[g.right]))
+        op = g.op
+        if op == "add":
+            x = vals[g.left] + vals[g.right]
+            if p:
+                x %= p
+        elif op == "mul":
+            x = vals[g.left] * vals[g.right]
+            if p:
+                x %= p
         else:
-            vals.append(f.mul(vals[g.left], vals[g.right]))
-    return vals[circuit.output]
+            x = f.normalize(point[g.var]) if op == "input" else g.value
+            if not p and x.denominator == 1:
+                x = x.numerator
+        vals.append(x)
+    return f.normalize(vals[circuit.output])
 
 
 def expand(circuit: Circuit) -> Polynomial:

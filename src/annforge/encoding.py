@@ -79,8 +79,8 @@ class LocalEncoding:
     order: input block, internal block (in internal_order), output block.
     The L-function sends a const gate to its constant, input gate i to x_i,
     and the j-th internal gate to y_j; constants therefore fold directly
-    into the internal outputs.  Build through local_encode, which validates
-    and normalizes the claim.
+    into the internal outputs.  Construction validates the claim and
+    normalizes alpha and beta into the circuit's field.
     """
 
     circuit: Circuit
@@ -90,6 +90,12 @@ class LocalEncoding:
 
     def __post_init__(self):
         circuit, f, n, s = self.circuit, self.circuit.field, self.n, self.s
+        if len(self.alpha) != n:
+            raise CircuitError(f"alpha has length {len(self.alpha)}, circuit has {n} inputs")
+        if s == 0:
+            raise CircuitError("cannot encode a circuit with no internal gates")
+        object.__setattr__(self, "alpha", tuple(f.normalize(a) for a in self.alpha))
+        object.__setattr__(self, "beta", f.normalize(self.beta))
         # L(gate) as a polynomial over the seed variables x1..xn, y1..ys.
         position = {gid: j for j, gid in enumerate(circuit.internal_order, start=1)}
         lfun: dict[int, Polynomial] = {}
@@ -136,17 +142,7 @@ class LocalEncoding:
 def local_encode(circuit: Circuit, alpha, beta) -> LocalEncoding:
     """The local encoding of ``circuit(alpha) = beta``, with alpha and beta
     normalized into the circuit's field."""
-    f = circuit.field
-    n = circuit.n_inputs
-    if len(alpha) != n:
-        raise CircuitError(f"alpha has length {len(alpha)}, circuit has {n} inputs")
-    if circuit.size == 0:
-        raise CircuitError("cannot encode a circuit with no internal gates")
-    return LocalEncoding(
-        circuit=circuit,
-        alpha=tuple(f.normalize(a) for a in alpha),
-        beta=f.normalize(beta),
-    )
+    return LocalEncoding(circuit=circuit, alpha=alpha, beta=beta)
 
 
 def pad(pmap: PolynomialMap, target_out_len: int) -> PolynomialMap:

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Every error carries a module-qualified ``code`` so the CLI can surface
-failures uniformly (for example ``circuit.budget_exceeded``).  Resource-guard
+Every error carries a qualified ``code`` so the CLI can surface failures
+uniformly (for example ``field.not_reducible``).  Resource-guard
 errors (budgets, ceilings, matrix-size guards) subclass ResourceLimitError so
 callers can map them to a common exit code.
 """
@@ -46,7 +46,10 @@ class ResourceLimitError(AnnforgeError):
 
 
 class BudgetExceededError(ResourceLimitError):
-    code = "circuit.budget_exceeded"
+    """A polynomial or map would exceed the term budget (AF_TERM_BUDGET);
+    raised by several modules, so the code names the limit, not a module."""
+
+    code = "limit.term_budget_exceeded"
 
 
 class SearchSpaceTooLargeError(ResourceLimitError):

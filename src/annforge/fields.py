@@ -75,18 +75,6 @@ class Field:
     def div(self, a: FieldValue, b: FieldValue) -> FieldValue:
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: FieldValue, e: int) -> FieldValue:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        out = self.one
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
     def is_zero(self, a: FieldValue) -> bool:
         return a == self.zero
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -228,17 +229,50 @@ class Polynomial:
 
     def evaluate(self, point: Sequence[FieldValue]) -> FieldValue:
         """Exact value at a point indexed by variable id; every variable in
-        the support must be assigned."""
+        the support must be assigned.
+
+        The arithmetic is in Python ints.  Each point value is normalized
+        into the field the first time a term reads it.  Over F_p a term is
+        reduced once and the sum once.  Over QQ a term is the integer
+        fraction c.num*prod(a_v^e) / c.den*prod(b_v^e); numerators are summed
+        per denominator and one Fraction is built per distinct denominator."""
         f = self.field
-        acc = f.zero
+        p = f.characteristic
+        size = len(point)
+        values: dict = {}  # v -> normalized value (F_p) or (num, den) (QQ)
+
+        def value(v: int):
+            if v >= size:
+                raise MissingAssignmentError(f"no value for variable id {v}")
+            x = f.normalize(point[v])
+            values[v] = x if p else (x.numerator, x.denominator)
+            return values[v]
+
+        if p:
+            total = 0
+            for mono, coeff in self._terms.items():
+                val = coeff
+                for v, e in mono.exps:
+                    x = values[v] if v in values else value(v)
+                    val *= x if e == 1 else pow(x, e, p)
+                total += val % p
+            return total % p
+        sums: dict[int, int] = {}  # denominator -> sum of numerators
         for mono, coeff in self._terms.items():
-            val = coeff
+            num, den = coeff.numerator, coeff.denominator
             for v, e in mono.exps:
-                if v >= len(point):
-                    raise MissingAssignmentError(f"no value for variable id {v}")
-                val = f.mul(val, f.pow(f.normalize(point[v]), e))
-            acc = f.add(acc, val)
-        return acc
+                a, b = values[v] if v in values else value(v)
+                if e == 1:
+                    num *= a
+                    den *= b
+                else:
+                    num *= a**e
+                    den *= b**e
+            sums[den] = sums.get(den, 0) + num
+        if len(sums) == 1:
+            ((d, n),) = sums.items()
+            return Fraction(n, d)
+        return sum((Fraction(n, d) for d, n in sums.items()), f.zero)
 
     def compose(self, subst: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Simultaneous substitution var -> subst[var]; every variable in the

@@ -241,10 +241,21 @@ def test_budget_exceeded_exit_code(tmp_path, capsys, monkeypatch):
     h = parse_polynomial(cert["h"], QQ, Namespace.outputs(7))
     cpath = tmp_path / "h.txt"
     cpath.write_text(serialize_circuit(circuit_from_polynomial(h, 7)))
-    code, _ = run(capsys, "pit", "--circuit", str(cpath),
-                  "--map", str(FIXTURES / "squares_diff_enc.json"),
-                  "--mode", "symbolic")
+    code = main(["pit", "--circuit", str(cpath),
+                 "--map", str(FIXTURES / "squares_diff_enc.json"), "--mode", "symbolic"])
     assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "error [limit.term_budget_exceeded]: gate 28: 3 terms exceeds budget 2")
+
+
+def test_budget_code_names_the_limit_not_a_module(capsys, monkeypatch):
+    monkeypatch.setenv("AF_TERM_BUDGET", "1000")
+    code = main(["stretch", "--map", str(FIXTURES / "squares_diff_enc.json"),
+                 "--copies", "1", "--pad", "1000000000"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error [limit.term_budget_exceeded]: pad: seed length 999999999 and "
+        "1000000000 outputs exceed budget 1000\n")
 
 
 def test_monomial_ceiling_env_override(capsys, monkeypatch):

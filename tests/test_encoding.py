@@ -121,6 +121,23 @@ def test_replace_beta_rederives_the_map(fig_circuit, fig_encoding):
     assert dataclasses.replace(fig_encoding, beta=0).map == fig_encoding.map
 
 
+def test_replace_validates_and_normalizes_the_claim(fig_encoding):
+    for bad in ((1,), (1, 2, 3)):
+        with pytest.raises(CircuitError):
+            dataclasses.replace(fig_encoding, alpha=bad)
+    gateless = dataclasses.replace(fig_encoding.circuit, gates=fig_encoding.circuit.gates[:2],
+                                   output=0)
+    with pytest.raises(CircuitError):
+        dataclasses.replace(fig_encoding, circuit=gateless)
+    changed = dataclasses.replace(fig_encoding, alpha=[3, Fraction(1, 2)], beta=7)
+    assert type(changed.beta) is Fraction and changed.beta == 7
+    assert changed.alpha == (Fraction(3), Fraction(1, 2))
+    assert all(type(a) is Fraction for a in changed.alpha)
+    gf7 = dataclasses.replace(fig_encoding.circuit, field=PrimeField(7))
+    over_gf7 = dataclasses.replace(fig_encoding, circuit=gf7, alpha=(-1, 9), beta=-2)
+    assert (over_gf7.alpha, over_gf7.beta) == ((6, 2), 5)
+
+
 @st.composite
 def claims(draw):
     field = draw(st.sampled_from(FIELDS))

@@ -1,0 +1,91 @@
+"""Differential tests: the int-native point evaluators against the
+Field-call reference in ``evaluate_reference``, over QQ, GF(7) and
+GF(2^61 - 1).  Value, type and error type must all agree."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from annforge.circuit import evaluate_circuit, random_circuit
+from annforge.errors import AnnforgeError, MissingAssignmentError, ModularReductionError
+from annforge.fields import QQ, PrimeField
+from annforge.poly import Polynomial
+
+from evaluate_reference import reference_evaluate, reference_evaluate_circuit
+
+FIELDS = [QQ, PrimeField(7), PrimeField(2**61 - 1)]
+N_VARS = 4
+
+# Denominators stay below 7 so that every coefficient exists in GF(7);
+# points may carry a 7 and then have no value there.
+coeffs = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+exps = st.lists(st.integers(0, 4), min_size=N_VARS, max_size=N_VARS)
+term_lists = st.lists(st.tuples(coeffs, exps), max_size=8)
+values = st.one_of(
+    st.just(0),
+    st.integers(-50, 50),
+    st.integers(-(2**70), 2**70),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+)
+
+
+def build(field, term_list) -> Polynomial:
+    acc = Polynomial.zero(field)
+    for c, es in term_list:
+        acc = acc + Polynomial.monomial(field, c, dict(enumerate(es)))
+    return acc
+
+
+def outcome(fn, *args):
+    """The value and its type, or the type of the AnnforgeError raised."""
+    try:
+        value = fn(*args)
+    except AnnforgeError as exc:
+        return type(exc)
+    return value, type(value)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=150, deadline=None)
+@given(term_lists, st.lists(values, max_size=N_VARS + 1))
+def test_evaluate_matches_reference(field, term_list, point):
+    p = build(field, term_list)
+    assert outcome(p.evaluate, point) == outcome(reference_evaluate, p, point)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 10),
+    st.integers(0, 10**6),
+    st.lists(coeffs, max_size=3),
+    st.lists(values, min_size=1, max_size=4),
+)
+def test_evaluate_circuit_matches_reference(field, n_inputs, size, seed, pool, point):
+    c = random_circuit(n_inputs, size, seed, const_pool=tuple(pool), field=field)
+    assert outcome(evaluate_circuit, c, point) == outcome(reference_evaluate_circuit, c, point)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_short_point_raises_missing_assignment(field):
+    p = build(field, [(Fraction(1, 2), [1, 0, 0, 2])])
+    with pytest.raises(MissingAssignmentError):
+        p.evaluate([1, 2, 3])
+    with pytest.raises(MissingAssignmentError):
+        reference_evaluate(p, [1, 2, 3])
+
+
+def test_point_without_value_mod_7_raises_modular_reduction():
+    gf7 = PrimeField(7)
+    p = build(gf7, [(Fraction(3), [2, 1, 0, 0])])
+    c = random_circuit(2, 4, 1, field=gf7)
+    point = [Fraction(1, 7), 2]
+    for fn, args in [(p.evaluate, (point,)), (reference_evaluate, (p, point)),
+                     (evaluate_circuit, (c, point)), (reference_evaluate_circuit, (c, point))]:
+        with pytest.raises(ModularReductionError):
+            fn(*args)

@@ -104,13 +104,3 @@ def test_prime_field_axioms(a, b):
     assert gf.sub(gf.add(x, y), y) == x
     if not gf.is_zero(y):
         assert gf.mul(gf.div(x, y), y) == x
-
-
-def test_pow_matches_repeated_multiplication():
-    gf = PrimeField(101)
-    acc = gf.one
-    for k in range(8):
-        assert gf.pow(7, k) == acc
-        acc = gf.mul(acc, 7)
-    assert QQ.pow(Fraction(2, 3), 3) == Fraction(8, 27)
-    assert QQ.pow(Fraction(2, 3), -2) == Fraction(9, 4)

@@ -1,5 +1,8 @@
-"""Invariants in the package are typed AnnforgeErrors, never ``assert``
-statements, so they still hold under ``python -O``."""
+"""Static guards on the package source.
+
+Invariants in the package are typed AnnforgeErrors, never ``assert``
+statements, so they still hold under ``python -O``.  Arithmetic is exact:
+no float literal, no use of ``float`` and no float-valued ``math`` call."""
 
 from __future__ import annotations
 
@@ -9,12 +12,33 @@ from pathlib import Path
 import annforge
 
 PACKAGE = Path(annforge.__file__).parent
+#: The integer-exact functions the package may import from math.
+EXACT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+
+
+def package_nodes():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            yield f"{path.relative_to(PACKAGE)}:{getattr(node, 'lineno', 0)}", node
 
 
 def test_package_has_no_assert_statements():
-    found = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Assert):
-                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    found = [where for where, node in package_nodes() if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in annforge: {found}"
+
+
+def is_float_use(node: ast.AST) -> bool:
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (float, complex))
+    if isinstance(node, ast.Name):
+        return node.id == "float"
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "math"
+    if isinstance(node, ast.ImportFrom) and node.module == "math":
+        return any(alias.name not in EXACT_MATH for alias in node.names)
+    return False
+
+
+def test_package_has_no_floats():
+    found = [where for where, node in package_nodes() if is_float_use(node)]
+    assert not found, f"float arithmetic in annforge: {found}"
