@@ -17,7 +17,7 @@ from math import comb, lcm
 
 from . import config
 from .circuit import expand
-from .encoding import LocalEncoding, PolynomialMap, annihilates, triangular_inverse
+from .encoding import LocalEncoding, PolynomialMap, annihilates
 from .errors import (
     DecompositionMismatchError,
     InvariantError,
@@ -61,7 +61,7 @@ def synthesize_gate_lifts(enc: LocalEncoding) -> tuple[tuple[Polynomial, ...], i
     """
     f = enc.map.field
     circuit = enc.circuit
-    inverse = triangular_inverse(enc.map.outputs, enc.map.seed_len)
+    inverse = enc.map.inverse
     if inverse is None:
         raise InvariantError("local encoding is not triangular in its seed order")
     gates = circuit.gates
@@ -85,7 +85,7 @@ def principal_generator(enc: LocalEncoding) -> AnnihilatorCertificate:
 
 def verify_annihilates(p: Polynomial, pmap: PolynomialMap) -> bool:
     """Exact decision of p o map = 0 (see encoding.annihilates)."""
-    return annihilates(p, pmap.outputs, pmap.seed_len)
+    return annihilates(p, pmap)
 
 
 @dataclass(frozen=True)
@@ -176,8 +176,8 @@ def annihilator_basis_search(
     images: dict[Monomial, Polynomial] = {}
     row_of: dict[Monomial, dict[int, object]] = {}
     for j, mono in enumerate(candidates):
-        if mono.exps:
-            var = mono.exps[-1][0]
+        if mono:
+            var = mono[-1][0]
             image = images[mono.divide(Monomial.of({var: 1}))] * pmap.outputs[var]
         else:
             image = Polynomial.constant(f, f.one)

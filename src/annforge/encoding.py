@@ -57,6 +57,12 @@ class PolynomialMap:
     def degree(self) -> int:
         return max(p.degree() for p in self.outputs)
 
+    @cached_property
+    def inverse(self) -> list[Polynomial] | None:
+        """triangular_inverse of the outputs over the seed variables, built
+        once per map and shared by every check against it."""
+        return triangular_inverse(self.outputs, self.seed_len)
+
     @property
     def seed_namespace(self) -> Namespace:
         return Namespace(self.seed_names)
@@ -246,7 +252,7 @@ def triangular_inverse(
         for mono, coeff in out.iter_terms():
             if mono == diagonal:
                 step[mono] = inv
-            elif mono.exps and mono.exps[-1][0] >= j:
+            elif mono and mono[-1][0] >= j:
                 return None
             else:
                 step[mono] = f.neg(coeff) if unit else f.mul(coeff, minus_inv)
@@ -256,11 +262,11 @@ def triangular_inverse(
     return [subst[j] for j in range(n_vars)]
 
 
-def annihilates(p: Polynomial, outputs: Sequence[Polynomial], n_vars: int) -> bool:
-    """Exact decision of p(F_0, ..., F_{m-1}) = 0 for outputs F over the
-    variable ids 0..n_vars-1.
+def annihilates(p: Polynomial, pmap: PolynomialMap) -> bool:
+    """Exact decision of p(F_0, ..., F_{m-1}) = 0 for the outputs F of pmap
+    over its N = seed_len variable ids 0..N-1.
 
-    When the first N = n_vars outputs are triangular (see
+    When the first N outputs are triangular (pmap.inverse, see
     triangular_inverse), each tail variable z_j (j >= N) that p uses is
     replaced, by Horner's rule, with T_j = F_j o psi^-1, and p o F = 0 iff
     the result p(z_0, ..., z_{N-1}, T_N, ...) is zero.  Proof: let tau send
@@ -271,10 +277,11 @@ def annihilates(p: Polynomial, outputs: Sequence[Polynomial], n_vars: int) -> bo
     p o F does.  Nothing is sampled or reduced modulo a prime.  Otherwise
     (not triangular in this variable order, or fewer than N outputs) p o F
     is expanded in full.  Raises SupportOverflowError when p uses an id
-    >= len(outputs).
+    >= out_len.
     """
+    outputs, n_vars = pmap.outputs, pmap.seed_len
     _check_support(p, len(outputs))
-    inverse = triangular_inverse(outputs, n_vars)
+    inverse = pmap.inverse
     if inverse is None:
         return p.compose({v: outputs[v] for v in p.variables()}).is_zero()
     subst = dict(enumerate(inverse))

@@ -9,6 +9,7 @@ verifier reports the refutation degree alongside acceptance.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from .annihilator import principal_generator
@@ -21,12 +22,17 @@ from .poly import Namespace, Polynomial
 @dataclass(frozen=True)
 class EquationSystem:
     """Polynomials f_1..f_m, each asserted equal to zero, over n_vars
-    x-variables (ids 0..n_vars-1)."""
+    x-variables (ids 0..n_vars-1).
+
+    ``map`` is the polynomial map (f_1, ..., f_m) over those variables.  It
+    is built from the equations unless given; system_of passes the map the
+    system came from, so checks share that map's triangular inverse."""
 
     equations: tuple[Polynomial, ...]
     n_vars: int
     name: str = "system"
     var_names: tuple[str, ...] = ()
+    map: PolynomialMap | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.equations:
@@ -39,6 +45,11 @@ class EquationSystem:
             bad = [v for v in eq.variables() if v >= self.n_vars]
             if bad:
                 raise ValueError(f"equation {i} uses variable ids {bad} >= {self.n_vars}")
+        if self.map is None:
+            object.__setattr__(self, "map", PolynomialMap(
+                outputs=self.equations, seed_len=self.n_vars, seed_names=names))
+        elif (self.map.outputs, self.map.seed_len) != (self.equations, self.n_vars):
+            raise ValueError("map does not match the equations")
 
     @property
     def field(self):
@@ -72,10 +83,9 @@ class VerifyResult:
 def verify_geometric(ref: Refutation, system: EquationSystem) -> VerifyResult:
     """Accept iff r(f_1, ..., f_m) = 0 exactly and r(0, ..., 0) = 1.
 
-    The composition is decided by encoding.annihilates over the system's
-    n_vars variables: by triangular reduction when the first n_vars
-    equations are triangular (as a local encoding's are), else by full
-    expansion."""
+    The composition is decided by encoding.annihilates on the system's map:
+    by triangular reduction when the first n_vars equations are triangular
+    (as a local encoding's are), else by full expansion."""
     if ref.kind != "geometric":
         raise ValueError("refutation kind must be geometric")
     m = len(system.equations)
@@ -88,7 +98,7 @@ def verify_geometric(ref: Refutation, system: EquationSystem) -> VerifyResult:
     degree = r.degree()
     if r.constant_term() != system.field.one:
         return VerifyResult(False, "constant-term", degree)
-    if not annihilates(r, system.equations, system.n_vars):
+    if not annihilates(r, system.map):
         return VerifyResult(False, "composition-nonzero", degree)
     return VerifyResult(True, None, degree)
 
@@ -145,4 +155,5 @@ def system_of(pmap: PolynomialMap, name: str = "map_system") -> EquationSystem:
         n_vars=pmap.seed_len,
         name=name,
         var_names=pmap.seed_names,
+        map=pmap,
     )

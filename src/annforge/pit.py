@@ -106,7 +106,7 @@ def generator_pit(
         )
     f = circuit.field
     if mode == "symbolic":
-        zero = annihilates(expand(circuit), pmap.outputs, pmap.seed_len)
+        zero = annihilates(expand(circuit), pmap)
         return PitVerdict(
             verdict="zero" if zero else "nonzero",
             trials_run=0, failure_bound=Fraction(0), mode=mode,
@@ -170,5 +170,5 @@ def hit_test(pmap: PolynomialMap, p: Polynomial) -> HitResult:
     and Fooled when the map annihilates it."""
     if p.is_zero():
         return HitResult.ZERO_INPUT
-    fooled = annihilates(p, pmap.outputs, pmap.seed_len)
+    fooled = annihilates(p, pmap)
     return HitResult.FOOLED if fooled else HitResult.HIT

@@ -2,10 +2,14 @@
 
 Variables are nonnegative integer ids; display names live in a Namespace and
 only matter at the text boundary (parsing/printing).  Terms are kept in a
-dict keyed by Monomial; the canonical order is graded lexicographic with
-lower variable ids more significant.  Printing always emits terms in
-descending canonical order, so serialize -> parse -> serialize is a fixed
-point.
+dict keyed by Monomial, a tuple subclass holding the sorted (var, exp)
+pairs, so keys hash and compare as plain tuples, in C.  Products
+(``*``, ``**``, ``compose``, ``substitute``) go through one loop,
+_ProductSum, that sums coefficient products in Python ints and builds one
+field value per output monomial.  The canonical order is graded
+lexicographic with lower variable ids more significant.  Printing always
+emits terms in descending canonical order, so serialize -> parse ->
+serialize is a fixed point.
 
 Text grammar (whitespace-insensitive): signed terms ``c*v1^e1*...*vk^ek``
 with rational ``c`` written ``a`` or ``a/b``, e.g. ``x1^2 - x2^2 + 1/2*x3``.
@@ -14,71 +18,99 @@ with rational ``c`` written ``a`` or ``a/b``, e.g. ``x1^2 - x2^2 + 1/2*x3``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import MissingAssignmentError, ParseError
 from .fields import Field, FieldValue, check_same_field
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Product of variable powers; ``exps`` is a sorted tuple of (var, exp)
-    pairs with strictly positive exponents.  The empty tuple is 1."""
+class Monomial(tuple):
+    """Product of variable powers: the tuple of its (var, exp) pairs, sorted
+    by var, with strictly positive exponents.  The empty tuple is 1.
 
-    exps: tuple[tuple[int, int], ...] = ()
+    A monomial is a plain tuple underneath and holds no other state, so as a
+    dict key it hashes and compares in C."""
+
+    __slots__ = ()
 
     @staticmethod
     def of(mapping: Mapping[int, int]) -> "Monomial":
-        items = tuple(sorted((v, e) for v, e in mapping.items() if e != 0))
+        items = sorted((v, e) for v, e in mapping.items() if e != 0)
         for v, e in items:
             if e < 0 or v < 0:
                 raise ValueError(f"bad exponent entry ({v}, {e})")
         return Monomial(items)
 
-    @cached_property
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+    @property
+    def exps(self) -> "Monomial":
+        """The (var, exp) pairs: the monomial itself."""
+        return self
 
-    @cached_property
+    @property
+    def degree(self) -> int:
+        return sum(e for _, e in self)
+
+    @property
     def sort_key(self) -> tuple:
         # Graded lex, variable 0 most significant: compare degree first,
         # then (-var, exp) pairs so that a larger key means a larger monomial.
-        return (self.degree, tuple((-v, e) for v, e in self.exps))
+        return (self.degree, tuple((-v, e) for v, e in self))
 
     def degree_in(self, var: int) -> int:
-        for v, e in self.exps:
+        for v, e in self:
             if v == var:
                 return e
         return 0
 
     def variables(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.exps)
+        return tuple(v for v, _ in self)
 
     def mul(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = merged.get(v, 0) + e
-        return Monomial(tuple(sorted(merged.items())))
+        """The product, by a merge of the two sorted pair lists."""
+        if not other:
+            return self
+        if not self:
+            return other
+        if self[-1][0] < other[0][0]:
+            return Monomial(self + other)
+        if other[-1][0] < self[0][0]:
+            return Monomial(other + self)
+        out = []
+        i = j = 0
+        while i < len(self) and j < len(other):
+            (va, ea), (vb, eb) = self[i], other[j]
+            if va < vb:
+                out.append(self[i])
+                i += 1
+            elif vb < va:
+                out.append(other[j])
+                j += 1
+            else:
+                out.append((va, ea + eb))
+                i += 1
+                j += 1
+        out += self[i:]
+        out += other[j:]
+        return Monomial(out)
 
     def divides(self, other: "Monomial") -> bool:
-        it = dict(other.exps)
-        return all(it.get(v, 0) >= e for v, e in self.exps)
+        it = dict(other)
+        return all(it.get(v, 0) >= e for v, e in self)
 
     def divide(self, other: "Monomial") -> "Monomial":
         """self / other; caller must ensure other.divides(self)."""
-        merged = dict(self.exps)
-        for v, e in other.exps:
+        merged = dict(self)
+        for v, e in other:
             merged[v] = merged[v] - e
-        return Monomial(tuple(sorted((v, e) for v, e in merged.items() if e != 0)))
+        return Monomial((v, e) for v, e in merged.items() if e != 0)
 
     def without(self, var: int) -> "Monomial":
-        return Monomial(tuple((v, e) for v, e in self.exps if v != var))
+        return Monomial(pair for pair in self if pair[0] != var)
 
     def rename(self, mapping: Mapping[int, int]) -> "Monomial":
-        return Monomial(tuple(sorted((mapping.get(v, v), e) for v, e in self.exps)))
+        return Monomial(sorted((mapping.get(v, v), e) for v, e in self))
 
 
 MONOMIAL_ONE = Monomial()
@@ -176,19 +208,23 @@ class Polynomial:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._combine(other, self.field.add)
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self._combine(other, self.field.sub)
+
+    def _combine(self, other: "Polynomial", op) -> "Polynomial":
+        """self op other, termwise, in one pass over other's terms."""
         check_same_field(self.field, other.field)
         f = self.field
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
-            c = f.add(out.get(mono, f.zero), coeff)
+            c = op(out.get(mono, f.zero), coeff)
             if f.is_zero(c):
                 out.pop(mono, None)
             else:
                 out[mono] = c
         return self._wrap(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
 
     def __neg__(self) -> "Polynomial":
         f = self.field
@@ -196,9 +232,9 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         check_same_field(self.field, other.field)
-        out: dict[Monomial, FieldValue] = {}
-        _add_product(out, self.field, self.field.one, self._terms, other._terms)
-        return self._wrap(out)
+        products = _ProductSum(self.field)
+        products.add(self.field.one, self._terms, other._terms)
+        return self._wrap(products.terms())
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
@@ -252,7 +288,7 @@ class Polynomial:
             total = 0
             for mono, coeff in self._terms.items():
                 val = coeff
-                for v, e in mono.exps:
+                for v, e in mono:
                     x = values[v] if v in values else value(v)
                     val *= x if e == 1 else pow(x, e, p)
                 total += val % p
@@ -260,7 +296,7 @@ class Polynomial:
         sums: dict[int, int] = {}  # denominator -> sum of numerators
         for mono, coeff in self._terms.items():
             num, den = coeff.numerator, coeff.denominator
-            for v, e in mono.exps:
+            for v, e in mono:
                 a, b = values[v] if v in values else value(v)
                 if e == 1:
                     num *= a
@@ -294,17 +330,17 @@ class Polynomial:
 
         # Each term's last factor is multiplied straight into the sum.
         unit = {MONOMIAL_ONE: f.one}
-        out: dict[Monomial, FieldValue] = {}
+        products = _ProductSum(f)
         for mono, coeff in self._terms.items():
-            if not mono.exps:
-                _add_product(out, f, coeff, unit, unit)
+            if not mono:
+                products.add(coeff, unit, unit)
                 continue
-            v, e = mono.exps[-1]
+            v, e = mono[-1]
             left = power(v, e - 1) if e > 1 else None
-            for u, d in mono.exps[:-1]:
+            for u, d in mono[:-1]:
                 left = power(u, d) if left is None else left * power(u, d)
-            _add_product(out, f, coeff, unit if left is None else left._terms, subst[v]._terms)
-        return self._wrap(out)
+            products.add(coeff, unit if left is None else left._terms, subst[v]._terms)
+        return self._wrap(products.terms())
 
     def substitute(self, partial: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Like compose, but variables absent from ``partial`` stay themselves."""
@@ -327,12 +363,12 @@ class Polynomial:
             e = mono.degree_in(var)
             if e == 0:
                 continue
-            lowered = dict(mono.exps)
+            lowered = dict(mono)
             if e == 1:
                 lowered.pop(var)
             else:
                 lowered[var] = e - 1
-            m = Monomial(tuple(sorted(lowered.items())))
+            m = Monomial(sorted(lowered.items()))
             c = f.add(out.get(m, f.zero), f.mul(coeff, f.normalize(e)))
             if f.is_zero(c):
                 out.pop(m, None)
@@ -381,31 +417,76 @@ class Polynomial:
         return Polynomial(f, quot)
 
 
-def _add_product(out: dict, f: Field, coeff: FieldValue, left: dict, right: dict) -> None:
-    """out += coeff * left * right for term dicts over f (coeff nonzero).
+class _ProductSum:
+    """A sum of products coeff * left * right of term dicts over one field,
+    kept in Python ints until terms() turns each monomial's sum into one
+    field value.
 
-    Products of nonzero field elements are nonzero, so a new monomial is
-    stored without an addition; only sums can cancel, and zero sums are
-    dropped.  Multiplications by one are skipped."""
-    add, mul, is_zero, one = f.add, f.mul, f.is_zero, f.one
-    get = out.get
-    scaled = coeff != one
-    for ma, ca in left.items():
-        if scaled:
-            ca = mul(coeff, ca)
-        unit = ca == one
-        for mb, cb in right.items():
-            mono = ma.mul(mb) if ma.exps else mb
-            term = cb if unit else mul(ca, cb)
-            prev = get(mono)
-            if prev is None:
-                out[mono] = term
-            else:
-                c = add(prev, term)
-                if is_zero(c):
-                    del out[mono]
-                else:
-                    out[mono] = c
+    Over F_p the raw products ca*cb are summed and reduced once per
+    monomial.  Over QQ each factor is scaled to integer numerators over the
+    lcm of its denominators, coeff going with the left one, and the sums
+    share one denominator d, the lcm of the denominators of all the
+    products added (earlier sums are scaled up when it grows); a sum n
+    becomes Fraction(n, d), or Fraction(n) when d = 1.  Zero sums are
+    dropped."""
+
+    __slots__ = ("p", "den", "sums")
+
+    def __init__(self, f: Field):
+        self.p = f.characteristic
+        self.den = 1
+        self.sums: dict[Monomial, int] = {}
+
+    def add(self, coeff: FieldValue, left: dict, right: dict) -> None:
+        """Add coeff * left * right (coeff nonzero)."""
+        p = self.p
+        if p:
+            a = left.items() if coeff == 1 else [(m, c * coeff % p) for m, c in left.items()]
+            b = right.items()
+        else:
+            a, da = _integral(left)
+            b, db = _integral(right)
+            den = coeff.denominator * da * db
+            scale = coeff.numerator
+            if den != self.den:
+                common = lcm(self.den, den)
+                if common != self.den:
+                    up = common // self.den
+                    self.sums = {m: n * up for m, n in self.sums.items()}
+                    self.den = common
+                scale *= common // den
+            if scale != 1:
+                a = [(m, c * scale) for m, c in a]
+        sums = self.sums
+        get = sums.get
+        for ma, ca in a:
+            for mb, cb in b:
+                mono = ma.mul(mb)
+                sums[mono] = get(mono, 0) + ca * cb
+
+    def terms(self) -> dict:
+        """The sums as field values, without the zero ones."""
+        p, d = self.p, self.den
+        if p:
+            return {m: r for m, n in self.sums.items() if (r := n % p)}
+        if d == 1:
+            return {m: Fraction(n) for m, n in self.sums.items() if n}
+        return {m: Fraction(n, d) for m, n in self.sums.items() if n}
+
+
+def _integral(terms: dict) -> tuple[list, int]:
+    """The (monomial, integer numerator) pairs of QQ terms over the lcm d of
+    their denominators, and d."""
+    if len(terms) == 1:
+        ((m, c),) = terms.items()
+        return [(m, c.numerator)], c.denominator
+    for c in terms.values():
+        if c.denominator != 1:
+            break
+    else:
+        return [(m, c.numerator) for m, c in terms.items()], 1
+    d = lcm(*[c.denominator for c in terms.values()])
+    return [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()], d
 
 
 # -- namespaces and the text grammar ----------------------------------------
@@ -545,9 +626,9 @@ def format_polynomial(p: Polynomial, ns: Namespace | None = None) -> str:
         mag = f.neg(coeff) if neg else coeff
         factors = []
         mag_text = f.format_value(mag)
-        if mag_text != "1" or not mono.exps:
+        if mag_text != "1" or not mono:
             factors.append(mag_text)
-        for v, e in mono.exps:
+        for v, e in mono:
             name = ns.name(v) if ns is not None else f"v{v + 1}"
             factors.append(name if e == 1 else f"{name}^{e}")
         body = "*".join(factors)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import annforge
-from annforge import cli
+from annforge import cli, encoding, ips
 from annforge.cli import main
 from annforge.instances import kayal_map
 from annforge.ips import VerifyResult
@@ -322,6 +322,31 @@ def test_ips_refute_that_fails_to_verify_exits_2(tmp_path, capsys, monkeypatch):
                         lambda ref, system: VerifyResult(False, "forced", 0))
     assert main(["ips-refute", "--encoding", str(enc)]) == 2
     assert "annforge.invariant" in capsys.readouterr().err
+
+
+def test_ips_refute_builds_the_triangular_inverse_once(tmp_path, capsys, monkeypatch):
+    # principal_generator and the self-check share the encoding map's inverse;
+    # the self-check is still decided by encoding.annihilates.
+    enc = tmp_path / "enc.json"
+    run(capsys, "encode", "--circuit", CIRCUIT, "--alpha", "1,2", "--beta", "0",
+        "--out", str(enc))
+    inverses, checks = [], []
+    real_inverse, real_annihilates = encoding.triangular_inverse, ips.annihilates
+
+    def inverse_spy(outputs, n_vars):
+        inverses.append(n_vars)
+        return real_inverse(outputs, n_vars)
+
+    def annihilates_spy(p, pmap):
+        checks.append(pmap.seed_len)
+        return real_annihilates(p, pmap)
+
+    monkeypatch.setattr(encoding, "triangular_inverse", inverse_spy)
+    monkeypatch.setattr(ips, "annihilates", annihilates_spy)
+    code, out = run(capsys, "ips-refute", "--encoding", str(enc))
+    assert code == 0 and out.startswith("r = ")
+    assert inverses == [6]
+    assert checks == [6]
 
 
 def test_search_ann_matches_dense_reference(tmp_path, capsys):

@@ -209,3 +209,15 @@ def test_system_of_parallel_map(fig_encoding):
         assert eq.variables() <= first_block_vars
     for eq in system.equations[7:]:
         assert eq.variables() <= set(range(6, 12))
+
+
+def test_system_map_is_shared_or_built(fig_encoding):
+    # system_of keeps the map it came from, so its triangular inverse is
+    # built once for both; a system read on its own builds its own map.
+    system = system_of(fig_encoding.map)
+    assert system.map is fig_encoding.map
+    plain = simple_system()
+    assert plain.map.outputs == plain.equations and plain.map.seed_len == 1
+    assert plain.map.seed_names == ("x1",)
+    with pytest.raises(ValueError):
+        EquationSystem(equations=plain.equations, n_vars=1, map=fig_encoding.map)
