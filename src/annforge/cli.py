@@ -172,6 +172,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pit(args) -> int:
+    if args.map and args.grid is not None or not args.map and args.mode:
+        flag, when = ("--grid", "with") if args.map else ("--mode", "without")
+        print(f"error: {flag} does not apply {when} --map", file=sys.stderr)
+        return 2
     field = field_from_spec(args.field)
     circuit = parse_circuit(_read(args.circuit), field)
     d = metrics(circuit).degree_bound
@@ -179,7 +183,7 @@ def cmd_pit(args) -> int:
     if args.map:
         pmap = map_from_json(_read_json(args.map))
         verdict = generator_pit(
-            circuit, pmap, mode=args.mode, trials=args.trials, seed=args.seed
+            circuit, pmap, mode=args.mode or "symbolic", trials=args.trials, seed=args.seed
         )
     else:
         verdict = sz_pit(circuit, trials=args.trials, grid_size=args.grid, seed=args.seed)
@@ -469,11 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("pit", help="polynomial identity testing"), field=True)
     p.add_argument("--circuit", required=True)
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", type=int, default=None, help="grid side (without --map)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--map", help="test the composition with this map instead")
-    p.add_argument("--mode", default="symbolic",
-                   choices=["symbolic", "randomized", "deterministic_grid"])
+    p.add_argument("--mode", choices=["symbolic", "randomized", "deterministic_grid"],
+                   help="with --map only (default symbolic)")
     p.add_argument("--expect", choices=["zero", "nonzero"])
     p.set_defaults(func=cmd_pit)
 

@@ -77,12 +77,9 @@ def masser_philippon_system(n: int, d: int, field: Field = QQ) -> EquationSystem
         field, field.one, {n - 2: 1, n - 1: d - 1}
     )
     eqs.append(last)
-    return EquationSystem(
-        equations=tuple(eqs),
-        n_vars=n,
-        name=f"masser_philippon_n{n}_d{d}",
-        var_names=tuple(f"x{i}" for i in range(1, n + 1)),
-    )
+    names = tuple(f"x{i}" for i in range(1, n + 1))
+    pmap = PolynomialMap(outputs=tuple(eqs), seed_len=n, seed_names=names)
+    return EquationSystem(pmap, f"masser_philippon_n{n}_d{d}")
 
 
 def det_circuit(n: int, field: Field = QQ) -> Circuit:
@@ -155,12 +152,9 @@ def encode_3cnf(clauses: list[Clause], n_vars: int, field: Field = QQ) -> Equati
             var = Polynomial.variable(field, abs(lit) - 1)
             poly = poly * (var - one if lit > 0 else var)
         eqs.append(poly)
-    return EquationSystem(
-        equations=tuple(eqs),
-        n_vars=n_vars,
-        name="cnf3",
-        var_names=tuple(f"x{i}" for i in range(1, n_vars + 1)),
-    )
+    names = tuple(f"x{i}" for i in range(1, n_vars + 1))
+    pmap = PolynomialMap(outputs=tuple(eqs), seed_len=n_vars, seed_names=names)
+    return EquationSystem(pmap, "cnf3")
 
 
 def parse_dimacs(text: str) -> tuple[list[Clause], int]:

@@ -9,7 +9,6 @@ verifier reports the refutation degree alongside acceptance.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from .annihilator import principal_generator
@@ -21,43 +20,34 @@ from .poly import Namespace, Polynomial
 
 @dataclass(frozen=True)
 class EquationSystem:
-    """Polynomials f_1..f_m, each asserted equal to zero, over n_vars
-    x-variables (ids 0..n_vars-1).
+    """The polynomials f_1..f_m of a map, each asserted equal to zero, over
+    the map's seed variables (ids 0..n_vars-1).
 
-    ``map`` is the polynomial map (f_1, ..., f_m) over those variables.  It
-    is built from the equations unless given; system_of passes the map the
-    system came from, so checks share that map's triangular inverse."""
+    The system is its map: checks against it share the map's triangular
+    inverse, and the map validates the equations."""
 
-    equations: tuple[Polynomial, ...]
-    n_vars: int
+    map: PolynomialMap
     name: str = "system"
-    var_names: tuple[str, ...] = ()
-    map: PolynomialMap | None = dataclasses.field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not self.equations:
-            raise ValueError("empty equation system")
-        names = self.var_names or tuple(f"x{i}" for i in range(1, self.n_vars + 1))
-        object.__setattr__(self, "var_names", names)
-        if len(names) != self.n_vars:
-            raise ValueError("var_names length must equal n_vars")
-        for i, eq in enumerate(self.equations):
-            bad = [v for v in eq.variables() if v >= self.n_vars]
-            if bad:
-                raise ValueError(f"equation {i} uses variable ids {bad} >= {self.n_vars}")
-        if self.map is None:
-            object.__setattr__(self, "map", PolynomialMap(
-                outputs=self.equations, seed_len=self.n_vars, seed_names=names))
-        elif (self.map.outputs, self.map.seed_len) != (self.equations, self.n_vars):
-            raise ValueError("map does not match the equations")
+    @property
+    def equations(self) -> tuple[Polynomial, ...]:
+        return self.map.outputs
+
+    @property
+    def n_vars(self) -> int:
+        return self.map.seed_len
+
+    @property
+    def var_names(self) -> tuple[str, ...]:
+        return self.map.seed_names
 
     @property
     def field(self):
-        return self.equations[0].field
+        return self.map.field
 
     @property
     def namespace(self) -> Namespace:
-        return Namespace(self.var_names)
+        return self.map.seed_namespace
 
 
 @dataclass(frozen=True)
@@ -150,10 +140,4 @@ def canonical_geometric_refutation(enc: LocalEncoding) -> Refutation:
 
 def system_of(pmap: PolynomialMap, name: str = "map_system") -> EquationSystem:
     """The equation system {outputs = 0} of a polynomial map."""
-    return EquationSystem(
-        equations=pmap.outputs,
-        n_vars=pmap.seed_len,
-        name=name,
-        var_names=pmap.seed_names,
-        map=pmap,
-    )
+    return EquationSystem(pmap, name)

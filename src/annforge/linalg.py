@@ -239,10 +239,13 @@ def sylvester(f: Polynomial, g: Polynomial, var: int) -> PolyMatrix:
     m = g.degree_in(var)
     if n == 0 and m == 0:
         raise ValueError("both polynomials are constant in the variable")
+    size = n + m
+    limit = config.DET_SIZE_LIMIT
+    if size > limit:
+        raise MatrixTooLargeError(f"size {size} exceeds guard {limit}")
     field = f.field
     fc = f.coefficients_in(var)  # index k -> coefficient of var^k
     gc = g.coefficients_in(var)
-    size = n + m
     zero = Polynomial.zero(field)
     entries = [[zero] * size for _ in range(size)]
     for j in range(m):  # column j: coefficients of var^{m-1-j} * f
@@ -254,9 +257,11 @@ def sylvester(f: Polynomial, g: Polynomial, var: int) -> PolyMatrix:
     return PolyMatrix(tuple(tuple(row) for row in entries))
 
 
-def determinant(matrix: PolyMatrix) -> Polynomial:
-    """Exact determinant by cofactor expansion along the first rows, memoized
-    on column subsets; guarded size."""
+def _minors(matrix: PolyMatrix):
+    """minor(cols): det of the top len(cols) rows on the columns ``cols``,
+    by cofactor expansion along the last of those rows, memoized on column
+    subsets; guarded size.  minor(all columns) is the determinant, and the
+    minors of its expansion are the cofactors of the last row."""
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
     limit = config.DET_SIZE_LIMIT
@@ -264,14 +269,12 @@ def determinant(matrix: PolyMatrix) -> Polynomial:
         raise MatrixTooLargeError(f"size {matrix.rows} exceeds guard {limit}")
     f = matrix.field
     entries = matrix.entries
-    cache: dict[tuple[int, ...], Polynomial] = {}
+    cache: dict[tuple[int, ...], Polynomial] = {(): Polynomial.constant(f, 1)}
 
     def minor(cols: tuple[int, ...]) -> Polynomial:
-        if not cols:
-            return Polynomial.constant(f, 1)
         if cols in cache:
             return cache[cols]
-        row = matrix.rows - len(cols)
+        row = len(cols) - 1
         acc = Polynomial.zero(f)
         for idx, col in enumerate(cols):
             entry = entries[row][col]
@@ -279,11 +282,16 @@ def determinant(matrix: PolyMatrix) -> Polynomial:
                 continue
             rest = cols[:idx] + cols[idx + 1:]
             sub = entry * minor(rest)
-            acc = acc + sub if idx % 2 == 0 else acc - sub
+            acc = acc + sub if (row + idx) % 2 == 0 else acc - sub
         cache[cols] = acc
         return acc
 
-    return minor(tuple(range(matrix.cols)))
+    return minor
+
+
+def determinant(matrix: PolyMatrix) -> Polynomial:
+    """Exact determinant by memoized cofactor expansion; guarded size."""
+    return _minors(matrix)(tuple(range(matrix.cols)))
 
 
 def resultant(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
@@ -303,29 +311,18 @@ def resultant_with_cofactors(
     """
     n = f.degree_in(var)
     m = g.degree_in(var)
-    mat = sylvester(f, g, var)
     field = f.field
-    res = determinant(mat)
-    size = n + m
-    last = size - 1
-
-    def drop(rows_omit: int, cols_omit: int) -> PolyMatrix:
-        sub = tuple(
-            tuple(p for j, p in enumerate(row) if j != cols_omit)
-            for i, row in enumerate(mat.entries)
-            if i != rows_omit
-        )
-        return PolyMatrix(sub)
+    minor = _minors(sylvester(f, g, var))
+    cols = tuple(range(n + m))
+    res = minor(cols)
+    last = n + m - 1
 
     # c_i = adj(S)[i, last] = (-1)^(last+i) * minor(S, row=last, col=i):
     # S c = res * e_last, i.e. u*f + v*g has var-coefficient vector res*e_last.
     coeffs: list[Polynomial] = []
-    if size == 1:
-        coeffs.append(Polynomial.constant(field, 1))
-    else:
-        for i in range(size):
-            mnr = determinant(drop(last, i))
-            coeffs.append(mnr if (last + i) % 2 == 0 else -mnr)
+    for i in cols:
+        mnr = minor(cols[:i] + cols[i + 1:])
+        coeffs.append(mnr if (last + i) % 2 == 0 else -mnr)
 
     u = Polynomial.zero(field)
     for j in range(m):  # column j held var^{m-1-j} * f

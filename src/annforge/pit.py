@@ -44,6 +44,24 @@ def _check_grid(field: Field, grid_size: int) -> None:
         raise ValueError(f"grid of size {grid_size} does not fit in GF({field.p})")
 
 
+def _first_nonzero(
+    f: Field, points, value, bound: Fraction, seed: int | None, mode: str
+) -> PitVerdict:
+    """Evaluate ``value`` at each of ``points`` in turn: "nonzero" with the
+    first point where it does not vanish as witness, else "zero" with the
+    failure ``bound``."""
+    trial = 0
+    for trial, point in enumerate(points, start=1):
+        if not f.is_zero(value(point)):
+            return PitVerdict(
+                verdict="nonzero", trials_run=trial, failure_bound=Fraction(0),
+                witness=point, seed=seed, mode=mode,
+            )
+    return PitVerdict(
+        verdict="zero", trials_run=trial, failure_bound=bound, seed=seed, mode=mode
+    )
+
+
 def sz_pit(
     circuit: Circuit,
     trials: int = 10,
@@ -70,18 +88,11 @@ def sz_pit(
         )
     f = circuit.field
     rng = random.Random(seed)
-    for trial in range(1, trials + 1):
-        point = tuple(f.normalize(rng.randrange(grid_size)) for _ in range(circuit.n_inputs))
-        value = evaluate_circuit(circuit, point)
-        if not f.is_zero(value):
-            return PitVerdict(
-                verdict="nonzero", trials_run=trial,
-                failure_bound=Fraction(0), witness=point, seed=seed,
-            )
+    points = (tuple(f.normalize(rng.randrange(grid_size)) for _ in range(circuit.n_inputs))
+              for _ in range(trials))
     bound = min(Fraction(d, grid_size), Fraction(1)) ** trials
-    return PitVerdict(
-        verdict="zero", trials_run=trials, failure_bound=bound, seed=seed
-    )
+    return _first_nonzero(
+        f, points, lambda point: evaluate_circuit(circuit, point), bound, seed, "randomized")
 
 
 def generator_pit(
@@ -111,29 +122,21 @@ def generator_pit(
             verdict="zero" if zero else "nonzero",
             trials_run=0, failure_bound=Fraction(0), mode=mode,
         )
+    d = max(metrics(circuit).degree_bound * max(pmap.degree, 1), 1)
+    read = pmap.outputs[: circuit.n_inputs]
+
+    def value(seed_point):
+        return evaluate_circuit(circuit, tuple(p.evaluate(seed_point) for p in read))
+
     if mode == "randomized":
-        d = max(metrics(circuit).degree_bound * max(pmap.degree, 1), 1)
         grid = 2 * d + 1
         _check_grid(f, grid)
         rng = random.Random(seed)
-        for trial in range(1, trials + 1):
-            seed_point = tuple(
-                f.normalize(rng.randrange(grid)) for _ in range(pmap.seed_len)
-            )
-            image = tuple(p.evaluate(seed_point) for p in pmap.outputs)
-            value = evaluate_circuit(circuit, image[: circuit.n_inputs])
-            if not f.is_zero(value):
-                return PitVerdict(
-                    verdict="nonzero", trials_run=trial, failure_bound=Fraction(0),
-                    witness=seed_point, seed=seed, mode=mode,
-                )
+        points = (tuple(f.normalize(rng.randrange(grid)) for _ in range(pmap.seed_len))
+                  for _ in range(trials))
         bound = min(Fraction(d, grid), Fraction(1)) ** trials
-        return PitVerdict(
-            verdict="zero", trials_run=trials, failure_bound=bound,
-            seed=seed, mode=mode,
-        )
+        return _first_nonzero(f, points, value, bound, seed, mode)
     if mode == "deterministic_grid":
-        d = max(metrics(circuit).degree_bound * max(pmap.degree, 1), 1)
         side = d + 1
         total = side ** pmap.seed_len
         if total > config.DEFAULT_POINT_BUDGET:
@@ -141,21 +144,10 @@ def generator_pit(
                 f"{total} grid points exceed budget {config.DEFAULT_POINT_BUDGET}"
             )
         _check_grid(f, side)
-        count = 0
-        for raw in itertools.product(range(side), repeat=pmap.seed_len):
-            count += 1
-            seed_point = tuple(f.normalize(v) for v in raw)
-            image = tuple(p.evaluate(seed_point) for p in pmap.outputs)
-            value = evaluate_circuit(circuit, image[: circuit.n_inputs])
-            if not f.is_zero(value):
-                return PitVerdict(
-                    verdict="nonzero", trials_run=count, failure_bound=Fraction(0),
-                    witness=seed_point, mode=mode,
-                )
+        points = (tuple(f.normalize(v) for v in raw)
+                  for raw in itertools.product(range(side), repeat=pmap.seed_len))
         # Vanishing on a full (d+1)-side grid forces the composition to zero.
-        return PitVerdict(
-            verdict="zero", trials_run=count, failure_bound=Fraction(0), mode=mode
-        )
+        return _first_nonzero(f, points, value, Fraction(0), None, mode)
     raise ValueError(f"unknown mode {mode!r}")
 
 

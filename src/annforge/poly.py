@@ -13,6 +13,8 @@ serialize is a fixed point.
 
 Text grammar (whitespace-insensitive): signed terms ``c*v1^e1*...*vk^ek``
 with rational ``c`` written ``a`` or ``a/b``, e.g. ``x1^2 - x2^2 + 1/2*x3``.
+Every term after the first starts with ``+`` or ``-`` and the factors of a
+term are joined by ``*``, so ``3z1``, ``x1 x2`` and ``2 3`` are errors.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import MissingAssignmentError, ParseError
+from . import config
+from .errors import BudgetExceededError, MissingAssignmentError, ParseError
 from .fields import Field, FieldValue, check_same_field
 
 
@@ -382,8 +385,12 @@ class Polynomial:
         return self._wrap(out)
 
     def coefficients_in(self, var: int) -> list["Polynomial"]:
-        """Dense-in-one-variable view [q_0, ..., q_d]; storage stays sparse."""
+        """Dense-in-one-variable view [q_0, ..., q_d]; storage stays sparse.
+        Raises BudgetExceededError when d + 1 exceeds config.term_budget()."""
         d = self.degree_in(var)
+        budget = config.term_budget()
+        if d >= budget:
+            raise BudgetExceededError(f"variable id {var}: degree {d} exceeds budget {budget}")
         buckets: list[dict[Monomial, FieldValue]] = [{} for _ in range(d + 1)]
         for m, c in self._terms.items():
             buckets[m.degree_in(var)][m.without(var)] = c
@@ -572,12 +579,15 @@ def parse_polynomial(text: str, field: Field, ns: Namespace) -> Polynomial:
     i = 0
     while i < len(tokens):
         sign = 1
+        start = i
         while i < len(tokens) and tokens[i] in "+-":
             if tokens[i] == "-":
                 sign = -sign
             i += 1
         if i >= len(tokens):
             raise ParseError(f"dangling sign in {text!r}")
+        if 0 < start == i:
+            raise ParseError(f"missing + or - before {tokens[i]!r} in {text!r}")
         coeff = field.one if sign == 1 else field.neg(field.one)
         exps: dict[int, int] = {}
         saw_factor = False

@@ -160,12 +160,9 @@ def system_from_json(obj: dict) -> EquationSystem:
         names = list(Namespace.inferred(texts).names)
     n_vars = int(obj.get("n_vars", len(names)))
     ns = Namespace(names)
-    return EquationSystem(
-        equations=tuple(parse_polynomial(t, field, ns) for t in texts),
-        n_vars=n_vars,
-        name=obj.get("name", "system"),
-        var_names=tuple(names),
-    )
+    equations = tuple(parse_polynomial(t, field, ns) for t in texts)
+    pmap = PolynomialMap(outputs=equations, seed_len=n_vars, seed_names=tuple(names))
+    return EquationSystem(pmap, obj.get("name", "system"))
 
 
 def refutation_to_json(ref: Refutation, system: EquationSystem) -> dict:

@@ -163,7 +163,8 @@ def test_verify_geometric_on_a_non_triangular_system():
     # x1 - 1 = x1 - 2 = 0 has no solution: (x1 - 1) - (x1 - 2) = 1.  With
     # n_vars = 2 the second equation has no x2 term, so the check expands.
     names = ["x1", "x2"]
-    system = EquationSystem(equations=(P("x1 - 1", names), P("x1 - 2", names)), n_vars=2)
+    system = EquationSystem(PolynomialMap(
+        outputs=(P("x1 - 1", names), P("x1 - 2", names)), seed_len=2, seed_names=tuple(names)))
     assert triangular_inverse(system.equations, system.n_vars) is None
     zs = ["z1", "z2"]
     assert verify_geometric(Refutation("geometric", P("1 - z1 + z2", zs)), system).accepted

@@ -14,7 +14,7 @@ from annforge.cli import main
 from annforge.instances import kayal_map
 from annforge.ips import VerifyResult
 from annforge.poly import Namespace, format_polynomial
-from annforge.serialize import dumps, map_from_json, map_to_json
+from annforge.serialize import dumps, map_from_json, map_to_json, system_from_json, system_to_json
 
 from dense_reference import reference_basis_search
 
@@ -479,15 +479,63 @@ def test_counts_beyond_the_term_budget_exit_3(tmp_path, capsys, monkeypatch, cas
     else:
         path.write_text((FIXTURES / "squares_diff_enc.json").read_text())
     argv = ["stretch", "--map", str(path), *options]
-    # A fresh interpreter with 1 GiB of address space first, so a missing
-    # guard fails here instead of filling the memory of the test process.
-    env = dict(os.environ, PYTHONPATH=str(Path(annforge.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "annforge.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=30,
-                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
-                                                                (2**30, 2**30)))
+    proc = run_in_1_gib(*argv)
     assert proc.returncode == 3, proc.stderr
     assert "budget 1000" in proc.stderr and "Traceback" not in proc.stderr
     start = time.perf_counter()
     assert main(argv) == 3
     assert time.perf_counter() - start < 1
+
+
+def run_in_1_gib(*argv) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter with 1 GiB of address space, so a
+    missing guard fails there instead of filling the test process's memory."""
+    env = dict(os.environ, PYTHONPATH=str(Path(annforge.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "annforge.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                (2**30, 2**30)))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--encoding", str(FIXTURES / "squares_diff_enc.json"), "--poly", "POLY"],
+     "[limit.term_budget_exceeded]: variable id 6: degree 100000000 exceeds budget 1000000"),
+    (["resultant", "--f", "x^100000000 + 1", "--g", "x - 1", "--var", "x"],
+     "[algebra.matrix_too_large]: size 100000001 exceeds guard 12"),
+], ids=["verify", "resultant"])
+def test_huge_degree_exits_3_before_allocating(tmp_path, argv, message):
+    poly = tmp_path / "p.txt"
+    poly.write_text("z7^100000000")
+    proc = run_in_1_gib(*[str(poly) if a == "POLY" else a for a in argv])
+    assert proc.returncode == 3, proc.stderr
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_pit_refuses_a_flag_that_does_not_apply(capsys):
+    enc = str(FIXTURES / "squares_diff_enc.json")
+    for argv, flag in [(["--mode", "deterministic_grid"], "--mode"),
+                       (["--map", enc, "--grid", "5"], "--grid")]:
+        assert main(["pit", "--circuit", CIRCUIT, *argv, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err
+    # --mode resolves to symbolic with --map, as when it was the default.
+    code, out = run(capsys, "pit", "--circuit", CIRCUIT, "--map", enc, "--json")
+    assert code == 0 and json.loads(out)["mode"] == "symbolic"
+    code, out = run(capsys, "pit", "--circuit", CIRCUIT, "--json")
+    assert code == 0 and json.loads(out)["mode"] == "randomized"
+
+
+def test_written_systems_read_back_byte_identically(tmp_path, capsys):
+    enc, cnf = tmp_path / "enc.json", tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n")
+    written = {name: tmp_path / name for name in ("ips.json", "mp.json", "cnf.json")}
+    run(capsys, "encode", "--circuit", CIRCUIT, "--alpha", "1,2", "--beta", "7",
+        "--out", str(enc))
+    run(capsys, "ips-refute", "--encoding", str(enc), "--system-out", str(written["ips.json"]))
+    run(capsys, "instance", "--family", "masser-philippon", "--n", "3", "--d", "2",
+        "--out", str(written["mp.json"]))
+    run(capsys, "instance", "--family", "cnf3", "--cnf", str(cnf),
+        "--out", str(written["cnf.json"]))
+    for path in written.values():
+        text = path.read_text()
+        assert dumps(system_to_json(system_from_json(json.loads(text)))) == text

@@ -4,7 +4,7 @@ import pytest
 
 from annforge.annihilator import principal_generator, verify_annihilates
 from annforge.circuit import parse_circuit
-from annforge.encoding import local_encode, pad, parallel_compose
+from annforge.encoding import PolynomialMap, local_encode, pad, parallel_compose
 from annforge import ips
 from annforge.errors import InvariantError, SupportOverflowError, SystemSatisfiableError
 from annforge.fields import QQ
@@ -25,11 +25,8 @@ from conftest import SINGLE_ADD_TEXT, P, Z
 def simple_system():
     # {x1 = 0, x1 - 1 = 0}: plainly unsatisfiable.
     ns = ["x1"]
-    return EquationSystem(
-        equations=(P("x1", ns), P("x1 - 1", ns)),
-        n_vars=1,
-        name="x_and_x_minus_one",
-    )
+    pmap = PolynomialMap(outputs=(P("x1", ns), P("x1 - 1", ns)), seed_len=1, seed_names=("x1",))
+    return EquationSystem(pmap, name="x_and_x_minus_one")
 
 
 # -- geometric verification -----------------------------------------------------
@@ -213,11 +210,9 @@ def test_system_of_parallel_map(fig_encoding):
 
 def test_system_map_is_shared_or_built(fig_encoding):
     # system_of keeps the map it came from, so its triangular inverse is
-    # built once for both; a system read on its own builds its own map.
+    # built once for both; the equations and names read through the map.
     system = system_of(fig_encoding.map)
     assert system.map is fig_encoding.map
     plain = simple_system()
     assert plain.map.outputs == plain.equations and plain.map.seed_len == 1
     assert plain.map.seed_names == ("x1",)
-    with pytest.raises(ValueError):
-        EquationSystem(equations=plain.equations, n_vars=1, map=fig_encoding.map)

@@ -241,7 +241,8 @@ def test_parse_examples():
 
 
 def test_parse_errors():
-    for bad in ["", "x9", "x1 +", "* x1", "x1^", "x1 ^ x2", "1..2"]:
+    # Every term after the first needs a sign, and factors need "*".
+    for bad in ["", "x9", "x1 +", "* x1", "x1^", "x1 ^ x2", "1..2", "3x1", "x1 x2", "2 3"]:
         with pytest.raises(ParseError):
             poly(bad)
 
