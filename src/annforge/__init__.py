@@ -43,7 +43,6 @@ from .ips import (
 from .linalg import (
     PolyMatrix,
     jacobian,
-    rank_exact,
     rank_random_eval,
     resultant,
     resultant_with_cofactors,
@@ -94,7 +93,6 @@ __all__ = [
     "parse_polynomial",
     "principal_generator",
     "random_circuit",
-    "rank_exact",
     "rank_random_eval",
     "resultant",
     "resultant_with_cofactors",

@@ -199,21 +199,15 @@ def random_circuit(
     if size < 1:
         raise CircuitError("size must be >= 1")
     rng = random.Random(seed)
-    gates = [Gate.input(i) for i in range(n_inputs)]
+    b = CircuitBuilder(field, n_inputs, name=f"random_{seed}")
     for c in const_pool:
-        gates.append(Gate.const(field.normalize(c)))
+        b.const(c)
     for _ in range(size):
         op = rng.choice(("add", "mul"))
-        left = rng.randrange(len(gates))
-        right = rng.randrange(len(gates))
-        gates.append(Gate(op, left=left, right=right))
-    return Circuit(
-        field=field,
-        gates=tuple(gates),
-        n_inputs=n_inputs,
-        output=len(gates) - 1,
-        name=f"random_{seed}",
-    )
+        left = rng.randrange(len(b.gates))
+        right = rng.randrange(len(b.gates))
+        getattr(b, op)(left, right)
+    return b.build()
 
 
 class CircuitBuilder:
@@ -295,22 +289,16 @@ def circuit_from_polynomial(p: Polynomial, n_vars: int, name: str = "poly") -> C
 
 
 def parse_circuit(text: str, field: Field = QQ) -> Circuit:
-    """Parse the circuit DSL; definition order fixes internal_order."""
+    """Parse the circuit DSL into a CircuitBuilder, which is created at the
+    inputs line; definition order fixes internal_order."""
     name = "circuit"
-    input_names: list[str] = []
     gate_ids: dict[str, int] = {}
-    gates: list[Gate] = []
-    const_ids: dict[FieldValue, int] = {}
+    b: CircuitBuilder | None = None
     output_ref: str | None = None
-    saw_inputs = False
 
     def resolve(ref: str, lineno: int) -> int:
         if _LITERAL_RE.fullmatch(ref):
-            v = field.parse_value(ref)
-            if v not in const_ids:
-                gates.append(Gate.const(v))
-                const_ids[v] = len(gates) - 1
-            return const_ids[v]
+            return b.const(field.parse_value(ref))
         if ref not in gate_ids:
             raise ParseError(f"line {lineno}: undefined reference {ref!r}")
         return gate_ids[ref]
@@ -325,17 +313,15 @@ def parse_circuit(text: str, field: Field = QQ) -> Circuit:
                 raise ParseError(f"line {lineno}: expected 'circuit <name>'")
             name = parts[1]
         elif parts[0] == "inputs":
-            if saw_inputs:
+            if b is not None:
                 raise ParseError(f"line {lineno}: duplicate inputs line")
-            saw_inputs = True
-            input_names = parts[1:]
-            for i, n in enumerate(input_names):
+            for i, n in enumerate(parts[1:]):
                 if not _IDENT_RE.fullmatch(n):
                     raise ParseError(f"line {lineno}: bad input name {n!r}")
                 if n in gate_ids:
                     raise ParseError(f"line {lineno}: duplicate input {n!r}")
-                gates.append(Gate.input(i))
                 gate_ids[n] = i
+            b = CircuitBuilder(field, len(parts) - 1, input_names=tuple(parts[1:]))
         elif parts[0] == "output":
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 'output <gate>'")
@@ -346,12 +332,10 @@ def parse_circuit(text: str, field: Field = QQ) -> Circuit:
                 raise ParseError(f"line {lineno}: unknown op {op!r} (fan-in-2 add/mul only)")
             if gname in gate_ids:
                 raise ParseError(f"line {lineno}: duplicate gate {gname!r}")
-            if not saw_inputs:
+            if b is None:
                 raise ParseError(f"line {lineno}: gate before inputs line")
-            left = resolve(ref1, lineno)
-            right = resolve(ref2, lineno)
-            gates.append(Gate(op, left=left, right=right))
-            gate_ids[gname] = len(gates) - 1
+            left, right = resolve(ref1, lineno), resolve(ref2, lineno)
+            gate_ids[gname] = getattr(b, op)(left, right)
         else:
             raise ParseError(f"line {lineno}: cannot parse {line!r}")
 
@@ -360,17 +344,12 @@ def parse_circuit(text: str, field: Field = QQ) -> Circuit:
     if output_ref not in gate_ids:
         raise ParseError(f"undefined output gate {output_ref!r}")
     out = gate_ids[output_ref]
-    internal = [i for i, g in enumerate(gates) if g.is_internal]
-    if internal and out != internal[-1]:
+    # Constants enter just before the gate that reads them, so the last
+    # gate is the last internal one whenever there is any.
+    if b.gates[-1].is_internal and out != len(b.gates) - 1:
         raise ParseError("output must be the last defined gate")
-    return Circuit(
-        field=field,
-        gates=tuple(gates),
-        n_inputs=len(input_names),
-        output=out,
-        name=name,
-        input_names=tuple(input_names),
-    )
+    b.name = name
+    return b.build(out)
 
 
 def serialize_circuit(circuit: Circuit) -> str:

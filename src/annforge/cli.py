@@ -400,8 +400,11 @@ def cmd_stretch(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    if args.encoding and args.field is not None:
+        print("error: --field does not apply with --encoding", file=sys.stderr)
+        return 2
     if args.circuit:
-        field = field_from_spec(args.field)
+        field = field_from_spec(args.field or "rational")
         circuit = parse_circuit(_read(args.circuit), field)
         m = metrics(circuit)
         report = {
@@ -535,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--circuit")
     group.add_argument("--encoding")
-    p.set_defaults(func=cmd_metrics)
+    p.set_defaults(func=cmd_metrics, field=None)  # the encoding file fixes its field
 
     return parser
 

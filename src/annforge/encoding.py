@@ -276,14 +276,14 @@ def annihilates(p: Polynomial, pmap: PolynomialMap) -> bool:
     sigma is a ring isomorphism and sigma(p o F) = p(z_<N, T) vanishes iff
     p o F does.  Nothing is sampled or reduced modulo a prime.  Otherwise
     (not triangular in this variable order, or fewer than N outputs) p o F
-    is expanded in full.  Raises SupportOverflowError when p uses an id
-    >= out_len.
+    is expanded in full by compose_polynomial.  Raises SupportOverflowError
+    when p uses an id >= out_len.
     """
     outputs, n_vars = pmap.outputs, pmap.seed_len
-    _check_support(p, len(outputs))
     inverse = pmap.inverse
     if inverse is None:
-        return p.compose({v: outputs[v] for v in p.variables()}).is_zero()
+        return compose_polynomial(pmap, p).is_zero()
+    _check_support(p, len(outputs))
     subst = dict(enumerate(inverse))
     for j in sorted(v for v in p.variables() if v >= n_vars):
         value = outputs[j].compose(subst)

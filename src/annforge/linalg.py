@@ -3,10 +3,9 @@ field, Jacobians, rank estimation, Sylvester resultants.
 
 Rank over the function field is estimated by evaluating the matrix at
 random points of F_p (sound: never exceeds the true rank; complete with
-probability governed by Schwartz-Zippel).  Exact symbolic rank and
-determinants use fraction-free elimination / memoized cofactor expansion
-behind small-size guards; resultants in this artifact only arise at desk
-scale.
+probability governed by Schwartz-Zippel).  Exact determinants use memoized
+cofactor expansion behind a small-size guard; resultants in this artifact
+only arise at desk scale.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from math import isqrt
 from typing import Iterable, Mapping
 
 from . import config
-from .errors import InvariantError, MatrixTooLargeError
+from .errors import MatrixTooLargeError
 from .fields import Field, FieldValue, PrimeField
 from .poly import Polynomial
 
@@ -175,42 +174,6 @@ def rank_random_eval(
         rows = [dict(enumerate(entry.evaluate(point) for entry in row)) for row in entries]
         best = max(best, len(row_reduce(rows, matrix.cols, gf)))
     return best
-
-
-def rank_exact(matrix: PolyMatrix) -> int:
-    """Exact symbolic rank by fraction-free (Bareiss-style) elimination on
-    the polynomial entries; guarded for certification-scale inputs only."""
-    limit = config.DET_SIZE_LIMIT
-    if max(matrix.rows, matrix.cols) > limit:
-        raise MatrixTooLargeError(
-            f"{matrix.rows}x{matrix.cols} exceeds exact-rank guard {limit}"
-        )
-    f = matrix.field
-    rows = [list(r) for r in matrix.entries]
-    n_rows, n_cols = matrix.rows, matrix.cols
-    rank = 0
-    prev = Polynomial.constant(f, 1)
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if not rows[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        piv = rows[rank][col]
-        for r in range(rank + 1, n_rows):
-            for c in range(n_cols):
-                if c == col:
-                    continue
-                num = rows[r][c] * piv - rows[r][col] * rows[rank][c]
-                q = num.exact_divide(prev)
-                if q is None:
-                    raise InvariantError("Bareiss division left a remainder")
-                rows[r][c] = q
-            rows[r][col] = Polynomial.zero(f)
-        prev = piv
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
 
 
 def trdeg_lower_bound(

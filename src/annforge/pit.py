@@ -131,6 +131,8 @@ def generator_pit(
     if mode == "randomized":
         grid = 2 * d + 1
         _check_grid(f, grid)
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
         rng = random.Random(seed)
         points = (tuple(f.normalize(rng.randrange(grid)) for _ in range(pmap.seed_len))
                   for _ in range(trials))

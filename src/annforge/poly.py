@@ -119,6 +119,13 @@ class Monomial(tuple):
 MONOMIAL_ONE = Monomial()
 
 
+def _check_degree(var: int, d: int) -> None:
+    """Refuse a degree d >= config.term_budget() in one variable."""
+    budget = config.term_budget()
+    if d >= budget:
+        raise BudgetExceededError(f"variable id {var}: degree {d} exceeds budget {budget}")
+
+
 class Polynomial:
     """Immutable-by-convention sparse polynomial; zero coefficients never
     stored, so dict equality is canonical equality."""
@@ -316,19 +323,24 @@ class Polynomial:
     def compose(self, subst: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Simultaneous substitution var -> subst[var]; every variable in the
         support must be covered.  Powers of the substituted polynomials are
-        memoized across terms."""
+        memoized across terms; a degree >= config.term_budget() in one
+        variable raises BudgetExceededError before its power is built."""
         f = self.field
         for v in self.variables():
             if v not in subst:
                 raise MissingAssignmentError(f"no substitution for variable id {v}")
         powers: dict[int, list[Polynomial]] = {}  # v -> [subst[v]^1, subst[v]^2, ...]
 
-        def power(v: int, e: int) -> Polynomial:
+        def power(v: int, e: int, degree: int) -> Polynomial:
+            """subst[v]^e for a term of ``degree`` (e or e + 1) in v; the
+            degree is checked against the budget before the cache grows."""
             cache = powers.get(v)
             if cache is None:
                 cache = powers[v] = [subst[v]]
-            while len(cache) < e:
-                cache.append(cache[-1] * subst[v])
+            if len(cache) < degree:
+                _check_degree(v, degree)
+                while len(cache) < e:
+                    cache.append(cache[-1] * subst[v])
             return cache[e - 1]
 
         # Each term's last factor is multiplied straight into the sum.
@@ -339,9 +351,9 @@ class Polynomial:
                 products.add(coeff, unit, unit)
                 continue
             v, e = mono[-1]
-            left = power(v, e - 1) if e > 1 else None
+            left = power(v, e - 1, e) if e > 1 else None
             for u, d in mono[:-1]:
-                left = power(u, d) if left is None else left * power(u, d)
+                left = power(u, d, d) if left is None else left * power(u, d, d)
             products.add(coeff, unit if left is None else left._terms, subst[v]._terms)
         return self._wrap(products.terms())
 
@@ -388,9 +400,7 @@ class Polynomial:
         """Dense-in-one-variable view [q_0, ..., q_d]; storage stays sparse.
         Raises BudgetExceededError when d + 1 exceeds config.term_budget()."""
         d = self.degree_in(var)
-        budget = config.term_budget()
-        if d >= budget:
-            raise BudgetExceededError(f"variable id {var}: degree {d} exceeds budget {budget}")
+        _check_degree(var, d)
         buckets: list[dict[Monomial, FieldValue]] = [{} for _ in range(d + 1)]
         for m, c in self._terms.items():
             buckets[m.degree_in(var)][m.without(var)] = c

@@ -98,7 +98,8 @@ def _blocks_to_json(blocks: BlockSpans) -> dict:
 
 @_reader
 def encoding_from_json(obj: dict) -> LocalEncoding:
-    """Rebuild from provenance and check the stored map and blocks match."""
+    """Rebuild from provenance alone; outputs, seed_len and any seed_names
+    and blocks must be as encoding_to_json writes them (canonical text)."""
     prov = obj.get("provenance")
     if not prov or prov.get("type") != "local_encoding":
         raise ParseError("JSON lacks local_encoding provenance")
@@ -107,11 +108,11 @@ def encoding_from_json(obj: dict) -> LocalEncoding:
     alpha = [field.parse_value(a) for a in prov["alpha"]]
     beta = field.parse_value(prov["beta"])
     enc = local_encode(circuit, alpha, beta)
-    stored = map_from_json(obj)
-    if stored != enc.map:
-        raise ParseError("stored outputs disagree with provenance reconstruction")
-    if "blocks" in obj and obj["blocks"] != _blocks_to_json(enc.blocks):
-        raise ParseError("stored blocks disagree with provenance reconstruction")
+    written = encoding_to_json(enc)
+    for key in ("outputs", "seed_len", "seed_names", "blocks"):
+        stored = obj[key] if key in ("outputs", "seed_len") else obj.get(key, written[key])
+        if stored != written[key]:
+            raise ParseError(f"stored {key} disagree with provenance reconstruction")
     return enc
 
 

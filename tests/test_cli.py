@@ -539,3 +539,31 @@ def test_written_systems_read_back_byte_identically(tmp_path, capsys):
     for path in written.values():
         text = path.read_text()
         assert dumps(system_to_json(system_from_json(json.loads(text)))) == text
+
+
+def test_pit_randomized_refuses_zero_trials(capsys):
+    # Sampling no point proves nothing, so "zero" with failure bound 1 is refused.
+    argv = ["pit", "--circuit", CIRCUIT, "--map", str(FIXTURES / "squares_diff_enc.json"),
+            "--mode", "randomized", "--trials", "0", "--expect", "zero"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "trials must be >= 1" in captured.err
+
+
+def test_metrics_refuses_field_with_encoding(capsys):
+    # The encoding file fixes its field.
+    enc = str(FIXTURES / "squares_diff_enc.json")
+    assert main(["metrics", "--encoding", enc, "--field", "prime:7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--field does not apply with --encoding" in captured.err
+
+
+def test_huge_exponent_in_compose_exits_3(tmp_path, capsys):
+    # A kayal map is not triangular, so hit expands p o F through compose.
+    kayal, poly = tmp_path / "kayal.json", tmp_path / "p.txt"
+    run(capsys, "instance", "--family", "kayal", "--n", "2", "--d", "2", "--out", str(kayal))
+    poly.write_text("z1^100000000")
+    proc = run_in_1_gib("hit", "--map", str(kayal), "--poly", str(poly))
+    assert proc.returncode == 3, proc.stderr
+    assert "[limit.term_budget_exceeded]: variable id 0: degree 100000000 exceeds budget " \
+           "1000000" in proc.stderr and "Traceback" not in proc.stderr

@@ -4,13 +4,12 @@ import pytest
 
 from annforge.circuit import random_circuit
 from annforge.encoding import local_encode
-from annforge.errors import InvariantError, MatrixTooLargeError
+from annforge.errors import MatrixTooLargeError
 from annforge.fields import QQ
 from annforge.linalg import (
     PolyMatrix,
     determinant,
     jacobian,
-    rank_exact,
     rank_random_eval,
     resultant,
     resultant_with_cofactors,
@@ -97,26 +96,6 @@ def test_rank_encoding_jacobian_is_full():
         enc = local_encode(c, [rng.randint(-2, 2) for _ in range(n)], 0)
         mat = jacobian(list(enc.map.outputs[: n + s]), list(range(n + s)))
         assert rank_random_eval(mat, trials=2, seed=seed) == n + s
-
-
-def test_rank_exact_matches_triangular_structure():
-    c = random_circuit(2, 4, seed=77, const_pool=(1,))
-    enc = local_encode(c, [1, -1], 0)
-    mat = jacobian(list(enc.map.outputs[:6]), list(range(6)))
-    assert rank_exact(mat) == 6
-
-
-def test_rank_exact_inexact_division_is_a_typed_error(monkeypatch):
-    monkeypatch.setattr(Polynomial, "exact_divide", lambda self, divisor: None)
-    mat = PolyMatrix(((p("x1"), p("x2")), (p("x2"), p("x1"))))
-    with pytest.raises(InvariantError):
-        rank_exact(mat)
-
-
-def test_rank_exact_guard():
-    mat = PolyMatrix(tuple(tuple(p("x1") for _ in range(13)) for _ in range(13)))
-    with pytest.raises(MatrixTooLargeError):
-        rank_exact(mat)
 
 
 def test_trdeg_examples():

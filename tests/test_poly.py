@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annforge.errors import MissingAssignmentError, ParseError
+from annforge.errors import BudgetExceededError, MissingAssignmentError, ParseError
 from annforge.fields import QQ, PrimeField
 from annforge.poly import (
     Monomial,
@@ -123,6 +123,20 @@ def test_compose_identity():
 def test_compose_uncovered_variable():
     with pytest.raises(MissingAssignmentError):
         poly("x1 + x2").compose({0: poly("x1")})
+
+
+@pytest.mark.parametrize("text, refused", [
+    ("x1^10", "variable id 0: degree 10 exceeds budget 10"),  # x1 is the term's last factor
+    ("x1^10*x2", "variable id 0: degree 10 exceeds budget 10"),
+    ("x1^9*x2 + x1^10", "variable id 0: degree 10 exceeds budget 10"),  # x1^9 already built
+    ("x1 + x2^12", "variable id 1: degree 12 exceeds budget 10"),
+])
+def test_compose_refuses_a_degree_past_the_term_budget(monkeypatch, text, refused):
+    monkeypatch.setenv("AF_TERM_BUDGET", "10")
+    subst = {0: poly("x3 + 1"), 1: poly("x3")}
+    assert poly("x1^9*x2 + x2^9").compose(subst) == subst[0] ** 9 * subst[1] + subst[1] ** 9
+    with pytest.raises(BudgetExceededError, match=refused):
+        poly(text).compose(subst)
 
 
 @settings(max_examples=60)
