@@ -26,10 +26,9 @@ from functools import cached_property
 from . import config
 from .errors import BudgetExceededError, CircuitError, ParseError
 from .fields import QQ, Field, FieldValue
-from .poly import Polynomial
+from .poly import _NAME_RE, Polynomial
 
 _LITERAL_RE = re.compile(r"-?\d+(/\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -316,7 +315,7 @@ def parse_circuit(text: str, field: Field = QQ) -> Circuit:
             if b is not None:
                 raise ParseError(f"line {lineno}: duplicate inputs line")
             for i, n in enumerate(parts[1:]):
-                if not _IDENT_RE.fullmatch(n):
+                if not _NAME_RE.fullmatch(n):
                     raise ParseError(f"line {lineno}: bad input name {n!r}")
                 if n in gate_ids:
                     raise ParseError(f"line {lineno}: duplicate input {n!r}")

@@ -551,6 +551,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    if [] in vars(args).values():
+        # argparse reads "--opt=--" as an empty list; no option takes a list.
+        print("error: '--' is not an option value", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except ResourceLimitError as exc:

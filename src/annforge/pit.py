@@ -20,7 +20,7 @@ from .circuit import Circuit, evaluate_circuit, expand, metrics
 from .encoding import PolynomialMap, annihilates
 from .errors import PointBudgetExceededError, SupportOverflowError
 from .fields import Field, FieldValue, PrimeField
-from .poly import Polynomial
+from .poly import Polynomial, check_degree
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,13 @@ def _check_grid(field: Field, grid_size: int) -> None:
 
 
 def _first_nonzero(
-    f: Field, points, value, bound: Fraction, seed: int | None, mode: str
+    f: Field, points, value, miss: Fraction, seed: int | None, mode: str
 ) -> PitVerdict:
     """Evaluate ``value`` at each of ``points`` in turn: "nonzero" with the
     first point where it does not vanish as witness, else "zero" with the
-    failure ``bound``."""
+    failure bound min(miss, 1)^trials, ``miss`` bounding the chance that one
+    point misses a nonzero polynomial.  The bound is computed only for a
+    "zero" verdict: for a large trial count it is a large exact power."""
     trial = 0
     for trial, point in enumerate(points, start=1):
         if not f.is_zero(value(point)):
@@ -57,6 +59,7 @@ def _first_nonzero(
                 verdict="nonzero", trials_run=trial, failure_bound=Fraction(0),
                 witness=point, seed=seed, mode=mode,
             )
+    bound = min(miss, Fraction(1)) ** trial
     return PitVerdict(
         verdict="zero", trials_run=trial, failure_bound=bound, seed=seed, mode=mode
     )
@@ -90,9 +93,8 @@ def sz_pit(
     rng = random.Random(seed)
     points = (tuple(f.normalize(rng.randrange(grid_size)) for _ in range(circuit.n_inputs))
               for _ in range(trials))
-    bound = min(Fraction(d, grid_size), Fraction(1)) ** trials
-    return _first_nonzero(
-        f, points, lambda point: evaluate_circuit(circuit, point), bound, seed, "randomized")
+    return _first_nonzero(f, points, lambda point: evaluate_circuit(circuit, point),
+                          Fraction(d, grid_size), seed, "randomized")
 
 
 def generator_pit(
@@ -129,6 +131,11 @@ def generator_pit(
         return evaluate_circuit(circuit, tuple(p.evaluate(seed_point) for p in read))
 
     if mode == "randomized":
+        if not f.characteristic:
+            # Over QQ evaluate raises point values to the exponents as read.
+            e, v = max(((e, v) for p in read for mono, _ in p.iter_terms() for v, e in mono),
+                       default=(0, 0))
+            check_degree(v, e)
         grid = 2 * d + 1
         _check_grid(f, grid)
         if trials < 1:
@@ -136,8 +143,7 @@ def generator_pit(
         rng = random.Random(seed)
         points = (tuple(f.normalize(rng.randrange(grid)) for _ in range(pmap.seed_len))
                   for _ in range(trials))
-        bound = min(Fraction(d, grid), Fraction(1)) ** trials
-        return _first_nonzero(f, points, value, bound, seed, mode)
+        return _first_nonzero(f, points, value, Fraction(d, grid), seed, mode)
     if mode == "deterministic_grid":
         side = d + 1
         total = side ** pmap.seed_len

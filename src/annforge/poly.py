@@ -11,10 +11,12 @@ lexicographic with lower variable ids more significant.  Printing always
 emits terms in descending canonical order, so serialize -> parse ->
 serialize is a fixed point.
 
-Text grammar (whitespace-insensitive): signed terms ``c*v1^e1*...*vk^ek``
-with rational ``c`` written ``a`` or ``a/b``, e.g. ``x1^2 - x2^2 + 1/2*x3``.
-Every term after the first starts with ``+`` or ``-`` and the factors of a
-term are joined by ``*``, so ``3z1``, ``x1 x2`` and ``2 3`` are errors.
+Text grammar: signed terms ``c*v1^e1*...*vk^ek`` with rational ``c``
+written ``a`` or ``a/b``, e.g. ``x1^2 - x2^2 + 1/2*x3``.  Every term after
+the first starts with one or more signs, the factors of a term are joined by
+``*`` and ``^digits`` follows only a name, so ``3z1``, ``x1 x2``, ``2 3``
+and ``2^3`` are errors.  Whitespace may stand anywhere except inside a
+number or a name.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ class Monomial(tuple):
 MONOMIAL_ONE = Monomial()
 
 
-def _check_degree(var: int, d: int) -> None:
+def check_degree(var: int, d: int) -> None:
     """Refuse a degree d >= config.term_budget() in one variable."""
     budget = config.term_budget()
     if d >= budget:
@@ -338,7 +340,7 @@ class Polynomial:
             if cache is None:
                 cache = powers[v] = [subst[v]]
             if len(cache) < degree:
-                _check_degree(v, degree)
+                check_degree(v, degree)
                 while len(cache) < e:
                     cache.append(cache[-1] * subst[v])
             return cache[e - 1]
@@ -400,7 +402,7 @@ class Polynomial:
         """Dense-in-one-variable view [q_0, ..., q_d]; storage stays sparse.
         Raises BudgetExceededError when d + 1 exceeds config.term_budget()."""
         d = self.degree_in(var)
-        _check_degree(var, d)
+        check_degree(var, d)
         buckets: list[dict[Monomial, FieldValue]] = [{} for _ in range(d + 1)]
         for m, c in self._terms.items():
             buckets[m.degree_in(var)][m.without(var)] = c
@@ -509,7 +511,13 @@ def _integral(terms: dict) -> tuple[list, int]:
 # -- namespaces and the text grammar ----------------------------------------
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|\d+/\d+|\d+|\^|\*|\+|-)")
+#: One factor: a name with an optional ``^digits`` (groups 1, 2) or a
+#: constant ``a`` or ``a/b`` (group 3).
+_FACTOR_RE = re.compile(rf"({_NAME_RE.pattern})(?:\s*\^\s*(\d+))?|(\d+(?:/\d+)?)")
+#: One term: its signs (group 1), then its ``*``-joined factors (group 2).
+_TERM_RE = re.compile(
+    rf"([-+\s]*)((?:{_FACTOR_RE.pattern})(?:\s*\*\s*(?:{_FACTOR_RE.pattern}))*)\s*"
+)
 
 
 class Namespace:
@@ -571,61 +579,26 @@ class Namespace:
 
 
 def parse_polynomial(text: str, field: Field, ns: Namespace) -> Polynomial:
-    """Parse the term grammar; raises ParseError with position context."""
-    tokens: list[str] = []
+    """Parse the term grammar, one _TERM_RE match per term; a syntax error
+    raises ParseError naming the position where reading stopped."""
+    if not text.strip():
+        raise ParseError("empty polynomial text")
+    minus_one = field.neg(field.one)
+    terms: dict[Monomial, FieldValue] = {}
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"bad character at position {pos} in {text!r}")
-        tokens.append(m.group(1))
+        m = _TERM_RE.match(text, pos)
+        if m is None or pos and not m.group(1).strip():
+            raise ParseError(f"syntax error at position {pos} in {text!r}")
         pos = m.end()
-    if not tokens:
-        raise ParseError("empty polynomial text")
-
-    terms: dict[Monomial, FieldValue] = {}
-    i = 0
-    while i < len(tokens):
-        sign = 1
-        start = i
-        while i < len(tokens) and tokens[i] in "+-":
-            if tokens[i] == "-":
-                sign = -sign
-            i += 1
-        if i >= len(tokens):
-            raise ParseError(f"dangling sign in {text!r}")
-        if 0 < start == i:
-            raise ParseError(f"missing + or - before {tokens[i]!r} in {text!r}")
-        coeff = field.one if sign == 1 else field.neg(field.one)
+        coeff = minus_one if m.group(1).count("-") % 2 else field.one
         exps: dict[int, int] = {}
-        saw_factor = False
-        while True:
-            tok = tokens[i]
-            if tok[0].isdigit():
-                coeff = field.mul(coeff, field.parse_value(tok))
+        for name, exp, constant in _FACTOR_RE.findall(m.group(2)):
+            if constant:
+                coeff = field.mul(coeff, field.parse_value(constant))
             else:
-                var = ns.id(tok)
-                exp = 1
-                if i + 2 < len(tokens) and tokens[i + 1] == "^":
-                    if not tokens[i + 2].isdigit():
-                        raise ParseError(f"bad exponent after {tok} in {text!r}")
-                    exp = int(tokens[i + 2])
-                    i += 2
-                elif i + 1 < len(tokens) and tokens[i + 1] == "^":
-                    raise ParseError(f"dangling ^ in {text!r}")
-                exps[var] = exps.get(var, 0) + exp
-            saw_factor = True
-            i += 1
-            if i < len(tokens) and tokens[i] == "*":
-                i += 1
-                if i >= len(tokens):
-                    raise ParseError(f"dangling * in {text!r}")
-                continue
-            break
-        if not saw_factor:
-            raise ParseError(f"empty term in {text!r}")
+                var = ns.id(name)
+                exps[var] = exps.get(var, 0) + (int(exp) if exp else 1)
         mono = Monomial.of(exps)
         c = field.add(terms.get(mono, field.zero), coeff)
         if field.is_zero(c):
@@ -640,20 +613,13 @@ def format_polynomial(p: Polynomial, ns: Namespace | None = None) -> str:
     if p.is_zero():
         return "0"
     f = p.field
+    name = ns.name if ns is not None else (lambda v: f"v{v + 1}")
     parts: list[str] = []
-    for idx, (mono, coeff) in enumerate(p.terms()):
-        neg = f.format_value(coeff).startswith("-")
-        mag = f.neg(coeff) if neg else coeff
-        factors = []
-        mag_text = f.format_value(mag)
-        if mag_text != "1" or not mono:
-            factors.append(mag_text)
-        for v, e in mono:
-            name = ns.name(v) if ns is not None else f"v{v + 1}"
-            factors.append(name if e == 1 else f"{name}^{e}")
-        body = "*".join(factors)
-        if idx == 0:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(parts)
+    for mono, coeff in p.terms():
+        c = f.format_value(coeff)
+        sign, c = ("-", c[1:]) if c[0] == "-" else ("+", c)
+        factors = [c] if c != "1" or not mono else []
+        factors += [name(v) if e == 1 else f"{name(v)}^{e}" for v, e in mono]
+        parts.append(f"{sign} {'*'.join(factors)}")
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]

@@ -12,10 +12,14 @@ circuits, or to raise the same error with the same message.
 from __future__ import annotations
 
 import random
+import re
 
-from annforge.circuit import _IDENT_RE, _LITERAL_RE, Circuit, Gate
+from annforge.circuit import _LITERAL_RE, Circuit, Gate
 from annforge.errors import CircuitError, ParseError
 from annforge.fields import QQ, Field, FieldValue
+
+#: The input-name rule as the circuit module wrote it for itself.
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 def reference_random_circuit(

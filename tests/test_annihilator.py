@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -14,7 +15,11 @@ from annforge.annihilator import (
 )
 from annforge.circuit import evaluate_circuit, expand, metrics, parse_circuit, random_circuit
 from annforge.encoding import compose_polynomial, local_encode
-from annforge.errors import NotAnAnnihilatorError, SearchSpaceTooLargeError
+from annforge.errors import (
+    DecompositionMismatchError,
+    NotAnAnnihilatorError,
+    SearchSpaceTooLargeError,
+)
 from annforge.fields import QQ
 from annforge.instances import kayal_map
 from annforge.poly import Namespace, Polynomial
@@ -163,6 +168,13 @@ def test_decompose_single_add():
     assert dec.g == Z("-z3", 4)
     restricted = cert.h.substitute({2: Polynomial.zero(QQ)})
     assert restricted == Z("z4 - z1 - z2", 4)
+
+
+def test_decompose_rejects_a_term_outside_the_gate_ideal(fig_cert):
+    # z1 survives z3 = ... = z6 = 0, so g leaves <z3, ..., z6>.
+    tampered = dataclasses.replace(fig_cert, h=fig_cert.h + Z("z1", 7))
+    with pytest.raises(DecompositionMismatchError):
+        decompose(tampered)
 
 
 def test_decompose_restriction_identity_random():

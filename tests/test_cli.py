@@ -567,3 +567,32 @@ def test_huge_exponent_in_compose_exits_3(tmp_path, capsys):
     assert proc.returncode == 3, proc.stderr
     assert "[limit.term_budget_exceeded]: variable id 0: degree 100000000 exceeds budget " \
            "1000000" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_pit_computes_the_failure_bound_only_for_a_zero_verdict(capsys):
+    # (d/grid)^trials is an exact power with millions of digits here; a
+    # witness on trial 2 must not pay for it.
+    start = time.perf_counter()
+    code, out = run(capsys, "pit", "--circuit", CIRCUIT, "--trials", "10000000")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and out == "verdict: nonzero (trials 2, failure bound 0)\n"
+
+
+def test_randomized_generator_pit_refuses_a_huge_degree_over_qq(tmp_path):
+    # Evaluating x1^100000000 at a grid point over QQ would build an integer
+    # of hundreds of megabytes; the degree is refused before sampling.
+    circuit, pmap = tmp_path / "square.txt", tmp_path / "map.json"
+    circuit.write_text("circuit square\ninputs x1\ng1 = mul x1 x1\noutput g1\n")
+    pmap.write_text(json.dumps({"seed_len": 1, "outputs": ["x1^100000000"]}))
+    proc = run_in_1_gib("pit", "--circuit", str(circuit), "--map", str(pmap),
+                        "--mode", "randomized")
+    assert proc.returncode == 3, proc.stderr
+    assert "[limit.term_budget_exceeded]: variable id 0: degree 100000000 exceeds budget " \
+           "1000000" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_double_dash_as_an_option_value_is_a_usage_error(capsys):
+    # argparse reads "--f=--" as an empty list, not as the text "--".
+    assert main(["resultant", "--f=--", "--g=x", "--var=x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'--' is not an option value" in captured.err
