@@ -53,22 +53,21 @@ def synthesize_gate_lifts(enc: LocalEncoding) -> tuple[tuple[Polynomial, ...], i
     An add gate k with children u, w has h_k = z_{n+k} + Lhat(u) + Lhat(w);
     a mul gate has h_k = z_{n+k} + Lhat(u)*Lhat(w), where Lhat maps a const
     gate to its constant, input gate i to z_i + alpha_i, and the j-th
-    internal gate to h_j.  These are the y-block of the triangular inverse
-    of the encoding's first n+s outputs, which computes them.  Each gate
-    costs two straight-line gates, plus one per input with nonzero alpha
-    that a gate reads; a gate reads at most two inputs, so the count is at
-    most 4s.
+    internal gate to h_j.  These are sigma on the y block, which the peel
+    of the encoding's outputs computes.  Each gate costs two straight-line
+    gates, plus one per input with nonzero alpha that a gate reads; a gate
+    reads at most two inputs, so the count is at most 4s.
     """
     f = enc.map.field
     circuit = enc.circuit
-    inverse = enc.map.inverse
-    if inverse is None:
-        raise InvariantError("local encoding is not triangular in its seed order")
+    sigma, paired = enc.map.inverse
+    if len(paired) < enc.map.seed_len:
+        raise InvariantError("the peel leaves a seed variable of the local encoding unpaired")
     gates = circuit.gates
     read = {gates[child].var for gid in circuit.internal_order
             for child in (gates[gid].left, gates[gid].right) if gates[child].op == "input"}
     gate_count = 2 * enc.s + sum(1 for i in read if not f.is_zero(enc.alpha[i]))
-    return tuple(inverse[enc.n:]), gate_count
+    return tuple(sigma[v] for v in range(enc.n, enc.n + enc.s)), gate_count
 
 
 def principal_generator(enc: LocalEncoding) -> AnnihilatorCertificate:

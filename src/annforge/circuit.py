@@ -329,6 +329,8 @@ def parse_circuit(text: str, field: Field = QQ) -> Circuit:
             gname, _, op, ref1, ref2 = parts
             if op not in ("add", "mul"):
                 raise ParseError(f"line {lineno}: unknown op {op!r} (fan-in-2 add/mul only)")
+            if not _NAME_RE.fullmatch(gname):
+                raise ParseError(f"line {lineno}: bad gate name {gname!r}")
             if gname in gate_ids:
                 raise ParseError(f"line {lineno}: duplicate gate {gname!r}")
             if b is None:

@@ -236,10 +236,12 @@ def cmd_jacobian(args) -> int:
               ["all polynomials constant: rank 0"])
         return 0
     mat = jacobian(polys, variables)
-    rank = rank_random_eval(mat, trials=args.trials, p=args.prime, seed=args.seed)
+    # Over GF(q) the rank is evaluated in q itself, not in --prime.
+    prime = field.p if isinstance(field, PrimeField) else args.prime
+    rank = rank_random_eval(mat, trials=args.trials, p=prime, seed=args.seed)
     # Schwartz-Zippel: each trial misses a nonzero minor with prob <= deg/p.
     deg = max(mat.max_entry_degree(), 0) * min(mat.rows, mat.cols)
-    bound = min(Fraction(max(deg, 1), args.prime), Fraction(1)) ** args.trials
+    bound = min(Fraction(max(deg, 1), prime), Fraction(1)) ** args.trials
     _emit(
         {
             "command": "jacobian",
@@ -247,7 +249,7 @@ def cmd_jacobian(args) -> int:
             "cols": mat.cols,
             "rank_lower_bound": rank,
             "trials": args.trials,
-            "prime": args.prime,
+            "prime": prime,
             "seed": args.seed,
             "failure_bound": str(bound),
         },

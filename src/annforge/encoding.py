@@ -10,6 +10,7 @@ The system {outputs = 0} is satisfiable iff the claim holds.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -58,10 +59,9 @@ class PolynomialMap:
         return max(p.degree() for p in self.outputs)
 
     @cached_property
-    def inverse(self) -> list[Polynomial] | None:
-        """triangular_inverse of the outputs over the seed variables, built
-        once per map and shared by every check against it."""
-        return triangular_inverse(self.outputs, self.seed_len)
+    def inverse(self) -> tuple[dict[int, Polynomial], frozenset[int]]:
+        """peel of the outputs, built once per map for every check against it."""
+        return peel(self.outputs, self.seed_len)
 
     @property
     def seed_namespace(self) -> Namespace:
@@ -222,73 +222,77 @@ def _check_support(p: Polynomial, out_len: int) -> None:
         )
 
 
-def triangular_inverse(
-    outputs: Sequence[Polynomial], n_vars: int
-) -> list[Polynomial] | None:
-    """Inverse of the first n_vars outputs when they are triangular.
+def peel(outputs: Sequence[Polynomial], n_vars: int) -> tuple[dict, frozenset[int]]:
+    """A triangular substitution sigma of the seed variables 0..n_vars-1
+    and the set of outputs it pairs.
 
-    Output j < N = n_vars must read c_j*v_j + g_j(v_0, ..., v_{j-1}) with
-    c_j a nonzero constant; then the map psi = (F_0, ..., F_{N-1}) has the
-    polynomial inverse psi^-1_j = (z_j - g_j o psi^-1) / c_j, built in the
-    order j = 0, 1, ...  Returns [psi^-1_0, ..., psi^-1_{N-1}] over the ids
-    0..N-1, or None when an output has another shape or there are fewer
-    than N outputs.  For a local encoding psi^-1 of the y-block is exactly
-    the gate lifts h_1..h_s.
-    """
-    if len(outputs) < n_vars:
-        return None
-    subst: dict[int, Polynomial] = {}
-    for j in range(n_vars):
+    While it can, pair the lowest-index output j that reads exactly one
+    unpaired variable v, as c*v + g with c a nonzero constant, and set
+    sigma(v) = (z_j - g o sigma) / c.  The k-th variable left unpaired goes
+    to the fresh id len(outputs) + k.  Counts of unpaired variables per
+    output and a heap of the outputs at count one spare rescans.  Outputs
+    triangular in seed order pair v_j with output j."""
+    f = outputs[0].field
+    reads = [out.variables() for out in outputs]
+    readers: list[list[int]] = [[] for _ in range(n_vars)]
+    for j, vs in enumerate(reads):
+        for v in vs:
+            readers[v].append(j)
+    unpaired = [len(vs) for vs in reads]
+    ready = [j for j, count in enumerate(unpaired) if count == 1]
+    sigma: dict[int, Polynomial] = {}
+    paired: set[int] = set()
+    while ready:
+        j = heapq.heappop(ready)
+        if unpaired[j] != 1:
+            continue
         out = outputs[j]
-        f = out.field
-        diagonal = Monomial(((j, 1),))
+        (v,) = (u for u in reads[j] if u not in sigma)
+        diagonal = Monomial(((v, 1),))
         c = out.coefficient(diagonal)
         if f.is_zero(c):
-            return None
+            continue
         unit = c == f.one
-        inv = f.one if unit else f.inv(c)
-        minus_inv = f.neg(inv)
+        minus_inv = f.neg(f.one if unit else f.inv(c))
         step: dict[Monomial, FieldValue] = {}
         for mono, coeff in out.iter_terms():
             if mono == diagonal:
-                step[mono] = inv
-            elif mono and mono[-1][0] >= j:
-                return None
+                step[mono] = f.neg(minus_inv)
+            elif mono.degree_in(v):
+                break  # v occurs other than in c*v
             else:
                 step[mono] = f.neg(coeff) if unit else f.mul(coeff, minus_inv)
-        # (v_j - g_j) / c_j with v_j kept as z_j and v_<j replaced by psi^-1.
-        subst[j] = Polynomial.variable(f, j)
-        subst[j] = Polynomial(f, step).compose(subst)
-    return [subst[j] for j in range(n_vars)]
+        else:
+            # (v - g) / c with v kept as z_j and the paired variables by sigma.
+            sigma[v] = Polynomial.variable(f, j)
+            sigma[v] = Polynomial(f, step).compose(sigma)
+            paired.add(j)
+            for k in readers[v]:
+                unpaired[k] -= 1
+                if unpaired[k] == 1:
+                    heapq.heappush(ready, k)
+    for k, v in enumerate([v for v in range(n_vars) if v not in sigma]):
+        sigma[v] = Polynomial.variable(f, len(outputs) + k)
+    return sigma, frozenset(paired)
 
 
 def annihilates(p: Polynomial, pmap: PolynomialMap) -> bool:
-    """Exact decision of p(F_0, ..., F_{m-1}) = 0 for the outputs F of pmap
-    over its N = seed_len variable ids 0..N-1.
+    """Exact decision of p(F_0, ..., F_{m-1}) = 0 for the outputs F of pmap.
 
-    When the first N outputs are triangular (pmap.inverse, see
-    triangular_inverse), each tail variable z_j (j >= N) that p uses is
-    replaced, by Horner's rule, with T_j = F_j o psi^-1, and p o F = 0 iff
-    the result p(z_0, ..., z_{N-1}, T_N, ...) is zero.  Proof: let tau send
-    z_j to F_j and sigma send v_j to psi^-1_j (j < N).  sigma(tau(z_j)) =
-    F_j o psi^-1 = z_j by construction of psi^-1, and tau(sigma(v_j)) = v_j
-    by induction on j (psi^-1_j o psi = (F_j - g_j(v_<j)) / c_j = v_j), so
-    sigma is a ring isomorphism and sigma(p o F) = p(z_<N, T) vanishes iff
-    p o F does.  Nothing is sampled or reduced modulo a prime.  Otherwise
-    (not triangular in this variable order, or fewer than N outputs) p o F
-    is expanded in full by compose_polynomial.  Raises SupportOverflowError
-    when p uses an id >= out_len.
-    """
-    outputs, n_vars = pmap.outputs, pmap.seed_len
-    inverse = pmap.inverse
-    if inverse is None:
-        return compose_polynomial(pmap, p).is_zero()
-    _check_support(p, len(outputs))
-    subst = dict(enumerate(inverse))
-    for j in sorted(v for v in p.variables() if v >= n_vars):
-        value = outputs[j].compose(subst)
-        coeffs = p.coefficients_in(j)
-        p = coeffs[-1]
-        for q in reversed(coeffs[:-1]):
+    With (sigma, paired) = pmap.inverse (see peel), each z_j in p whose
+    output is not paired is replaced, by Horner's rule, with
+    T_j = F_j o sigma, and p o F = 0 iff the result is zero.  Proof:
+    sigma(F_j) = c*sigma(v) + g o sigma = z_j for each paired j, and sending
+    z_j to F_j and the fresh id of v to v inverts sigma, by induction on the
+    pairing order.  So sigma is a ring isomorphism, and sigma(p o F) =
+    p(z_paired, T) vanishes iff p o F does.  With nothing paired (power-sum
+    maps) this expands p o F in full.  Nothing is sampled or reduced modulo
+    a prime.  Raises SupportOverflowError when p uses an id >= out_len."""
+    _check_support(p, pmap.out_len)
+    sigma, paired = pmap.inverse
+    for j in sorted(v for v in p.variables() if v not in paired):
+        value = pmap.outputs[j].compose(sigma)
+        *lower, p = p.coefficients_in(j)
+        for q in reversed(lower):
             p = p * value + q
     return p.is_zero()

@@ -23,8 +23,8 @@ class EquationSystem:
     """The polynomials f_1..f_m of a map, each asserted equal to zero, over
     the map's seed variables (ids 0..n_vars-1).
 
-    The system is its map: checks against it share the map's triangular
-    inverse, and the map validates the equations."""
+    The system is its map: checks against it share the map's peel, and the
+    map validates the equations."""
 
     map: PolynomialMap
     name: str = "system"
@@ -71,11 +71,8 @@ class VerifyResult:
 
 
 def verify_geometric(ref: Refutation, system: EquationSystem) -> VerifyResult:
-    """Accept iff r(f_1, ..., f_m) = 0 exactly and r(0, ..., 0) = 1.
-
-    The composition is decided by encoding.annihilates on the system's map:
-    by triangular reduction when the first n_vars equations are triangular
-    (as a local encoding's are), else by full expansion."""
+    """Accept iff r(0, ..., 0) = 1 and r(f_1, ..., f_m) = 0, decided exactly
+    by encoding.annihilates through the peel of the equations."""
     if ref.kind != "geometric":
         raise ValueError("refutation kind must be geometric")
     m = len(system.equations)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import config
 from .circuit import Circuit, evaluate_circuit, expand, metrics
 from .encoding import PolynomialMap, annihilates
-from .errors import PointBudgetExceededError, SupportOverflowError
+from .errors import BudgetExceededError, PointBudgetExceededError, SupportOverflowError
 from .fields import Field, FieldValue, PrimeField
 from .poly import Polynomial, check_degree
 
@@ -42,6 +42,14 @@ def _check_grid(field: Field, grid_size: int) -> None:
         raise ValueError("grid size must be >= 1")
     if isinstance(field, PrimeField) and grid_size > field.p:
         raise ValueError(f"grid of size {grid_size} does not fit in GF({field.p})")
+
+
+def _check_qq_degree(field: Field, degree: int) -> None:
+    """Over QQ the numbers a circuit computes at a grid point grow with its
+    degree, so refuse a degree bound that reaches the term budget."""
+    budget = config.term_budget()
+    if not field.characteristic and degree >= budget:
+        raise BudgetExceededError(f"circuit degree bound {degree} exceeds budget {budget}")
 
 
 def _first_nonzero(
@@ -80,6 +88,7 @@ def sz_pit(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     d = max(metrics(circuit).degree_bound, 1)
+    _check_qq_degree(circuit.field, d)
     if grid_size is None:
         grid_size = 2 * d + 1
     _check_grid(circuit.field, grid_size)
@@ -124,7 +133,8 @@ def generator_pit(
             verdict="zero" if zero else "nonzero",
             trials_run=0, failure_bound=Fraction(0), mode=mode,
         )
-    d = max(metrics(circuit).degree_bound * max(pmap.degree, 1), 1)
+    degree = metrics(circuit).degree_bound
+    d = max(degree * max(pmap.degree, 1), 1)
     read = pmap.outputs[: circuit.n_inputs]
 
     def value(seed_point):
@@ -136,6 +146,7 @@ def generator_pit(
             e, v = max(((e, v) for p in read for mono, _ in p.iter_terms() for v, e in mono),
                        default=(0, 0))
             check_degree(v, e)
+        _check_qq_degree(f, degree)
         grid = 2 * d + 1
         _check_grid(f, grid)
         if trials < 1:

@@ -1,9 +1,12 @@
-"""The triangular annihilation check against full expansion of p o F."""
+"""The peel and the annihilation check against full expansion of p o F,
+and the peel against the former triangular inverse."""
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,15 +18,17 @@ from annforge.encoding import (
     annihilates,
     compose_polynomial,
     local_encode,
+    pad,
     parallel_compose,
-    triangular_inverse,
+    peel,
 )
 from annforge.fields import QQ, PrimeField
-from annforge.instances import kayal_map
+from annforge.instances import kayal_chain_map, kayal_map, masser_philippon_system
 from annforge.ips import EquationSystem, Refutation, system_of, verify_geometric
 from annforge.poly import Monomial, Polynomial
 
 from conftest import FIG_TEXT, P
+from triangular_reference import triangular_inverse
 
 FIELDS = [QQ, PrimeField(7), PrimeField(config.DEFAULT_PRIME)]
 
@@ -106,7 +111,7 @@ def test_annihilates_equals_full_expansion(enc, data):
     factors = [data.draw(st.sampled_from([1, -1, 3, Fraction(-2, 5)]))
                for _ in range(enc.out_len)]
     for pmap in (enc.map, scaled(enc.map, factors)):
-        assert triangular_inverse(pmap.outputs, pmap.seed_len) is not None
+        assert pmap.inverse[1] == frozenset(range(pmap.seed_len))
         for p, expected in candidates(data.draw, enc, h):
             oracle = compose_polynomial(pmap, p).is_zero()
             assert annihilates(p, pmap) == oracle
@@ -117,7 +122,8 @@ def test_annihilates_equals_full_expansion(enc, data):
 @settings(max_examples=60, deadline=None)
 @given(encodings())
 def test_triangular_inverse_is_the_gate_lifts(enc):
-    inverse = triangular_inverse(enc.map.outputs, enc.map.seed_len)
+    sigma, _ = peel(enc.map.outputs, enc.map.seed_len)
+    inverse = [sigma[v] for v in range(enc.map.seed_len)]
     lifts, count = synthesize_gate_lifts(enc)
     assert list(lifts) == inverse[enc.n:] == reference_lifts(enc)
     f = enc.map.field
@@ -126,15 +132,20 @@ def test_triangular_inverse_is_the_gate_lifts(enc):
     assert count <= 4 * enc.s + 4
 
 
-def test_non_triangular_maps_take_the_full_compose():
+def test_maps_out_of_seed_order_peel_and_power_sums_expand():
     enc = local_encode(parse_circuit(FIG_TEXT), [2, -1], 3)
     h = principal_generator(enc).h
     doubled = parallel_compose(enc.map, 2)
     kayal = kayal_map(2, 2)
+    # Neither is triangular in seed order; the peel pairs every seed
+    # variable of the two copies and none of the power sums.
     assert triangular_inverse(kayal.outputs, kayal.seed_len) is None
     assert triangular_inverse(doubled.outputs, doubled.seed_len) is None
-    # The second copy's h, on z_{m+1}..z_{2m}.
     m = enc.out_len
+    assert doubled.inverse[1] == frozenset(range(m - 1)) | frozenset(range(m, 2 * m - 1))
+    assert kayal.inverse == ({0: Polynomial.variable(QQ, 3), 1: Polynomial.variable(QQ, 4)},
+                             frozenset())
+    # The second copy's h, on z_{m+1}..z_{2m}.
     h2 = h.rename_variables({v: v + m for v in range(m)})
     for p in (h, h2, h * h2, h + Polynomial.variable(QQ, m)):
         assert annihilates(p, doubled) \
@@ -147,25 +158,34 @@ def test_non_triangular_maps_take_the_full_compose():
 
 
 def test_shapes_that_are_not_triangular():
+    # Each shape leaves a variable unpaired, and it goes to a fresh id.
     x = [Polynomial.variable(QQ, i) for i in range(2)]
+    z = [Polynomial.variable(QQ, i) for i in range(4)]
     one = Polynomial.constant(QQ, 1)
-    assert triangular_inverse([x[0]], 2) is None  # fewer outputs than variables
-    assert triangular_inverse([x[0] * x[1], x[1]], 2) is None  # v_1 in output 0
-    assert triangular_inverse([x[0], x[1] * x[1] + x[0]], 2) is None  # no v_1 term
-    assert triangular_inverse([x[0], x[1] + x[1] * x[1]], 2) is None  # v_1^2
-    assert triangular_inverse([x[0], x[1] + x[0] * x[1]], 2) is None  # diagonal 1 + v_0
-    inverse = triangular_inverse([x[0].scale(3) + one, x[1] - x[0] * x[0]], 2)
-    assert inverse == [P("1/3*z1 - 1/3", ["z1", "z2"]),
-                       P("z2 + 1/9*z1^2 - 2/9*z1 + 1/9", ["z1", "z2"])]
+    assert peel([x[0]], 2) == ({0: z[0], 1: z[1]}, frozenset({0}))  # fewer outputs
+    assert peel([x[0] * x[1], x[1]], 2) == ({0: z[2], 1: z[1]}, frozenset({1}))
+    assert peel([x[0], x[1] * x[1] + x[0]], 2) == ({0: z[0], 1: z[2]}, frozenset({0}))
+    assert peel([x[0], x[1] + x[1] * x[1]], 2) == ({0: z[0], 1: z[2]}, frozenset({0}))
+    assert peel([x[0], x[1] + x[0] * x[1]], 2) == ({0: z[0], 1: z[2]}, frozenset({0}))
+    # Output 1 reads v_1 alone, so it pairs v_1 first; then output 0 pairs v_0.
+    sigma, paired = peel([x[0] + x[1], x[1].scale(2) - one], 2)
+    assert sigma == {1: P("1/2*z2 + 1/2", ["z1", "z2"]),
+                     0: P("z1 - 1/2*z2 - 1/2", ["z1", "z2"])}
+    assert paired == frozenset({0, 1})
+    sigma, _ = peel([x[0].scale(3) + one, x[1] - x[0] * x[0]], 2)
+    assert [sigma[0], sigma[1]] == [P("1/3*z1 - 1/3", ["z1", "z2"]),
+                                    P("z2 + 1/9*z1^2 - 2/9*z1 + 1/9", ["z1", "z2"])]
 
 
 def test_verify_geometric_on_a_non_triangular_system():
     # x1 - 1 = x1 - 2 = 0 has no solution: (x1 - 1) - (x1 - 2) = 1.  With
-    # n_vars = 2 the second equation has no x2 term, so the check expands.
+    # n_vars = 2 no equation reads x2: the first pairs x1, x2 stays unpaired,
+    # and the second is checked as T = z1 - 1.
     names = ["x1", "x2"]
     system = EquationSystem(PolynomialMap(
         outputs=(P("x1 - 1", names), P("x1 - 2", names)), seed_len=2, seed_names=tuple(names)))
     assert triangular_inverse(system.equations, system.n_vars) is None
+    assert system.map.inverse[1] == frozenset({0})
     zs = ["z1", "z2"]
     assert verify_geometric(Refutation("geometric", P("1 - z1 + z2", zs)), system).accepted
     result = verify_geometric(Refutation("geometric", P("1 + z1 - z2", zs)), system)
@@ -180,3 +200,117 @@ def test_canonical_refutation_verifies_through_the_triangular_path():
     assert verify_geometric(r, system).accepted
     tampered = Refutation("geometric", r.r + P("z1*z2", [f"z{i}" for i in range(1, 8)]))
     assert verify_geometric(tampered, system).reason == "composition-nonzero"
+
+
+@st.composite
+def near_triangular_maps(draw):
+    """Output j < n is c*v_j + g with c sometimes zero and g mostly over
+    v_<j, sometimes over any variable; outputs past n read any variable.
+    The former inverse is None on some of these maps."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 4))
+    outputs = []
+    for j in range(draw(st.integers(max(n - 1, 1), n + 2))):
+        diagonal = Monomial.of({j: 1} if j < n else {})
+        terms = {diagonal: draw(st.sampled_from([1, 1, 2, -3, 0]))}
+        reach = j if j < n and draw(st.integers(0, 4)) else n
+        for _ in range(draw(st.integers(0, 3))):
+            factors = draw(st.lists(st.integers(0, reach - 1), max_size=2)) if reach else []
+            terms[Monomial.of(Counter(factors))] = draw(st.integers(-3, 3))
+        outputs.append(Polynomial(field, terms))
+    return outputs, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_triangular_maps())
+def test_peel_equals_the_former_inverse(case):
+    outputs, n = case
+    inverse = triangular_inverse(outputs, n)
+    sigma, paired = peel(outputs, n)
+    if inverse is not None:
+        assert [sigma[v] for v in range(n)] == inverse
+        assert paired == frozenset(range(n))
+    # Every paired output maps back to its own z_j, whatever the shape.
+    for j in paired:
+        assert outputs[j].compose(sigma) == Polynomial.variable(outputs[0].field, j)
+
+
+def derived(pmap: PolynomialMap, draw) -> tuple[PolynomialMap, Polynomial]:
+    """pmap with one more output G(F) and the annihilator z_m - G(z)."""
+    f, m = pmap.field, pmap.out_len
+    a, b, k = (draw(st.integers(0, m - 1)) for _ in range(3))
+    c = f.normalize(draw(st.sampled_from([1, -2, 3])))
+    outputs = pmap.outputs
+    extra = outputs[a] * outputs[b] + outputs[k].scale(c)
+    z = [Polynomial.variable(f, j) for j in range(m + 1)]
+    grown = PolynomialMap(outputs + (extra,), pmap.seed_len, pmap.seed_names)
+    return grown, z[m] - z[a] * z[b] - z[k].scale(c)
+
+
+def family_case(family: str, draw) -> tuple[PolynomialMap, Polynomial]:
+    """A map of ``family`` and one polynomial known to annihilate it."""
+    if family in ("kayal", "kayal_chain", "masser_philippon"):
+        field = draw(st.sampled_from(FIELDS))
+        if family == "kayal":
+            n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+            pmap = kayal_map(n, d, field)
+            if n >= 2 and d >= 2:
+                assert pmap.inverse[1] == frozenset()
+        elif family == "kayal_chain":
+            pmap = kayal_chain_map(draw(st.integers(3, 4)), draw(st.integers(1, 2)), field)
+        else:
+            pmap = masser_philippon_system(draw(st.integers(2, 3)), draw(st.integers(2, 3)),
+                                           field).map
+        return derived(pmap, draw)
+    enc = draw(encodings())
+    pmap, h, m = enc.map, principal_generator(enc).h, enc.out_len
+    if family in ("stretch", "mixed"):
+        copies = draw(st.integers(2, 3))
+        i = draw(st.integers(0, copies - 1))
+        pmap = parallel_compose(pmap, copies)
+        h = h.rename_variables({v: v + i * m for v in range(m)})
+    if family in ("pad", "mixed"):
+        pmap = pad(pmap, pmap.out_len + draw(st.integers(1, 3)))
+    if family in ("permute", "mixed"):
+        order = draw(st.permutations(range(pmap.out_len)))
+        pmap = PolynomialMap(tuple(pmap.outputs[j] for j in order), pmap.seed_len,
+                             pmap.seed_names)
+        h = h.rename_variables({j: order.index(j) for j in range(pmap.out_len)})
+    if family in ("scale", "mixed"):
+        factors = [pmap.field.normalize(draw(st.sampled_from([1, -1, 3, Fraction(-2, 5)])))
+                   for _ in range(pmap.out_len)]
+        pmap = scaled(pmap, factors)
+        f = pmap.field
+        h = h.substitute({j: Polynomial.variable(f, j).scale(f.inv(factors[j]))
+                          for j in h.variables()})
+    # Copies, pads, permutations and scalings of an encoding leave no seed
+    # variable unpaired.
+    assert len(pmap.inverse[1]) == pmap.seed_len
+    return pmap, h
+
+
+FAMILIES = ["stretch", "pad", "permute", "scale", "mixed",
+            "kayal", "kayal_chain", "masser_philippon"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_annihilates_matches_full_expansion_on_every_family(family, data):
+    draw = data.draw
+    pmap, a = family_case(family, draw)
+    f, m = pmap.field, pmap.out_len
+    j, k = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    zj, zk = Polynomial.variable(f, j), Polynomial.variable(f, k)
+    other = Polynomial(f, {
+        Monomial.of({draw(st.integers(0, m - 1)): draw(st.integers(1, 2))}): 1,
+        Monomial.of({draw(st.integers(0, m - 1)): 1}): draw(st.integers(-3, 3)),
+        Monomial(): draw(st.integers(-3, 3)),
+    })
+    one = Polynomial.constant(f, 1)
+    for p, expected in ((a, True), (a * other, True), (a * zj + one, False),
+                        (a + zj * zk, None), (other, None), (a + other, None)):
+        oracle = compose_polynomial(pmap, p).is_zero()
+        assert annihilates(p, pmap) == oracle
+        if expected is not None:
+            assert oracle == expected

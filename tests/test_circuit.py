@@ -50,6 +50,10 @@ def test_parse_single_line():
         "circuit t\ninputs x1\ng1 = add x1 x1\ng2 = add g1 g1\noutput g1\n",
         # duplicate gate name
         "circuit t\ninputs x1\ng1 = add x1 x1\ng1 = add x1 x1\noutput g1\n",
+        # bad gate names: a literal would read as a constant, not as the gate
+        "circuit t\ninputs x1\n5 = add x1 x1\ng2 = mul 5 x1\noutput g2\n",
+        "circuit t\ninputs x1\n= = add x1 x1\noutput =\n",
+        "circuit t\ninputs x1\ng-1 = add x1 x1\noutput g-1\n",
     ],
 )
 def test_parse_rejects(text):

@@ -172,6 +172,17 @@ def test_jacobian_command(tmp_path, capsys):
     assert "failure_bound" in report
 
 
+def test_jacobian_reports_the_prime_it_evaluated_in(tmp_path, capsys):
+    # Over GF(7) the rank is evaluated in GF(7), so the bound is (4/7)^3.
+    polys = tmp_path / "polys.json"
+    polys.write_text(json.dumps(["x1^3 + x2", "x1*x2^2"]))
+    code, out = run(capsys, "jacobian", "--polys", str(polys), "--field", "prime:7",
+                    "--trials", "3", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["prime"] == 7 and report["failure_bound"] == "64/343"
+
+
 def test_resultant_command(capsys):
     code, out = run(capsys, "resultant", "--f", "y - a", "--g", "y - b",
                     "--var", "y", "--cofactors", "--json")
@@ -325,23 +336,23 @@ def test_ips_refute_that_fails_to_verify_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_ips_refute_builds_the_triangular_inverse_once(tmp_path, capsys, monkeypatch):
-    # principal_generator and the self-check share the encoding map's inverse;
+    # principal_generator and the self-check share the encoding map's peel;
     # the self-check is still decided by encoding.annihilates.
     enc = tmp_path / "enc.json"
     run(capsys, "encode", "--circuit", CIRCUIT, "--alpha", "1,2", "--beta", "0",
         "--out", str(enc))
     inverses, checks = [], []
-    real_inverse, real_annihilates = encoding.triangular_inverse, ips.annihilates
+    real_peel, real_annihilates = encoding.peel, ips.annihilates
 
-    def inverse_spy(outputs, n_vars):
+    def peel_spy(outputs, n_vars):
         inverses.append(n_vars)
-        return real_inverse(outputs, n_vars)
+        return real_peel(outputs, n_vars)
 
     def annihilates_spy(p, pmap):
         checks.append(pmap.seed_len)
         return real_annihilates(p, pmap)
 
-    monkeypatch.setattr(encoding, "triangular_inverse", inverse_spy)
+    monkeypatch.setattr(encoding, "peel", peel_spy)
     monkeypatch.setattr(ips, "annihilates", annihilates_spy)
     code, out = run(capsys, "ips-refute", "--encoding", str(enc))
     assert code == 0 and out.startswith("r = ")
@@ -559,7 +570,7 @@ def test_metrics_refuses_field_with_encoding(capsys):
 
 
 def test_huge_exponent_in_compose_exits_3(tmp_path, capsys):
-    # A kayal map is not triangular, so hit expands p o F through compose.
+    # The peel pairs nothing of a kayal map, so hit expands p o F in full.
     kayal, poly = tmp_path / "kayal.json", tmp_path / "p.txt"
     run(capsys, "instance", "--family", "kayal", "--n", "2", "--d", "2", "--out", str(kayal))
     poly.write_text("z1^100000000")
@@ -589,6 +600,27 @@ def test_randomized_generator_pit_refuses_a_huge_degree_over_qq(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "[limit.term_budget_exceeded]: variable id 0: degree 100000000 exceeds budget " \
            "1000000" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("options", [[], ["--map", "MAP", "--mode", "randomized"]],
+                         ids=["sz_pit", "generator_pit"])
+def test_randomized_pit_refuses_a_huge_circuit_degree_over_qq(tmp_path, options):
+    # A 23-gate squaring chain has degree bound 2^22: its values at a grid
+    # point over QQ have millions of digits, so it is refused before sampling.
+    circuit, pmap = tmp_path / "chain.txt", tmp_path / "map.json"
+    gates = "".join(f"g{k + 1} = mul g{k} g{k}\n" for k in range(1, 23))
+    circuit.write_text(f"circuit chain\ninputs x1\ng1 = add x1 1\n{gates}output g23\n")
+    pmap.write_text(json.dumps({"seed_len": 1, "outputs": ["x1"]}))
+    proc = run_in_1_gib("pit", "--circuit", str(circuit),
+                        *[str(pmap) if a == "MAP" else a for a in options])
+    assert proc.returncode == 3, proc.stderr
+    assert "[limit.term_budget_exceeded]: circuit degree bound 4194304 exceeds budget " \
+           "1000000" in proc.stderr and "Traceback" not in proc.stderr
+    if not options:
+        # Over a prime field the values stay small, and the chain answers.
+        proc = run_in_1_gib("pit", "--circuit", str(circuit), "--field", f"prime:{2**61 - 1}")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("verdict: nonzero")
 
 
 def test_double_dash_as_an_option_value_is_a_usage_error(capsys):
