@@ -10,8 +10,8 @@ so a degree with an empty mod-p kernel is ruled out without rational
 elimination; the basis found at the first nonzero degree is confirmed once
 more by exact composition with the map.
 
-    python3 scripts/degree_survey.py            # desk-scale cases, ~1 s
-    python3 scripts/degree_survey.py --full     # adds n=3 d=2 (~3 s)
+    python3 scripts/degree_survey.py            # desk-scale cases, ~0.4 s
+    python3 scripts/degree_survey.py --full     # adds n=3 d=2 (~1 s)
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ Gate lifts h_i recover gate values through the encoding (h_i composed with
 the map equals y_i); the generator of the annihilator ideal is
 h = z_{n+s+1} - h_s + beta, monic of degree 1 in the last variable.  The
 brute-force degree-bounded kernel search eliminates modular-first: over the
-rationals it works mod 2^61 - 1, lifts the kernel by rational reconstruction
-and keeps it only after an exact check over QQ (else it eliminates over QQ),
-so it returns certificate vectors, not probabilistic claims.
+rationals it clears each row to integers once, works on those integers
+mod 2^61 - 1, lifts the kernel by rational reconstruction and keeps it only
+after an exact check against the same integer rows (else it eliminates over
+QQ), so it returns certificate vectors, not probabilistic claims.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .encoding import LocalEncoding, PolynomialMap, annihilates
 from .errors import (
     DecompositionMismatchError,
     InvariantError,
-    ModularReductionError,
     NotAnAnnihilatorError,
     SearchSpaceTooLargeError,
 )
@@ -119,23 +119,17 @@ def count_monomials(n_vars: int, max_degree: int) -> int:
 
 
 def monomials_up_to(n_vars: int, max_degree: int) -> list[Monomial]:
-    """All monomials of total degree <= max_degree, ascending canonical order."""
-    out: list[Monomial] = []
+    """All monomials of total degree <= max_degree, ascending canonical order.
 
-    def rec(var: int, remaining: int, current: dict[int, int]):
-        out.append(Monomial.of(current))
-        if remaining == 0:
-            return
-        for v in range(var, n_vars):
-            current[v] = current.get(v, 0) + 1
-            rec(v, remaining - 1, current)
-            current[v] -= 1
-            if current[v] == 0:
-                del current[v]
-
-    rec(0, max_degree, {})
-    uniq = sorted(set(out), key=lambda m: m.sort_key)
-    return uniq
+    by_degree[d] holds those of degree d in the variables v.., ascending;
+    adding v appends z_v times each of by_degree[d - 1], in its order.
+    """
+    by_degree: list[list[Monomial]] = [[Monomial()]] + [[] for _ in range(max_degree)]
+    for v in reversed(range(n_vars)):
+        z_v = Monomial(((v, 1),))
+        for d in range(1, max_degree + 1):
+            by_degree[d] += [z_v.mul(m) for m in by_degree[d - 1]]
+    return [m for level in by_degree for m in level]
 
 
 def annihilator_basis_search(
@@ -148,12 +142,12 @@ def annihilator_basis_search(
     incrementally as image(m * z_i) = image(m) * f_i.  The basis is the
     kernel of that coefficient matrix in reduced row echelon form, one
     vector per free candidate, so it is canonical.  Over GF(p) it is
-    computed directly.  Over QQ the matrix is first reduced mod
-    config.DEFAULT_PRIME: an empty mod-p kernel proves the rational one
+    computed directly.  Over QQ each row is cleared to integers and reduced
+    mod config.DEFAULT_PRIME: an empty mod-p kernel proves the rational one
     empty, and otherwise the mod-p basis is lifted by rational
     reconstruction and returned only if every lifted vector is exactly in
-    the rational kernel; if it is not, or if reduction or reconstruction
-    fails, the kernel is recomputed over QQ.  Every returned polynomial
+    the rational kernel; if it is not, or if reconstruction fails, the
+    kernel is recomputed over QQ.  Every returned polynomial
     composes to zero (certificates, not samples).
     """
     if max_total_degree < 0:
@@ -191,28 +185,28 @@ def annihilator_basis_search(
 def _rational_kernel(rows: list[dict[int, Fraction]], n_cols: int) -> list[dict]:
     """kernel_basis over QQ, computed mod p first.
 
-    rank_p <= rank_QQ, so dim_QQ <= dim_p, and dim_p independent rational
-    kernel vectors are a basis.  Each mod-p vector is zero past its own free
-    column, so the lifted vectors fix the rational free columns and equal
-    the rational reduced echelon basis.
+    Each row is cleared to integers once, which keeps its kernel and leaves
+    no denominator to reduce.  For an integer matrix rank_p <= rank_QQ, so
+    dim_QQ <= dim_p, and dim_p independent rational kernel vectors are a
+    basis.  Each mod-p vector is zero past its own free column, so the
+    lifted vectors fix the rational free columns and equal the rational
+    reduced echelon basis.
     """
-    gf = PrimeField(config.DEFAULT_PRIME)
-    try:
-        reduced = [{j: gf.normalize(c) for j, c in row.items()} for row in rows]
-    except ModularReductionError:
-        return kernel_basis(rows, n_cols, QQ)
+    integral = [_cleared(row) for row in rows]
+    p = config.DEFAULT_PRIME
+    reduced = [{j: c % p for j, c in row.items()} for row in integral]
     lifted = []
-    for vec in kernel_basis(reduced, n_cols, gf):
-        exact = {j: rational_reconstruction(c, gf.p) for j, c in vec.items()}
+    for vec in kernel_basis(reduced, n_cols, PrimeField(p)):
+        exact = {j: rational_reconstruction(c, p) for j, c in vec.items()}
         if None in exact.values():
-            return kernel_basis(rows, n_cols, QQ)
+            return kernel_basis(integral, n_cols, QQ)
         lifted.append(exact)
-    # A v = 0 exactly; scaling rows and vectors to integers keeps it Fraction-free.
-    integral = [_cleared(vec) for vec in lifted]
-    for row in map(_cleared, rows):
-        for vec in integral:
+    # A v = 0 exactly; with vectors scaled to integers too it stays Fraction-free.
+    vectors = [_cleared(vec) for vec in lifted]
+    for row in integral:
+        for vec in vectors:
             if sum(c * vec[j] for j, c in row.items() if j in vec) != 0:
-                return kernel_basis(rows, n_cols, QQ)
+                return kernel_basis(integral, n_cols, QQ)
     return lifted
 
 

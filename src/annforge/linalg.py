@@ -73,28 +73,32 @@ def row_reduce(
 ) -> dict[int, dict[int, FieldValue]]:
     """Reduced row echelon form of a sparse matrix over ``field``.
 
-    Rows map column -> value (zeros are dropped).  The result maps each pivot
-    column to its row: value one at the pivot, which is the row's smallest
-    column, and no entry in any other pivot column.  That form is unique, so
-    it equals the dense column-by-column elimination's.  Rows are inserted
-    one at a time; reducing by a pivot row touches only that row's nonzeros,
-    and the scan stops once the rank reaches ``n_cols``.
+    Rows map column -> value (zeros are dropped; F_p values are residues in
+    [0, p)).  The result maps each pivot column to its row: value one at the
+    pivot, which is the row's smallest column, and no entry in any other
+    pivot column.  That form is unique, so it equals the dense
+    column-by-column elimination's whatever the row order.  Rows go in
+    sparsest first, to keep fill-in down, and entries are updated with
+    native operators, ``y - f*x`` (``% p`` over F_p).  Reducing by a pivot
+    row touches only its nonzeros, and the scan stops once the rank reaches
+    ``n_cols``.
     """
-    zero = field.zero
-    sub, mul, is_zero = field.sub, field.mul, field.is_zero
+    p = field.characteristic
     echelon: dict[int, dict[int, FieldValue]] = {}
 
     def eliminate(row: dict, col: int, pivot_row: dict) -> None:
         factor = row[col]
         for k, x in pivot_row.items():
-            y = sub(row.get(k, zero), mul(factor, x))
-            if is_zero(y):
-                del row[k]
-            else:
+            y = row.get(k, 0) - factor * x
+            if p:
+                y %= p
+            if y:
                 row[k] = y
+            else:
+                del row[k]
 
-    for source in rows:
-        row = {k: x for k, x in source.items() if not is_zero(x)}
+    nonzero = [{k: x for k, x in source.items() if x} for source in rows]
+    for row in sorted(nonzero, key=len):
         # Pivot rows hold no other pivot column, so one pass clears them all.
         for col in [c for c in row if c in echelon]:
             eliminate(row, col, echelon[col])
@@ -102,7 +106,7 @@ def row_reduce(
             continue
         lead = min(row)
         inv = field.inv(row[lead])
-        row = {k: mul(x, inv) for k, x in row.items()}
+        row = {k: field.mul(x, inv) for k, x in row.items()}
         for other in echelon.values():
             if lead in other:
                 eliminate(other, lead, row)

@@ -3,20 +3,21 @@
 ``_kernel_basis`` and ``_rank_mod_p`` are the package's earlier dense
 eliminators, unchanged; ``reference_basis_search`` is the earlier kernel
 search around them (one full ``compose`` per candidate, dense matrix over
-the map's field).  The differential tests require the package's results to
-equal these.
+the map's field), and ``reference_monomials_up_to`` the earlier recursive
+candidate enumeration it reads.  The differential tests require the
+package's results to equal these.
 """
 
 from __future__ import annotations
 
-from annforge.annihilator import count_monomials, monomials_up_to
+from annforge.annihilator import count_monomials
 from annforge.encoding import compose_polynomial
 from annforge.poly import Monomial, Polynomial
 
 
 def reference_basis_search(pmap, max_total_degree: int) -> list[Polynomial]:
     f = pmap.field
-    candidates = monomials_up_to(pmap.out_len, max_total_degree)
+    candidates = reference_monomials_up_to(pmap.out_len, max_total_degree)
     n_cols = count_monomials(pmap.out_len, max_total_degree)
 
     # Column j = coefficient vector of candidate_j composed with the map.
@@ -43,6 +44,26 @@ def reference_basis_search(pmap, max_total_degree: int) -> list[Polynomial]:
         terms = {candidates[j]: c for j, c in enumerate(vec) if not f.is_zero(c)}
         basis.append(Polynomial(f, terms))
     return basis
+
+
+def reference_monomials_up_to(n_vars: int, max_degree: int) -> list[Monomial]:
+    """All monomials of total degree <= max_degree, ascending canonical order."""
+    out: list[Monomial] = []
+
+    def rec(var: int, remaining: int, current: dict[int, int]):
+        out.append(Monomial.of(current))
+        if remaining == 0:
+            return
+        for v in range(var, n_vars):
+            current[v] = current.get(v, 0) + 1
+            rec(v, remaining - 1, current)
+            current[v] -= 1
+            if current[v] == 0:
+                del current[v]
+
+    rec(0, max_degree, {})
+    uniq = sorted(set(out), key=lambda m: m.sort_key)
+    return uniq
 
 
 def _kernel_basis(matrix, n_rows: int, n_cols: int, f) -> list[list]:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annforge import annihilator, config
-from annforge.annihilator import annihilator_basis_search
+from annforge.annihilator import annihilator_basis_search, monomials_up_to
 from annforge.circuit import parse_circuit
 from annforge.encoding import PolynomialMap, local_encode
 from annforge.fields import QQ, PrimeField
@@ -19,7 +19,12 @@ from annforge.linalg import kernel_basis, rational_reconstruction, row_reduce
 from annforge.poly import Monomial, Polynomial
 
 from conftest import FIG_TEXT
-from dense_reference import _rank_mod_p, reference_basis_search
+from dense_reference import (
+    _kernel_basis,
+    _rank_mod_p,
+    reference_basis_search,
+    reference_monomials_up_to,
+)
 
 GF = PrimeField(config.DEFAULT_PRIME)
 FIELDS = [QQ, GF, PrimeField(7)]
@@ -84,6 +89,17 @@ def test_search_equals_reference_on_named_maps():
         assert annihilator_basis_search(enc.map, d) == reference_basis_search(enc.map, d)
 
 
+def test_monomials_up_to_a_high_degree():
+    # The former enumeration recursed once per degree and failed past about 1000.
+    assert monomials_up_to(1, 3000) == [Monomial.of({0: e}) for e in range(3001)]
+
+
+@pytest.mark.parametrize("n_vars,max_degree", [(0, 3), (1, 6), (2, 5), (3, 4), (4, 3), (6, 2)])
+def test_monomials_up_to_equals_the_recursive_reference(n_vars, max_degree):
+    for d in range(max_degree + 1):
+        assert monomials_up_to(n_vars, d) == reference_monomials_up_to(n_vars, d)
+
+
 # -- which path the rational search takes ----------------------------------------
 
 
@@ -102,13 +118,30 @@ def test_empty_modular_kernel_returns_at_once(monkeypatch):
     assert fields == [GF]
 
 
-def test_denominator_divisible_by_p_falls_back_to_rationals(monkeypatch):
+def test_denominator_divisible_by_p_is_cleared_then_falls_back_to_rationals(monkeypatch):
+    # Each output carries 1/p, so a cleared row is divisible by p in every
+    # entry but its highest-degree candidate's: the mod-p kernel is too large
+    # to reconstruct, and the search eliminates over QQ.
     pmap = scaled(kayal_map(1, 2), Fraction(1, config.DEFAULT_PRIME))
     expected = reference_basis_search(pmap, 3)
     fields = spy_kernel(monkeypatch)
     assert annihilator_basis_search(pmap, 3) == expected
-    assert fields == [QQ]
+    assert fields == [GF, QQ]
     assert len(expected) == 3
+
+
+def test_denominator_divisible_by_p_outside_the_kernel_stays_modular(monkeypatch):
+    # Outputs (x, x^2, y/p): the kernel z1^2 - z2 does not read z3, and each
+    # row has one denominator, so clearing keeps the rank mod p.
+    x, y = (Polynomial.variable(QQ, v) for v in (0, 1))
+    pmap = PolynomialMap(outputs=(x, x * x, y.scale(Fraction(1, config.DEFAULT_PRIME))),
+                         seed_len=2, seed_names=("x", "y"))
+    expected = reference_basis_search(pmap, 2)
+    fields = spy_kernel(monkeypatch)
+    assert annihilator_basis_search(pmap, 2) == expected
+    assert fields == [GF]
+    z1, z2 = Polynomial.variable(QQ, 0), Polynomial.variable(QQ, 1)
+    assert expected == [z1 * z1 - z2]
 
 
 @pytest.mark.parametrize("factor", [3**40, config.DEFAULT_PRIME + 1],
@@ -140,6 +173,39 @@ def test_rank_equals_dense_rank_mod_p():
             sparse = [{j: field.normalize(x) for j, x in enumerate(row)} for row in dense]
             expected = _rank_mod_p([row[:] for row in dense], p)
             assert len(row_reduce(sparse, n_cols, field)) == expected
+
+
+ELIMINATION_FIELDS = [QQ, PrimeField(2), PrimeField(7), GF]
+
+
+@st.composite
+def permuted_matrices(draw):
+    """A sparse matrix, a permutation of its rows and a nonzero scale per row."""
+    field = draw(st.sampled_from(ELIMINATION_FIELDS))
+    if field == QQ:
+        values = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    else:
+        values = st.one_of(st.integers(-3, 3), st.integers(0, field.p - 1)).map(field.normalize)
+    n_cols = draw(st.integers(1, 7))
+    n_rows = draw(st.integers(0, 7))
+    rows = [draw(st.dictionaries(st.integers(0, n_cols - 1), values, max_size=n_cols))
+            for _ in range(n_rows)]
+    order = draw(st.permutations(range(n_rows)))
+    scales = [draw(values.filter(bool)) for _ in range(n_rows)]
+    return field, n_cols, rows, order, scales
+
+
+@settings(max_examples=300, deadline=None)
+@given(permuted_matrices())
+def test_row_reduce_ignores_row_order_and_row_scaling(case):
+    field, n_cols, rows, order, scales = case
+    moved = [{j: field.mul(x, scales[i]) for j, x in rows[i].items()} for i in order]
+    assert row_reduce(moved, n_cols, field) == row_reduce(rows, n_cols, field)
+    dense = [[row.get(j, field.zero) for j in range(n_cols)] for row in rows]
+    expected = _kernel_basis(dense, n_rows=len(rows), n_cols=n_cols, f=field)
+    got = [[vec.get(j, field.zero) for j in range(n_cols)]
+           for vec in kernel_basis(moved, n_cols, field)]
+    assert got == expected
 
 
 def test_row_reduce_is_reduced_echelon_form():
