@@ -90,7 +90,7 @@ def test_search_equals_reference_on_named_maps():
 
 
 def test_monomials_up_to_a_high_degree():
-    # The former enumeration recursed once per degree and failed past about 1000.
+    # Deeper than the interpreter's recursion limit: the enumeration must not recurse.
     assert monomials_up_to(1, 3000) == [Monomial.of({0: e}) for e in range(3001)]
 
 
@@ -195,7 +195,7 @@ def permuted_matrices(draw):
     return field, n_cols, rows, order, scales
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(permuted_matrices())
 def test_row_reduce_ignores_row_order_and_row_scaling(case):
     field, n_cols, rows, order, scales = case
