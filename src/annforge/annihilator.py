@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from . import config
 from .circuit import expand
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .fields import QQ, PrimeField
 from .linalg import kernel_basis, rational_reconstruction
-from .poly import Monomial, Polynomial
+from .poly import Monomial, Polynomial, _integral
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def annihilator_basis_search(
     """
     if max_total_degree < 0:
         raise ValueError("max_total_degree must be >= 0")
-    limit = config.monomial_ceiling(ceiling)
+    limit = config.monomial_ceiling() if ceiling is None else ceiling
     n_cols = count_monomials(pmap.out_len, max_total_degree)
     if n_cols > limit:
         raise SearchSpaceTooLargeError(
@@ -192,7 +192,7 @@ def _rational_kernel(rows: list[dict[int, Fraction]], n_cols: int) -> list[dict]
     lifted vectors fix the rational free columns and equal the rational
     reduced echelon basis.
     """
-    integral = [_cleared(row) for row in rows]
+    integral = [dict(_integral(row)[0]) for row in rows]
     p = config.DEFAULT_PRIME
     reduced = [{j: c % p for j, c in row.items()} for row in integral]
     lifted = []
@@ -202,18 +202,12 @@ def _rational_kernel(rows: list[dict[int, Fraction]], n_cols: int) -> list[dict]
             return kernel_basis(integral, n_cols, QQ)
         lifted.append(exact)
     # A v = 0 exactly; with vectors scaled to integers too it stays Fraction-free.
-    vectors = [_cleared(vec) for vec in lifted]
+    vectors = [dict(_integral(vec)[0]) for vec in lifted]
     for row in integral:
         for vec in vectors:
             if sum(c * vec[j] for j, c in row.items() if j in vec) != 0:
                 return kernel_basis(integral, n_cols, QQ)
     return lifted
-
-
-def _cleared(vec: dict[int, Fraction]) -> dict[int, int]:
-    """vec times the lcm of its denominators."""
-    scale = lcm(*(c.denominator for c in vec.values()))
-    return {j: c.numerator * (scale // c.denominator) for j, c in vec.items()}
 
 
 def extract_hard_multiple(p: Polynomial, enc: LocalEncoding) -> Polynomial:

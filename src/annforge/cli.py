@@ -558,6 +558,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: '--' is not an option value", file=sys.stderr)
         return 2
     try:
+        for name in config.ENV_LIMITS:  # a bad limit is refused by every command
+            config.env_limit(name)
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)

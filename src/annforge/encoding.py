@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import config
 from .circuit import Circuit
-from .errors import BudgetExceededError, CircuitError, SupportOverflowError
+from .errors import CircuitError, SupportOverflowError
 from .fields import FieldValue
 from .poly import Monomial, Namespace, Polynomial
 
@@ -158,7 +158,7 @@ def pad(pmap: PolynomialMap, target_out_len: int) -> PolynomialMap:
         raise ValueError(f"target {target_out_len} below out_len {pmap.out_len}")
     if extra == 0:
         return pmap
-    check_map_size("pad", pmap.seed_len + extra, target_out_len)
+    config.check_map_size("pad", pmap.seed_len + extra, target_out_len)
     taken = set(pmap.seed_names)
     fresh: list[str] = []
     i = 1
@@ -183,7 +183,7 @@ def parallel_compose(pmap: PolynomialMap, copies: int) -> PolynomialMap:
     if copies < 1:
         raise ValueError("copies must be >= 1")
     ell = pmap.seed_len
-    check_map_size("parallel_compose", copies * ell, copies * pmap.out_len)
+    config.check_map_size("parallel_compose", copies * ell, copies * pmap.out_len)
     outputs: list[Polynomial] = []
     names: list[str] = []
     for k in range(copies):
@@ -196,15 +196,6 @@ def parallel_compose(pmap: PolynomialMap, copies: int) -> PolynomialMap:
         seed_len=copies * ell,
         seed_names=tuple(names),
     )
-
-
-def check_map_size(stage: str, seed_len: int, out_len: int) -> None:
-    """Refuse a map larger than the term budget before building it."""
-    budget = config.term_budget()
-    if max(seed_len, out_len) > budget:
-        raise BudgetExceededError(
-            f"{stage}: seed length {seed_len} and {out_len} outputs exceed budget {budget}"
-        )
 
 
 def compose_polynomial(pmap: PolynomialMap, p: Polynomial) -> Polynomial:

@@ -46,8 +46,7 @@ class ResourceLimitError(AnnforgeError):
 
 
 class BudgetExceededError(ResourceLimitError):
-    """A polynomial or map would exceed the term budget (AF_TERM_BUDGET);
-    raised by several modules, so the code names the limit, not a module."""
+    """Raised by config.check_budget for every stage, so the code names the limit."""
 
     code = "limit.term_budget_exceeded"
 

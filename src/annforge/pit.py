@@ -18,9 +18,9 @@ from fractions import Fraction
 from . import config
 from .circuit import Circuit, evaluate_circuit, expand, metrics
 from .encoding import PolynomialMap, annihilates
-from .errors import BudgetExceededError, PointBudgetExceededError, SupportOverflowError
+from .errors import PointBudgetExceededError, SupportOverflowError
 from .fields import Field, FieldValue, PrimeField
-from .poly import Polynomial, check_degree
+from .poly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,6 @@ def _check_grid(field: Field, grid_size: int) -> None:
         raise ValueError("grid size must be >= 1")
     if isinstance(field, PrimeField) and grid_size > field.p:
         raise ValueError(f"grid of size {grid_size} does not fit in GF({field.p})")
-
-
-def _check_qq_degree(field: Field, degree: int) -> None:
-    """Over QQ the numbers a circuit computes at a grid point grow with its
-    degree, so refuse a degree bound that reaches the term budget."""
-    budget = config.term_budget()
-    if not field.characteristic and degree >= budget:
-        raise BudgetExceededError(f"circuit degree bound {degree} exceeds budget {budget}")
 
 
 def _first_nonzero(
@@ -88,7 +80,8 @@ def sz_pit(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     d = max(metrics(circuit).degree_bound, 1)
-    _check_qq_degree(circuit.field, d)
+    if not circuit.field.characteristic:  # over QQ values grow with the degree
+        config.check_degree("circuit degree bound", d)
     if grid_size is None:
         grid_size = 2 * d + 1
     _check_grid(circuit.field, grid_size)
@@ -145,8 +138,8 @@ def generator_pit(
             # Over QQ evaluate raises point values to the exponents as read.
             e, v = max(((e, v) for p in read for mono, _ in p.iter_terms() for v, e in mono),
                        default=(0, 0))
-            check_degree(v, e)
-        _check_qq_degree(f, degree)
+            config.check_degree(f"variable id {v}: degree", e)
+            config.check_degree("circuit degree bound", degree)
         grid = 2 * d + 1
         _check_grid(f, grid)
         if trials < 1:

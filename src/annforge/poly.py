@@ -27,7 +27,7 @@ from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import config
-from .errors import BudgetExceededError, MissingAssignmentError, ParseError
+from .errors import MissingAssignmentError, ParseError
 from .fields import Field, FieldValue, check_same_field
 
 
@@ -119,13 +119,6 @@ class Monomial(tuple):
 
 
 MONOMIAL_ONE = Monomial()
-
-
-def check_degree(var: int, d: int) -> None:
-    """Refuse a degree d >= config.term_budget() in one variable."""
-    budget = config.term_budget()
-    if d >= budget:
-        raise BudgetExceededError(f"variable id {var}: degree {d} exceeds budget {budget}")
 
 
 class Polynomial:
@@ -325,8 +318,8 @@ class Polynomial:
     def compose(self, subst: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Simultaneous substitution var -> subst[var]; every variable in the
         support must be covered.  Powers of the substituted polynomials are
-        memoized across terms; a degree >= config.term_budget() in one
-        variable raises BudgetExceededError before its power is built."""
+        memoized across terms; a degree in one variable that the term budget
+        refuses (config.check_degree) raises before its power is built."""
         f = self.field
         for v in self.variables():
             if v not in subst:
@@ -340,7 +333,7 @@ class Polynomial:
             if cache is None:
                 cache = powers[v] = [subst[v]]
             if len(cache) < degree:
-                check_degree(v, degree)
+                config.check_degree(f"variable id {v}: degree", degree)
                 while len(cache) < e:
                     cache.append(cache[-1] * subst[v])
             return cache[e - 1]
@@ -400,9 +393,9 @@ class Polynomial:
 
     def coefficients_in(self, var: int) -> list["Polynomial"]:
         """Dense-in-one-variable view [q_0, ..., q_d]; storage stays sparse.
-        Raises BudgetExceededError when d + 1 exceeds config.term_budget()."""
+        Its d + 1 entries are checked against the term budget first."""
         d = self.degree_in(var)
-        check_degree(var, d)
+        config.check_degree(f"variable id {var}: degree", d)
         buckets: list[dict[Monomial, FieldValue]] = [{} for _ in range(d + 1)]
         for m, c in self._terms.items():
             buckets[m.degree_in(var)][m.without(var)] = c
@@ -494,8 +487,8 @@ class _ProductSum:
 
 
 def _integral(terms: dict) -> tuple[list, int]:
-    """The (monomial, integer numerator) pairs of QQ terms over the lcm d of
-    their denominators, and d."""
+    """The (key, integer numerator) pairs of QQ terms over the lcm d of
+    their denominators, and d; keys are monomials or column indices."""
     if len(terms) == 1:
         ((m, c),) = terms.items()
         return [(m, c.numerator)], c.denominator

@@ -13,9 +13,10 @@ import dataclasses
 import functools
 import json
 
+from . import config
 from .annihilator import AnnihilatorCertificate
 from .circuit import parse_circuit, serialize_circuit
-from .encoding import BlockSpans, LocalEncoding, PolynomialMap, check_map_size, local_encode
+from .encoding import BlockSpans, LocalEncoding, PolynomialMap, local_encode
 from .errors import ParseError
 from .fields import QQ, Field, field_from_json
 from .ips import EquationSystem, Refutation
@@ -66,7 +67,7 @@ def map_from_json(obj: dict) -> PolynomialMap:
     else:
         names = list(Namespace.inferred(texts).names)
         if len(names) < seed_len:
-            check_map_size("map_from_json", seed_len, len(texts))
+            config.check_map_size("map_from_json", seed_len, len(texts))
             names += [f"u{i}" for i in range(1, seed_len - len(names) + 1)]
     if len(names) != seed_len:
         raise ParseError(f"seed_names has {len(names)} entries, seed_len is {seed_len}")

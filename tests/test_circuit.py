@@ -99,6 +99,22 @@ def test_expand_budget_exceeded(monkeypatch):
         expand(c)
 
 
+@pytest.mark.parametrize("budget, refused", [(5, False), (4, True)])
+def test_expand_budget_boundary(monkeypatch, budget, refused):
+    # (x1 + 1)^4 has 5 terms: accepted at a budget of exactly 5, refused at 4.
+    monkeypatch.setenv("AF_TERM_BUDGET", str(budget))
+    b = CircuitBuilder(QQ, 1, name="fourth_power")
+    g = b.add(b.input(0), b.const(1))
+    g = b.mul(g, g)
+    b.mul(g, g)
+    c = b.build()
+    if refused:
+        with pytest.raises(BudgetExceededError, match=r"^gate \d+: 5 terms exceeds budget 4$"):
+            expand(c)
+    else:
+        assert expand(c).term_count() == 5
+
+
 def test_metrics_fig(fig_circuit):
     m = metrics(fig_circuit)
     assert (m.size, m.depth, m.degree_bound) == (4, 3, 2)

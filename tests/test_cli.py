@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import annforge
-from annforge import cli, encoding, ips
+from annforge import cli, config, encoding, ips
 from annforge.cli import main
 from annforge.instances import kayal_map
 from annforge.ips import VerifyResult
@@ -265,8 +265,8 @@ def test_budget_code_names_the_limit_not_a_module(capsys, monkeypatch):
                  "--copies", "1", "--pad", "1000000000"])
     assert code == 3
     assert capsys.readouterr().err == (
-        "error [limit.term_budget_exceeded]: pad: seed length 999999999 and "
-        "1000000000 outputs exceed budget 1000\n")
+        "error [limit.term_budget_exceeded]: pad: a map with seed length 999999999 and "
+        "1000000000 outputs exceeds budget 1000\n")
 
 
 def test_monomial_ceiling_env_override(capsys, monkeypatch):
@@ -274,6 +274,30 @@ def test_monomial_ceiling_env_override(capsys, monkeypatch):
     code, _ = run(capsys, "search-ann",
                   "--map", str(FIXTURES / "squares_diff_enc.json"), "--degree", "2")
     assert code == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-5"])
+@pytest.mark.parametrize("name", ["AF_TERM_BUDGET", "AF_MONOMIAL_CEILING"])
+def test_a_bad_limit_exits_2_naming_it(tmp_path, capsys, monkeypatch, name, value):
+    # Refused by every command, also by one that reaches no guard (encode).
+    monkeypatch.setenv(name, value)
+    poly = tmp_path / "p.txt"
+    poly.write_text("z7 - z6")
+    enc = str(FIXTURES / "squares_diff_enc.json")
+    for argv in (["verify", "--encoding", enc, "--poly", str(poly)],
+                 ["search-ann", "--map", enc, "--degree", "1"],
+                 ["encode", "--circuit", CIRCUIT, "--alpha", "1,2", "--beta", "0"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name}={value!r} is not an integer >= 1\n"
+
+
+def test_a_limit_is_read_as_int_and_empty_means_the_default(monkeypatch):
+    monkeypatch.setenv("AF_TERM_BUDGET", " 7")
+    assert config.term_budget() == 7
+    monkeypatch.setenv("AF_MONOMIAL_CEILING", "")
+    assert config.monomial_ceiling() == config.ENV_LIMITS["AF_MONOMIAL_CEILING"]
 
 
 def test_console_entry_point_installed():

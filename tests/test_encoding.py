@@ -197,7 +197,8 @@ def test_pad_and_copies_beyond_the_term_budget(fig_encoding, monkeypatch):
     monkeypatch.setenv("AF_TERM_BUDGET", "20")
     assert pad(fig_encoding.map, 20).out_len == 20
     assert parallel_compose(fig_encoding.map, 2).out_len == 14
-    with pytest.raises(BudgetExceededError, match="pad: seed length 20 and 21 outputs"):
+    with pytest.raises(BudgetExceededError,
+                       match="pad: a map with seed length 20 and 21 outputs exceeds"):
         pad(fig_encoding.map, 21)
     with pytest.raises(BudgetExceededError, match="parallel_compose: .* budget 20"):
         parallel_compose(fig_encoding.map, 3)

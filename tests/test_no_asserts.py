@@ -2,7 +2,8 @@
 
 Invariants in the package are typed AnnforgeErrors, never ``assert``
 statements, so they still hold under ``python -O``.  Arithmetic is exact:
-no float literal, no use of ``float`` and no float-valued ``math`` call."""
+no float literal, no use of ``float`` and no float-valued ``math`` call.
+The term budget has one owner, ``config``."""
 
 from __future__ import annotations
 
@@ -42,3 +43,21 @@ def is_float_use(node: ast.AST) -> bool:
 def test_package_has_no_floats():
     found = [where for where, node in package_nodes() if is_float_use(node)]
     assert not found, f"float arithmetic in annforge: {found}"
+
+
+def is_term_budget_rule(node: ast.AST) -> bool:
+    """Reading AF_TERM_BUDGET, calling term_budget() or raising
+    BudgetExceededError: each belongs to config.check_budget."""
+    if isinstance(node, ast.Constant):
+        return node.value == "AF_TERM_BUDGET"
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name in {"term_budget", "BudgetExceededError"}
+    return False
+
+
+def test_only_config_holds_the_term_budget_rule():
+    found = [where for where, node in package_nodes()
+             if is_term_budget_rule(node) and not where.startswith("config.py:")]
+    assert not found, f"term-budget rule outside config: {found}"

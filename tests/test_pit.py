@@ -13,7 +13,7 @@ from annforge.circuit import (
     random_circuit,
 )
 from annforge.encoding import local_encode
-from annforge.errors import PointBudgetExceededError
+from annforge.errors import BudgetExceededError, PointBudgetExceededError
 from annforge.fields import QQ, PrimeField
 from annforge.instances import kayal_map
 from annforge.pit import HitResult, generator_pit, hit_test, sz_pit
@@ -34,6 +34,19 @@ def test_sz_zero_circuit_always_zero():
         verdict = sz_pit(zero_circuit(), trials=5, seed=seed)
         assert verdict.is_zero
         assert verdict.failure_bound < 1
+
+
+@pytest.mark.parametrize("budget, refused", [(3, False), (2, True)])
+def test_sz_qq_degree_budget_boundary(fig_circuit, monkeypatch, budget, refused):
+    # fig_circuit has degree bound 2, which counts 3: accepted at budget - 1,
+    # refused at the budget.
+    monkeypatch.setenv("AF_TERM_BUDGET", str(budget))
+    if refused:
+        with pytest.raises(BudgetExceededError,
+                           match="^circuit degree bound 2 exceeds budget 2$"):
+            sz_pit(fig_circuit, trials=3, seed=1)
+    else:
+        assert not sz_pit(fig_circuit, trials=3, seed=1).is_zero
 
 
 def test_sz_fig_circuit_nonzero_with_witness(fig_circuit):
