@@ -3,18 +3,21 @@
 Gate lifts h_i recover gate values through the encoding (h_i composed with
 the map equals y_i); the generator of the annihilator ideal is
 h = z_{n+s+1} - h_s + beta, monic of degree 1 in the last variable.  The
-brute-force degree-bounded kernel search eliminates modular-first: over the
-rationals it clears each row to integers once, works on those integers
-mod 2^61 - 1, lifts the kernel by rational reconstruction and keeps it only
-after an exact check against the same integer rows (else it eliminates over
-QQ), so it returns certificate vectors, not probabilistic claims.
+brute-force degree-bounded kernel search builds its coefficient matrix in
+plain ints: seed monomials are packed into one int key each, and over the
+rationals each output is cleared to integers once, so a column is an
+integer multiple of its candidate's image.  It eliminates modular-first:
+over the rationals it works on the integer rows mod 2^61 - 1, lifts the
+kernel by rational reconstruction and keeps it only after an exact check
+against the same integer rows (else it eliminates over QQ), so it returns
+certificate vectors, not probabilistic claims.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from . import config
 from .circuit import expand
@@ -139,16 +142,18 @@ def annihilator_basis_search(
 
     Candidate monomials of total degree <= D over the out_len output
     variables are mapped linearly to their composition with the map, built
-    incrementally as image(m * z_i) = image(m) * f_i.  The basis is the
-    kernel of that coefficient matrix in reduced row echelon form, one
-    vector per free candidate, so it is canonical.  Over GF(p) it is
-    computed directly.  Over QQ each row is cleared to integers and reduced
-    mod config.DEFAULT_PRIME: an empty mod-p kernel proves the rational one
-    empty, and otherwise the mod-p basis is lifted by rational
-    reconstruction and returned only if every lifted vector is exactly in
-    the rational kernel; if it is not, or if reconstruction fails, the
-    kernel is recomputed over QQ.  Every returned polynomial
-    composes to zero (certificates, not samples).
+    incrementally as image(m * z_i) = image(m) * f_i in plain ints.  No
+    image exponent exceeds D * deg F, so a seed monomial packs into one int
+    key with that many bits per variable and a product of monomials is the
+    sum of their keys, with no carry.  Over GF(p) the coefficients are
+    residues, each image entry reduced once.  Over QQ each output is cleared
+    once to F_i = den_i * f_i, so column j holds den_j = prod den_i^e_i times
+    candidate j's image, an integer matrix with the same free columns.  The
+    basis is the kernel in reduced row echelon form, one vector per free
+    candidate, so it is canonical.  Over GF(p) it is computed directly; over
+    QQ by _rational_kernel, and each integer kernel vector w is scaled back
+    by v_j = w_j * den_j / den_free, which keeps v_free = 1.  Every returned
+    polynomial composes to zero (certificates, not samples).
     """
     if max_total_degree < 0:
         raise ValueError("max_total_degree must be >= 0")
@@ -159,54 +164,84 @@ def annihilator_basis_search(
             f"{n_cols} candidate monomials exceed ceiling {limit}"
         )
     f = pmap.field
+    p = f.characteristic
     candidates = monomials_up_to(pmap.out_len, max_total_degree)
+    bits = max(1, (max_total_degree * max(pmap.degree, 0)).bit_length())
+    factors: list[list[tuple[int, int]]] = []  # packed terms of each F_i
+    factor_dens: list[int] = []
+    for q in pmap.outputs:
+        terms, den = (list(q.iter_terms()), 1) if p else _integral(dict(q.iter_terms()))
+        factors.append([(sum(e << bits * v for v, e in m), c) for m, c in terms])
+        factor_dens.append(den)
 
-    # Row per seed monomial of the images, column j = candidate j.
-    images: dict[Monomial, Polynomial] = {}
-    row_of: dict[Monomial, dict[int, object]] = {}
+    # Row per packed seed monomial of the images, column j = candidate j.
+    images: dict[tuple, dict[int, int]] = {}
+    row_of: dict[int, dict[int, int]] = {}
     for j, mono in enumerate(candidates):
         if mono:
-            var = mono[-1][0]
-            image = images[mono.divide(Monomial.of({var: 1}))] * pmap.outputs[var]
+            var, e = mono[-1]
+            parent = images[mono[:-1] + ((var, e - 1),) if e > 1 else mono[:-1]]
+            sums: dict[int, int] = {}
+            get = sums.get
+            for ka, ca in parent.items():
+                for kb, cb in factors[var]:
+                    k = ka + kb
+                    sums[k] = get(k, 0) + ca * cb
+            if p:
+                image = {k: r for k, n in sums.items() if (r := n % p)}
+            else:
+                image = {k: n for k, n in sums.items() if n}
         else:
-            image = Polynomial.constant(f, f.one)
+            image = {0: 1}
         images[mono] = image
-        for m, c in image.iter_terms():
-            row_of.setdefault(m, {})[j] = c
+        for k, c in image.items():
+            row_of.setdefault(k, {})[j] = c
     rows = list(row_of.values())
 
-    if f.characteristic == 0:
-        kernel = _rational_kernel(rows, n_cols)
-    else:
+    if p:
         kernel = kernel_basis(rows, n_cols, f)
+    else:
+        kernel = []
+        for w in _rational_kernel(rows, n_cols):
+            den = {j: prod(factor_dens[v] ** e for v, e in candidates[j]) for j in w}
+            free = den[max(w)]
+            kernel.append({j: Fraction(c.numerator * den[j], c.denominator * free)
+                           for j, c in w.items()})
     return [Polynomial(f, {candidates[j]: c for j, c in vec.items()}) for vec in kernel]
 
 
-def _rational_kernel(rows: list[dict[int, Fraction]], n_cols: int) -> list[dict]:
-    """kernel_basis over QQ, computed mod p first.
+#: The field of the modular-first elimination, built once: its primality test
+#: costs more than a small search.
+_MODULAR = PrimeField(config.DEFAULT_PRIME)
 
-    Each row is cleared to integers once, which keeps its kernel and leaves
-    no denominator to reduce.  For an integer matrix rank_p <= rank_QQ, so
-    dim_QQ <= dim_p, and dim_p independent rational kernel vectors are a
-    basis.  Each mod-p vector is zero past its own free column, so the
-    lifted vectors fix the rational free columns and equal the rational
-    reduced echelon basis.
+
+def _rational_kernel(rows: list[dict[int, int]], n_cols: int) -> list[dict]:
+    """kernel_basis over QQ of an integer matrix, computed mod p first.
+
+    For an integer matrix rank_p <= rank_QQ, so dim_QQ <= dim_p, and dim_p
+    independent rational kernel vectors are a basis.  Each mod-p vector is
+    zero past its own free column, so the lifted vectors fix the rational
+    free columns and equal the rational reduced echelon basis.  An empty
+    mod-p kernel proves the rational one empty; otherwise the mod-p basis is
+    lifted by rational reconstruction and returned only if every lifted
+    vector is exactly in the rational kernel.  If it is not, or if
+    reconstruction fails, the kernel is recomputed over QQ from the same
+    integer rows.
     """
-    integral = [dict(_integral(row)[0]) for row in rows]
-    p = config.DEFAULT_PRIME
-    reduced = [{j: c % p for j, c in row.items()} for row in integral]
+    p = _MODULAR.p
+    reduced = [{j: c % p for j, c in row.items()} for row in rows]
     lifted = []
-    for vec in kernel_basis(reduced, n_cols, PrimeField(p)):
+    for vec in kernel_basis(reduced, n_cols, _MODULAR):
         exact = {j: rational_reconstruction(c, p) for j, c in vec.items()}
         if None in exact.values():
-            return kernel_basis(integral, n_cols, QQ)
+            return kernel_basis(rows, n_cols, QQ)
         lifted.append(exact)
     # A v = 0 exactly; with vectors scaled to integers too it stays Fraction-free.
     vectors = [dict(_integral(vec)[0]) for vec in lifted]
-    for row in integral:
+    for row in rows:
         for vec in vectors:
             if sum(c * vec[j] for j, c in row.items() if j in vec) != 0:
-                return kernel_basis(integral, n_cols, QQ)
+                return kernel_basis(rows, n_cols, QQ)
     return lifted
 
 

@@ -19,7 +19,7 @@ from . import config
 from .circuit import Circuit
 from .errors import CircuitError, SupportOverflowError
 from .fields import FieldValue
-from .poly import Monomial, Namespace, Polynomial
+from .poly import Monomial, Namespace, Polynomial, fresh_names
 
 
 @dataclass(frozen=True)
@@ -159,20 +159,12 @@ def pad(pmap: PolynomialMap, target_out_len: int) -> PolynomialMap:
     if extra == 0:
         return pmap
     config.check_map_size("pad", pmap.seed_len + extra, target_out_len)
-    taken = set(pmap.seed_names)
-    fresh: list[str] = []
-    i = 1
-    while len(fresh) < extra:
-        name = f"u{i}"
-        if name not in taken:
-            fresh.append(name)
-        i += 1
     field = pmap.field
     new_vars = [Polynomial.variable(field, pmap.seed_len + j) for j in range(extra)]
     return PolynomialMap(
         outputs=pmap.outputs + tuple(new_vars),
         seed_len=pmap.seed_len + extra,
-        seed_names=pmap.seed_names + tuple(fresh),
+        seed_names=pmap.seed_names + tuple(fresh_names(pmap.seed_names, extra)),
     )
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import count, islice
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -569,6 +570,12 @@ class Namespace:
             return (prefix, int(digits) if digits else -1, name)
 
         return Namespace(sorted(seen, key=key))
+
+
+def fresh_names(taken: Iterable[str], n: int) -> list[str]:
+    """The first n of the names u1, u2, ... that are not in ``taken``."""
+    taken = set(taken)
+    return list(islice((name for i in count(1) if (name := f"u{i}") not in taken), n))
 
 
 def parse_polynomial(text: str, field: Field, ns: Namespace) -> Polynomial:

@@ -20,7 +20,7 @@ from .encoding import BlockSpans, LocalEncoding, PolynomialMap, local_encode
 from .errors import ParseError
 from .fields import QQ, Field, field_from_json
 from .ips import EquationSystem, Refutation
-from .poly import Namespace, Polynomial, format_polynomial, parse_polynomial
+from .poly import Namespace, Polynomial, format_polynomial, fresh_names, parse_polynomial
 
 
 def dumps(obj: dict) -> str:
@@ -68,7 +68,7 @@ def map_from_json(obj: dict) -> PolynomialMap:
         names = list(Namespace.inferred(texts).names)
         if len(names) < seed_len:
             config.check_map_size("map_from_json", seed_len, len(texts))
-            names += [f"u{i}" for i in range(1, seed_len - len(names) + 1)]
+            names += fresh_names(names, seed_len - len(names))
     if len(names) != seed_len:
         raise ParseError(f"seed_names has {len(names)} entries, seed_len is {seed_len}")
     ns = Namespace(names)

@@ -220,6 +220,20 @@ def test_stretch_command(tmp_path, capsys):
     assert report["stretch"] == 3
 
 
+@pytest.mark.parametrize("name, seed_names", [
+    ("y1", ["x1_1", "y1_1", "u1_1"]),
+    ("u1", ["u1_1", "x1_1", "u2_1"]),
+])
+def test_map_without_seed_names_pads_with_names_not_taken(tmp_path, capsys, name, seed_names):
+    # seed_len 3 with two names in the text: the third name skips those taken.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"seed_len": 3, "outputs": [f"{name} + x1"]}))
+    out = tmp_path / "stretched.json"
+    code, _ = run(capsys, "stretch", "--map", str(path), "--copies", "1", "--out", str(out))
+    assert code == 0, capsys.readouterr().err
+    assert json.loads(out.read_text())["seed_names"] == seed_names
+
+
 def test_metrics_command(capsys):
     code, out = run(capsys, "metrics", "--circuit", CIRCUIT, "--json")
     assert code == 0

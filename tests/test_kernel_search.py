@@ -1,4 +1,5 @@
-"""The sparse, modular-first kernel search against the dense reference."""
+"""The sparse, modular-first kernel search against the dense reference and
+against the former Polynomial-product search (``kernel_reference``)."""
 
 from __future__ import annotations
 
@@ -12,12 +13,13 @@ from hypothesis import strategies as st
 from annforge import annihilator, config
 from annforge.annihilator import annihilator_basis_search, monomials_up_to
 from annforge.circuit import parse_circuit
-from annforge.encoding import PolynomialMap, local_encode
+from annforge.encoding import PolynomialMap, local_encode, pad, parallel_compose
 from annforge.fields import QQ, PrimeField
 from annforge.instances import kayal_map
 from annforge.linalg import kernel_basis, rational_reconstruction, row_reduce
-from annforge.poly import Monomial, Polynomial
+from annforge.poly import Monomial, Polynomial, format_polynomial
 
+import kernel_reference
 from conftest import FIG_TEXT
 from dense_reference import (
     _kernel_basis,
@@ -100,6 +102,74 @@ def test_monomials_up_to_equals_the_recursive_reference(n_vars, max_degree):
         assert monomials_up_to(n_vars, d) == reference_monomials_up_to(n_vars, d)
 
 
+# -- against the former Polynomial-product search ---------------------------------
+
+P = config.DEFAULT_PRIME
+
+
+def assert_same_basis(pmap: PolynomialMap, degree: int) -> list[Polynomial]:
+    """The search and the former search give equal bases with equal text."""
+    got = annihilator_basis_search(pmap, degree)
+    expected = kernel_reference.annihilator_basis_search(pmap, degree)
+    assert got == expected
+    assert [format_polynomial(q) for q in got] == [format_polynomial(q) for q in expected]
+    return got
+
+
+@st.composite
+def coefficient_maps(draw):
+    """Random maps; over QQ with fractional coefficients and p in numerators
+    and in denominators, over GF(p) with any residues."""
+    field = draw(st.sampled_from(FIELDS))
+    if field == QQ:
+        nums = st.integers(-4, 4) | st.sampled_from([P, -P, 2 * P, P * P, P + 1])
+        dens = st.integers(1, 5) | st.sampled_from([P, 3 * P, 7])
+        coeffs = st.builds(Fraction, nums, dens)
+    else:
+        coeffs = st.integers(-4, 4) | st.integers(0, field.p - 1)
+    seed_len = draw(st.integers(1, 3))
+    out_len = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, (5, 4, 2)[out_len - 1]))
+    outputs = []
+    for _ in range(out_len):
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            exps = {v: draw(st.integers(0, 3)) for v in range(seed_len)}
+            terms[Monomial.of(exps)] = draw(coeffs)
+        outputs.append(Polynomial(field, terms))
+    names = tuple(f"x{i}" for i in range(1, seed_len + 1))
+    return PolynomialMap(outputs=tuple(outputs), seed_len=seed_len, seed_names=names), degree
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficient_maps())
+def test_search_equals_former_search(case):
+    assert_same_basis(*case)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GFp", "GF7"])
+@pytest.mark.parametrize("out_degree,degree", [(1, 8), (1, 7), (2, 4), (3, 5), (4, 4), (8, 2)],
+                         ids=["8=2^3", "7=2^3-1", "8=2^3,g2", "15=2^4-1", "16=2^4", "16=2^4,g8"])
+def test_search_equals_former_search_at_full_exponent_width(field, out_degree, degree):
+    # z1^D reaches x^(D*g), with D*g a power of two or one less, so x fills
+    # its packed width.  A width one bit short would carry x^(D*g) into y's
+    # bits, where z2 = y and z3's y-terms would collide with it.
+    x, y = Polynomial.variable(field, 0), Polynomial.variable(field, 1)
+    g = out_degree
+    outputs = (x ** g, y, x ** g + y ** g - Polynomial.constant(field, 1))
+    pmap = PolynomialMap(outputs=outputs, seed_len=2, seed_names=("x", "y"))
+    assert pmap.degree * degree in (8, 7, 15, 16)
+    basis = assert_same_basis(pmap, degree)
+    if g <= degree:
+        assert basis  # z3 - z1 - z2^g + 1 and its multiples
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GFp", "GF7"])
+def test_search_equals_former_search_on_wide_maps(field):
+    assert_same_basis(pad(kayal_map(2, 2, field), 2000), 1)
+    assert len(assert_same_basis(parallel_compose(kayal_map(1, 2, field), 40), 2)) == 40
+
+
 # -- which path the rational search takes ----------------------------------------
 
 
@@ -118,11 +188,25 @@ def test_empty_modular_kernel_returns_at_once(monkeypatch):
     assert fields == [GF]
 
 
-def test_denominator_divisible_by_p_is_cleared_then_falls_back_to_rationals(monkeypatch):
-    # Each output carries 1/p, so a cleared row is divisible by p in every
-    # entry but its highest-degree candidate's: the mod-p kernel is too large
-    # to reconstruct, and the search eliminates over QQ.
+def test_denominator_p_is_cleared_per_output_and_stays_modular(monkeypatch):
+    # Each output carries 1/p.  Clearing each output once moves that p into
+    # the column scales den_j, so the integer rows keep their rank mod p and
+    # the modular lift is exact.
     pmap = scaled(kayal_map(1, 2), Fraction(1, config.DEFAULT_PRIME))
+    expected = reference_basis_search(pmap, 3)
+    fields = spy_kernel(monkeypatch)
+    assert annihilator_basis_search(pmap, 3) == expected
+    assert fields == [GF]
+    assert len(expected) == 3
+
+
+@pytest.mark.parametrize("factor", [config.DEFAULT_PRIME, Fraction(config.DEFAULT_PRIME, 7)],
+                         ids=["p", "p/7"])
+def test_outputs_divisible_by_p_fall_back_to_rationals(monkeypatch, factor):
+    # Every cleared entry is divisible by p, so every row is zero mod p: each
+    # mod-p kernel vector lifts, but the exact check rejects the lift and the
+    # search eliminates over QQ.
+    pmap = scaled(kayal_map(1, 2), factor)
     expected = reference_basis_search(pmap, 3)
     fields = spy_kernel(monkeypatch)
     assert annihilator_basis_search(pmap, 3) == expected
