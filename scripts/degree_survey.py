@@ -10,8 +10,8 @@ so a degree with an empty mod-p kernel is ruled out without rational
 elimination; the basis found at the first nonzero degree is confirmed once
 more by exact composition with the map.
 
-    python3 scripts/degree_survey.py            # desk-scale cases, ~0.5 s
-    python3 scripts/degree_survey.py --full     # adds n=3 d=2, ~0.8 s
+    python3 scripts/degree_survey.py            # desk-scale cases, ~0.25 s
+    python3 scripts/degree_survey.py --full     # adds n=3 d=2, ~0.35 s
 
 (Whole-run wall times, interpreter start included, on 2 shared cores with
 CPython 3.11.)

@@ -203,9 +203,9 @@ def test_denominator_p_is_cleared_per_output_and_stays_modular(monkeypatch):
 @pytest.mark.parametrize("factor", [config.DEFAULT_PRIME, Fraction(config.DEFAULT_PRIME, 7)],
                          ids=["p", "p/7"])
 def test_outputs_divisible_by_p_fall_back_to_rationals(monkeypatch, factor):
-    # Every cleared entry is divisible by p, so every row is zero mod p: each
-    # mod-p kernel vector lifts, but the exact check rejects the lift and the
-    # search eliminates over QQ.
+    # Every cleared entry but the constant candidate's 1 is divisible by p,
+    # so the rank mod p is 1: each mod-p kernel vector lifts to a unit
+    # vector, the exact check rejects it and the search eliminates over QQ.
     pmap = scaled(kayal_map(1, 2), factor)
     expected = reference_basis_search(pmap, 3)
     fields = spy_kernel(monkeypatch)
