@@ -158,16 +158,19 @@ def rank_random_eval(
     p: int = config.DEFAULT_PRIME, seed: int = 0,
 ) -> int:
     """Max over trials of the rank of the matrix evaluated at uniform random
-    points of F_p.  Never exceeds the true rank; equal with high probability."""
+    points of F_p.  Never exceeds the true rank; equal with high probability.
+    Only the nonzero entries are evaluated (row_reduce drops zeros anyway);
+    a Jacobian is mostly structural zeros."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    entries = matrix.entries
+    entries = [[(j, e) for j, e in enumerate(row) if e] for row in matrix.entries]
     if isinstance(matrix.field, PrimeField):
         gf = matrix.field  # evaluate natively; a foreign modulus would be unsound
     else:
         gf = PrimeField(p)  # validates primality
         # Reduce the coefficients once; evaluation then stays in F_p.
-        entries = [[Polynomial(gf, dict(e.iter_terms())) for e in row] for row in entries]
+        entries = [[(j, Polynomial(gf, dict(e.iter_terms()))) for j, e in row]
+                   for row in entries]
     rng = random.Random(seed)
     variables = sorted(matrix.variables())
     point = [0] * (variables[-1] + 1 if variables else 0)
@@ -175,7 +178,7 @@ def rank_random_eval(
     for _ in range(trials):
         for v in variables:
             point[v] = rng.randrange(gf.p)
-        rows = [dict(enumerate(entry.evaluate(point) for entry in row)) for row in entries]
+        rows = [{j: e.evaluate(point) for j, e in row} for row in entries]
         best = max(best, len(row_reduce(rows, matrix.cols, gf)))
     return best
 

@@ -6,8 +6,11 @@ dict keyed by Monomial, a tuple subclass holding the sorted (var, exp)
 pairs, so keys hash and compare as plain tuples, in C.  Products
 (``*``, ``**``, ``compose``, ``substitute``) go through one loop,
 _ProductSum, that sums coefficient products in Python ints and builds one
-field value per output monomial.  The canonical order is graded
-lexicographic with lower variable ids more significant.  Printing always
+field value per output monomial.  ``evaluate`` runs on a plan that the
+first call compiles and the polynomial keeps: the variables read, one
+common denominator and integer terms.  Nothing changes a polynomial's
+terms after construction, so a plan never goes stale.  The canonical order
+is graded lexicographic with lower variable ids more significant.  Printing always
 emits terms in descending canonical order, so serialize -> parse ->
 serialize is a fixed point.
 
@@ -28,7 +31,7 @@ from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import config
-from .errors import MissingAssignmentError, ParseError
+from .errors import MissingAssignmentError, ModularReductionError, ParseError
 from .fields import Field, FieldValue, check_same_field
 
 
@@ -126,7 +129,7 @@ class Polynomial:
     """Immutable-by-convention sparse polynomial; zero coefficients never
     stored, so dict equality is canonical equality."""
 
-    __slots__ = ("field", "_terms")
+    __slots__ = ("field", "_terms", "_plan")
 
     def __init__(self, field: Field, terms: Mapping[Monomial, FieldValue] | None = None):
         self.field = field
@@ -137,6 +140,7 @@ class Polynomial:
                 if not field.is_zero(c):
                     clean[mono] = c
         self._terms = clean
+        self._plan = None  # the evaluation plan, built by the first evaluate
 
     # -- constructors -------------------------------------------------------
 
@@ -265,6 +269,7 @@ class Polynomial:
         p = Polynomial.__new__(Polynomial)
         p.field = self.field
         p._terms = terms
+        p._plan = None
         return p
 
     # -- evaluation / substitution -------------------------------------------
@@ -273,37 +278,53 @@ class Polynomial:
         """Exact value at a point indexed by variable id; every variable in
         the support must be assigned.
 
-        The arithmetic is in Python ints.  Each point value is normalized
-        into the field the first time a term reads it.  Over F_p a term is
-        reduced once and the sum once.  Over QQ a term is the integer
-        fraction c.num*prod(a_v^e) / c.den*prod(b_v^e); numerators are summed
-        per denominator and one Fraction is built per distinct denominator."""
+        The arithmetic is in Python ints, on the polynomial's evaluation
+        plan (see _compile), which the first call builds and later calls
+        reuse.  Each value the plan reads is normalized into the field once.
+        Over F_p a term is reduced once and the sum once.  Over QQ, at a
+        point of integers, the plan's integer terms give one integer sum over
+        the common denominator d; at a point with fractions a term is the
+        integer fraction c*prod(a_v^e) / (d*prod(b_v^e)), numerators are
+        summed per denominator and one Fraction is built per distinct
+        denominator.  A short point or a value with no image in the field
+        raises the error a scan in term order meets first."""
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = self._compile()
+        variables, d, terms = plan
         f = self.field
+        if variables and variables[-1] >= len(point):
+            self._first_error(point)
+        try:
+            xs = [f.normalize(point[v]) for v in variables]
+        except ModularReductionError:
+            self._first_error(point)
+            raise
         p = f.characteristic
-        size = len(point)
-        values: dict = {}  # v -> normalized value (F_p) or (num, den) (QQ)
-
-        def value(v: int):
-            if v >= size:
-                raise MissingAssignmentError(f"no value for variable id {v}")
-            x = f.normalize(point[v])
-            values[v] = x if p else (x.numerator, x.denominator)
-            return values[v]
-
         if p:
             total = 0
-            for mono, coeff in self._terms.items():
-                val = coeff
-                for v, e in mono:
-                    x = values[v] if v in values else value(v)
-                    val *= x if e == 1 else pow(x, e, p)
-                total += val % p
+            for c, mono in terms:
+                for i, e in mono:
+                    c *= xs[i] if e == 1 else pow(xs[i], e, p)
+                total += c % p
             return total % p
+        nums = [x.numerator for x in xs if x.denominator == 1]
+        if len(nums) == len(xs):
+            xs = nums
+            total = 0
+            for c, mono in terms:
+                for i, e in mono:
+                    c *= xs[i] if e == 1 else xs[i] ** e
+                total += c
+            if not total:
+                return f.zero
+            return Fraction(total) if d == 1 else Fraction(total, d)
+        xs = [(x.numerator, x.denominator) for x in xs]
         sums: dict[int, int] = {}  # denominator -> sum of numerators
-        for mono, coeff in self._terms.items():
-            num, den = coeff.numerator, coeff.denominator
-            for v, e in mono:
-                a, b = values[v] if v in values else value(v)
+        for num, mono in terms:
+            den = d
+            for i, e in mono:
+                a, b = xs[i]
                 if e == 1:
                     num *= a
                     den *= b
@@ -312,9 +333,35 @@ class Polynomial:
                     den *= b**e
             sums[den] = sums.get(den, 0) + num
         if len(sums) == 1:
-            ((d, n),) = sums.items()
-            return Fraction(n, d)
-        return sum((Fraction(n, d) for d, n in sums.items()), f.zero)
+            ((den, n),) = sums.items()
+            return Fraction(n, den)
+        return sum((Fraction(n, den) for den, n in sums.items()), f.zero)
+
+    def _compile(self) -> tuple:
+        """The evaluation plan: the sorted ids of the variables read, one
+        common denominator d (the lcm of the coefficients' denominators over
+        QQ, 1 over F_p) and the terms as (integer coefficient times d,
+        ((index into the ids, exp), ...)).  It depends on the terms only,
+        which no method changes after construction."""
+        variables = sorted(self.variables())
+        index = {v: i for i, v in enumerate(variables)}
+        if self.field.characteristic:
+            items, d = self._terms.items(), 1
+        else:
+            items, d = _integral(self._terms)
+        terms = tuple((c, tuple((index[v], e) for v, e in mono)) for mono, c in items)
+        return tuple(variables), d, terms
+
+    def _first_error(self, point: Sequence[FieldValue]) -> None:
+        """Raise the error that reading ``point`` in term order meets first:
+        MissingAssignmentError for a variable past its end, or the error of
+        normalizing a value."""
+        f = self.field
+        for mono in self._terms:
+            for v, _ in mono:
+                if v >= len(point):
+                    raise MissingAssignmentError(f"no value for variable id {v}")
+                f.normalize(point[v])
 
     def compose(self, subst: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Simultaneous substitution var -> subst[var]; every variable in the

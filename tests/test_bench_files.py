@@ -1,0 +1,40 @@
+"""Every committed BENCH_*.json is in the one layout that
+scripts/bench_pairs.py writes: the workloads, the command, both revisions
+with their src/ trees, the Python version, the CPU count, the host, how the
+pairs were seeded and ordered, and one raw result line per run.  Only JSON
+is read; no benchmark runs."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_bench_files_are_committed():
+    assert BENCH_FILES
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_file_is_in_the_pairs_layout(path):
+    doc = json.loads(path.read_text())
+    assert bench_pairs.layout_problems(doc) == []
+    assert all(run["result"]["correct"] and run["result"]["failed"] == 0
+               for run in doc["runs"])
+
+
+def test_layout_check_finds_a_missing_run_and_a_bare_workload_key():
+    doc = json.loads((ROOT / "BENCH_packed.json").read_text())
+    doc["runs"].pop()
+    assert any("pair" in problem for problem in bench_pairs.layout_problems(doc))
+    doc["workload"] = doc.pop("workloads")[0]
+    assert bench_pairs.layout_problems(doc)

@@ -111,6 +111,30 @@ def test_ips_verify_rejects_bad_refutation(tmp_path, capsys):
     assert "Reject" in out
 
 
+
+@pytest.mark.parametrize("r, code, line, reason, degree", [
+    ("z1 - z2", 0, "Accept, refutation degree 1", None, 1),
+    ("z1 - z2 + x1*z1", 1, "Reject (composition-not-one), refutation degree 2",
+     "composition-not-one", 2),
+])
+def test_ips_verify_full_refutation(tmp_path, capsys, r, code, line, reason, degree):
+    # {x1, x1 - 1} has no common zero: 1 = x1 - (x1 - 1), the full IPS
+    # certificate z1 - z2.  Adding x1*z1 leaves C(x, 0) = 0 but C(x, f) != 1.
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({"equations": ["x1", "x1 - 1"]}))
+    ref = tmp_path / "r.json"
+    ref.write_text(json.dumps({"kind": "full", "r": r}))
+    argv = ["ips-verify", "--system", str(system), "--refutation", str(ref)]
+    for extra in ([], ["--kind", "full"]):
+        assert run(capsys, *argv, *extra) == (code, line + "\n")
+    got, out = run(capsys, *argv, "--json")
+    assert got == code
+    assert json.loads(out) == {"schema_version": 1, "command": "ips-verify", "kind": "full",
+                               "accepted": code == 0, "reason": reason, "degree": degree}
+    assert main([*argv, "--kind", "geometric"]) == 2
+    assert capsys.readouterr().err == \
+        "error: refutation file has kind full, --kind says geometric\n"
+
 def test_pit_zero_and_nonzero(tmp_path, capsys):
     code, out = run(capsys, "pit", "--circuit", CIRCUIT, "--trials", "8",
                     "--seed", "5", "--json")

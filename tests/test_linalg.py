@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from annforge.circuit import random_circuit
+from annforge.circuit import parse_circuit, random_circuit
 from annforge.encoding import local_encode
 from annforge.errors import MatrixTooLargeError
-from annforge.fields import QQ
+from annforge.fields import QQ, PrimeField
+from annforge.instances import det_circuit, kayal_map
 from annforge.linalg import (
     PolyMatrix,
     determinant,
@@ -18,7 +19,8 @@ from annforge.linalg import (
 )
 from annforge.poly import Namespace, Polynomial
 
-from conftest import P
+from conftest import FIG_TEXT, P
+from rank_reference import rank_random_eval as reference_rank
 
 NS = Namespace(["x1", "x2", "x3", "y", "a", "b"])
 
@@ -96,6 +98,37 @@ def test_rank_encoding_jacobian_is_full():
         enc = local_encode(c, [rng.randint(-2, 2) for _ in range(n)], 0)
         mat = jacobian(list(enc.map.outputs[: n + s]), list(range(n + s)))
         assert rank_random_eval(mat, trials=2, seed=seed) == n + s
+
+
+def _encoding_jacobian(circuit, rng):
+    enc = local_encode(circuit, [rng.randint(-5, 5) for _ in range(circuit.n_inputs)],
+                       rng.randint(-5, 5))
+    return jacobian(list(enc.map.outputs), list(range(enc.map.seed_len)))
+
+
+@pytest.mark.parametrize("p", [None, 5], ids=["default_p", "p5"])
+def test_rank_skipping_zero_entries_equals_former_rank(p):
+    # The Jacobians of the evaluate benchmark's kinds.  Over F_5 some
+    # coefficients vanish, so entries nonzero over QQ reduce to zero.
+    kw = {} if p is None else {"p": p}
+    kayal = kayal_map(4, 2, QQ)
+    kayal_jac = jacobian(list(kayal.outputs), list(range(kayal.seed_len)))
+    for seed in range(50):
+        rng = random.Random(seed)
+        for mat in (_encoding_jacobian(parse_circuit(FIG_TEXT), rng),
+                    _encoding_jacobian(det_circuit(2, QQ), rng), kayal_jac):
+            assert rank_random_eval(mat, trials=2, seed=seed, **kw) == \
+                reference_rank(mat, trials=2, seed=seed, **kw)
+
+
+def test_rank_over_a_prime_field_equals_former_rank():
+    gf = PrimeField(7)
+    for seed in range(50):
+        rng = random.Random(seed)
+        circuit = random_circuit(2, 4, seed=seed, const_pool=(1, 3), field=gf)
+        mat = _encoding_jacobian(circuit, rng)
+        assert rank_random_eval(mat, trials=1, seed=seed) == \
+            reference_rank(mat, trials=1, seed=seed)
 
 
 def test_trdeg_examples():
