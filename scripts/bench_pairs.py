@@ -48,17 +48,14 @@ def revision(rev: str) -> dict:
             "src_tree": git("rev-parse", f"{rev}:src").decode().strip()}
 
 
-def run_once(commit: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(commit: str, argv: list[str]) -> dict:
     """The result line of one benchmark run in a fresh checkout of ``commit``."""
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as root:
         tarfile.open(fileobj=io.BytesIO(git("archive", commit))).extractall(root)
-        command = json.loads(Path(root, "BENCHMARK.json").read_text())["command"]
-        argv = [*command, "--workload", workload, "--seed", str(seed),
-                "--seconds", f"{seconds:g}"]
         proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
-        raise SystemExit(f"{commit[:12]} {workload} seed {seed} exited {proc.returncode}:\n"
+        raise SystemExit(f"{commit[:12]} {' '.join(argv)} exited {proc.returncode}:\n"
                          f"{proc.stderr[-2000:]}")
     return json.loads(lines[-1])
 
@@ -149,10 +146,11 @@ def main(argv=None) -> int:
         name, count, base = spec.split(":")
         plan.append((name, int(count), int(base)))
     revisions = {"parent": revision(args.parent), "change": revision(args.change)}
+    command = json.loads(git("show", f"{args.change}:BENCHMARK.json"))["command"]
+    seconds = ["--seconds", f"{args.seconds:g}"]
     doc = {
         "workloads": [name for name, _, _ in plan],
-        "command": "python3 perfbench/run.py --workload WORKLOAD --seed SEED"
-                   f" --seconds {args.seconds:g}",
+        "command": " ".join([*command, "--workload", "WORKLOAD", "--seed", "SEED", *seconds]),
         "revisions": revisions,
         "python": f"Python {platform.python_version()}",
         "cpu_count": os.cpu_count(),
@@ -168,7 +166,8 @@ def main(argv=None) -> int:
         for i in range(count):
             sides = SIDES if i % 2 == 0 else SIDES[::-1]
             for order, side in enumerate(sides):
-                result = run_once(revisions[side]["commit"], name, base + i, args.seconds)
+                argv = [*command, "--workload", name, "--seed", str(base + i), *seconds]
+                result = run_once(revisions[side]["commit"], argv)
                 doc["runs"].append({"workload": name, "pair": i, "seed": base + i,
                                     "side": side, "order": order, "result": result})
                 out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -111,7 +111,6 @@ def test_ips_verify_rejects_bad_refutation(tmp_path, capsys):
     assert "Reject" in out
 
 
-
 @pytest.mark.parametrize("r, code, line, reason, degree", [
     ("z1 - z2", 0, "Accept, refutation degree 1", None, 1),
     ("z1 - z2 + x1*z1", 1, "Reject (composition-not-one), refutation degree 2",
@@ -134,6 +133,7 @@ def test_ips_verify_full_refutation(tmp_path, capsys, r, code, line, reason, deg
     assert main([*argv, "--kind", "geometric"]) == 2
     assert capsys.readouterr().err == \
         "error: refutation file has kind full, --kind says geometric\n"
+
 
 def test_pit_zero_and_nonzero(tmp_path, capsys):
     code, out = run(capsys, "pit", "--circuit", CIRCUIT, "--trials", "8",
