@@ -3,17 +3,18 @@
 
 Pair i of a workload runs seed ``base + i`` on both revisions, the parent
 first on even i and the change first on odd i.  Every run is made in a fresh
-``git archive`` of its revision, with the command ``BENCHMARK.json`` names
-(plus ``--workload``, ``--seed`` and ``--seconds``), and its last stdout line
-is kept as it is.  The results go to ``BENCH_<label>.json``, which is
+``git archive`` of its revision, with the command and the run length
+(``--seconds``) that the change's ``BENCHMARK.json`` gives, plus
+``--workload`` and ``--seed``, and its last stdout line is kept as it is.  The results go to ``BENCH_<label>.json``, which is
 rewritten after each run, so a cut run keeps the pairs it finished:
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --label evalplan \\
-        --workload evaluate:10:10301 --workload certify:5:10101 --seconds 40
+        --workload evaluate:10:10301 --workload certify:5:10101
     python3 scripts/bench_pairs.py --summarize BENCH_evalplan.json
 
-``--summarize`` prints, per workload and end-to-end metric, the median and
-quartiles of each side and the pairs the change won.  Run it from the root of
+``--summarize`` prints, per workload and end-to-end metric of
+``BENCHMARK.json``, the median and quartiles of each side, the pairs the
+change won and the metric's bound.  Run it from the root of
 the repository.  ``tests/test_bench_files.py`` checks every committed
 ``BENCH_*.json`` with ``layout_problems``.
 """
@@ -33,8 +34,9 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
-METRICS = {"setup_s": "lower", "ops_per_s": "higher", "op_p50_ms": "lower",
-           "op_p90_ms": "lower", "peak_rss_mb": "lower"}
+#: The end-to-end metrics of the benchmark, by name: their direction and bound.
+METRICS = {m["name"]: m for m in json.loads(
+    (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["end_to_end"]}
 TOP_KEYS = {"workloads", "command", "revisions", "python", "cpu_count", "host", "pairs", "runs"}
 RUN_KEYS = {"workload", "pair", "seed", "side", "order", "result"}
 
@@ -106,11 +108,11 @@ def summarize(doc: dict) -> str:
                 pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]
         pairs = {i: p for i, p in pairs.items() if len(p) == 2}
         out.append(f"{workload} ({len(pairs)} pairs)")
-        for name, better in METRICS.items():
+        for name, metric in METRICS.items():
             values = {s: [p[s]["metrics"][name]["value"] for p in pairs.values()] for s in SIDES}
             if not values["parent"]:
                 continue
-            won = sum((c > a) == (better == "higher") and c != a
+            won = sum((c > a) == (metric["better"] == "higher") and c != a
                       for a, c in zip(values["parent"], values["change"]))
             med = {s: statistics.median(v) for s, v in values.items()}
             quart = {s: statistics.quantiles(v, n=4, method="inclusive")[::2]
@@ -118,7 +120,8 @@ def summarize(doc: dict) -> str:
             out.append(f"  {name}: {med['parent']:.4g} [{quart['parent'][0]:.4g}, "
                        f"{quart['parent'][1]:.4g}] -> {med['change']:.4g} "
                        f"[{quart['change'][0]:.4g}, {quart['change'][1]:.4g}], "
-                       f"{med['change'] / med['parent']:.3f}x, change won {won}/{len(pairs)}")
+                       f"{med['change'] / med['parent']:.3f}x, change won {won}/{len(pairs)}, "
+                       f"{metric['better']} is better, bound {metric['bound']:g}")
         ok = all(p[s]["correct"] and not p[s]["failed"] for p in pairs.values() for s in SIDES)
         out.append(f"  every run correct with 0 failed: {ok}")
     return "\n".join(out)
@@ -131,7 +134,6 @@ def main(argv=None) -> int:
     ap.add_argument("--label", help="writes BENCH_<label>.json")
     ap.add_argument("--workload", action="append", default=[], metavar="NAME:PAIRS:SEED",
                     help="run PAIRS pairs of NAME from seed SEED (repeatable)")
-    ap.add_argument("--seconds", type=float, default=40)
     ap.add_argument("--host", default=f"{os.cpu_count()} CPUs, {platform.machine()}",
                     help="free-text description of the machine")
     ap.add_argument("--summarize", metavar="FILE", help="print the summary of FILE and exit")
@@ -146,8 +148,9 @@ def main(argv=None) -> int:
         name, count, base = spec.split(":")
         plan.append((name, int(count), int(base)))
     revisions = {"parent": revision(args.parent), "change": revision(args.change)}
-    command = json.loads(git("show", f"{args.change}:BENCHMARK.json"))["command"]
-    seconds = ["--seconds", f"{args.seconds:g}"]
+    benchmark = json.loads(git("show", f"{args.change}:BENCHMARK.json"))
+    command = benchmark["command"]
+    seconds = ["--seconds", f"{benchmark['run_seconds']:g}"]
     doc = {
         "workloads": [name for name, _, _ in plan],
         "command": " ".join([*command, "--workload", "WORKLOAD", "--seed", "SEED", *seconds]),
