@@ -47,7 +47,6 @@ from .linalg import (
     resultant,
     resultant_with_cofactors,
     sylvester,
-    trdeg_lower_bound,
 )
 from .pit import HitResult, PitVerdict, generator_pit, hit_test, sz_pit
 from .poly import Monomial, Namespace, Polynomial, format_polynomial, parse_polynomial
@@ -101,7 +100,6 @@ __all__ = [
     "system_of",
     "synthesize_gate_lifts",
     "sz_pit",
-    "trdeg_lower_bound",
     "verify_annihilates",
     "verify_full_ips",
     "verify_geometric",

@@ -210,11 +210,6 @@ def annihilator_basis_search(
     return [Polynomial(f, {candidates[j]: c for j, c in vec.items()}) for vec in kernel]
 
 
-#: The field of the modular-first elimination, built once: its primality test
-#: costs more than a small search.
-_MODULAR = PrimeField(config.DEFAULT_PRIME)
-
-
 def _rational_kernel(rows: list[dict[int, int]], n_cols: int) -> list[dict]:
     """kernel_basis over QQ of an integer matrix, computed mod p first.
 
@@ -228,10 +223,11 @@ def _rational_kernel(rows: list[dict[int, int]], n_cols: int) -> list[dict]:
     reconstruction fails, the kernel is recomputed over QQ from the same
     integer rows.
     """
-    p = _MODULAR.p
+    p = config.DEFAULT_PRIME
+    gf = PrimeField(p)
     reduced = [{j: c % p for j, c in row.items()} for row in rows]
     lifted = []
-    for vec in kernel_basis(reduced, n_cols, _MODULAR):
+    for vec in kernel_basis(reduced, n_cols, gf):
         exact = {j: rational_reconstruction(c, p) for j, c in vec.items()}
         if None in exact.values():
             return kernel_basis(rows, n_cols, QQ)
@@ -266,4 +262,4 @@ def extract_hard_multiple(p: Polynomial, enc: LocalEncoding) -> Polynomial:
         subst[i] = Polynomial.monomial(f, f.one, {w: 1, i: 1})
     image = p.substitute(subst)
     min_power = min(m.degree_in(w) for m, _ in image.iter_terms())
-    return image.coefficient_in(w, min_power)
+    return image.coefficients_in(w)[min_power]

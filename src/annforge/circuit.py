@@ -269,9 +269,9 @@ def circuit_from_polynomial(p: Polynomial, n_vars: int, name: str = "poly") -> C
     term_refs: list[int] = []
     for mono, coeff in p.terms():
         factors: list[int] = []
-        if coeff != p.field.one or not mono.exps:
+        if coeff != p.field.one or not mono:
             factors.append(b.const(coeff))
-        for v, e in mono.exps:
+        for v, e in mono:
             factors.extend([b.input(v)] * e)
         term_refs.append(b.tree_reduce("mul", factors))
     if not term_refs:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import config
 from .annihilator import annihilator_basis_search, principal_generator, verify_annihilates
-from .circuit import expand, metrics, parse_circuit
+from .circuit import metrics, parse_circuit
 from .encoding import local_encode, pad, parallel_compose
 from .errors import AnnforgeError, InvariantError, ParseError, ResourceLimitError
 from .fields import PrimeField, field_from_spec
@@ -354,15 +354,13 @@ def cmd_instance(args) -> int:
     elif args.family == "det":
         payload = serialize_circuit(det_circuit(args.n, field))
         desc = f"det n={args.n}"
-    elif args.family == "cnf3":
+    else:  # cnf3
         if not args.cnf:
             print("error: --cnf <file> required for family cnf3", file=sys.stderr)
             return 2
         clauses, n_vars = parse_dimacs(_read(args.cnf))
         payload = dumps(system_to_json(encode_3cnf(clauses, n_vars, field)))
         desc = f"cnf3 with {len(clauses)} clauses on {n_vars} variables"
-    else:  # pragma: no cover - argparse restricts choices
-        return 2
     if args.out:
         _write(args.out, payload)
         lines = [f"wrote {desc} to {args.out}"]

@@ -9,6 +9,7 @@ exactness: there is no floating point anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Union
 
 from .errors import FieldMismatchError, ModularReductionError, ParseError
@@ -20,8 +21,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
+@cache
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < _MR_BOUND; larger n raise ValueError."""
+    """Deterministic Miller-Rabin for n < _MR_BOUND; larger n raise ValueError.
+    Cached: every PrimeField built tests its modulus.  A refused n raises
+    again on the next call, since raised exceptions are not cached."""
     if n < 2:
         return False
     if n >= _MR_BOUND:
@@ -71,9 +75,6 @@ class Field:
 
     def inv(self, a: FieldValue) -> FieldValue:
         raise NotImplementedError
-
-    def div(self, a: FieldValue, b: FieldValue) -> FieldValue:
-        return self.mul(a, self.inv(b))
 
     def is_zero(self, a: FieldValue) -> bool:
         return a == self.zero

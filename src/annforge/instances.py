@@ -7,8 +7,6 @@ system, small determinant circuits, and the 3CNF-to-polynomial translation.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from .circuit import Circuit, CircuitBuilder
 from .encoding import PolynomialMap
 from .errors import ParseError
@@ -109,19 +107,6 @@ def det_circuit(n: int, field: Field = QQ) -> Circuit:
         return ref
 
     return b.build(minor(tuple(range(n))))
-
-
-def leibniz_determinant(n: int, field: Field = QQ) -> Polynomial:
-    """Independent oracle: the Leibniz permutation sum for det_n."""
-    acc = Polynomial.zero(field)
-    for perm in permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        exps = {i * n + perm[i]: 1 for i in range(n)}
-        sign = field.one if inversions % 2 == 0 else field.neg(field.one)
-        acc = acc + Polynomial.monomial(field, sign, exps)
-    return acc
 
 
 Clause = tuple[int, int, int]

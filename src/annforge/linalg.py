@@ -183,22 +183,6 @@ def rank_random_eval(
     return best
 
 
-def trdeg_lower_bound(
-    polys: list[Polynomial], variables: list[int] | None = None,
-    trials: int = config.DEFAULT_TRIALS, p: int = config.DEFAULT_PRIME, seed: int = 0,
-) -> int:
-    """Rank of the Jacobian at random points: a transcendence-degree lower
-    bound in any characteristic, exact over characteristic zero whp."""
-    if variables is None:
-        union: set[int] = set()
-        for q in polys:
-            union |= q.variables()
-        variables = sorted(union)
-    if not variables:
-        return 0
-    return rank_random_eval(jacobian(polys, variables), trials=trials, p=p, seed=seed)
-
-
 # -- Sylvester resultants -----------------------------------------------------
 
 

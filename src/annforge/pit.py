@@ -19,7 +19,7 @@ from . import config
 from .circuit import Circuit, evaluate_circuit, expand, metrics
 from .encoding import PolynomialMap, annihilates
 from .errors import PointBudgetExceededError, SupportOverflowError
-from .fields import Field, FieldValue, PrimeField
+from .fields import Field, FieldValue, PrimeField, check_same_field
 from .poly import Polynomial
 
 
@@ -115,6 +115,7 @@ def generator_pit(
     deg(circuit)*deg(map)+1 over the seed variables (exact, but the point
     count is guarded by config.DEFAULT_POINT_BUDGET).
     """
+    check_same_field(circuit.field, pmap.field)
     if circuit.n_inputs > pmap.out_len:
         raise SupportOverflowError(
             f"circuit reads {circuit.n_inputs} variables, map emits {pmap.out_len}"

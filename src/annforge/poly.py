@@ -4,7 +4,7 @@ Variables are nonnegative integer ids; display names live in a Namespace and
 only matter at the text boundary (parsing/printing).  Terms are kept in a
 dict keyed by Monomial, a tuple subclass holding the sorted (var, exp)
 pairs, so keys hash and compare as plain tuples, in C.  Products
-(``*``, ``**``, ``compose``, ``substitute``) go through one loop,
+(``*``, ``compose``, ``substitute``) go through one loop,
 _ProductSum, that sums coefficient products in Python ints and builds one
 field value per output monomial.  ``evaluate`` runs on a plan that the
 first call compiles and the polynomial keeps: the variables read, one
@@ -53,11 +53,6 @@ class Monomial(tuple):
         return Monomial(items)
 
     @property
-    def exps(self) -> "Monomial":
-        """The (var, exp) pairs: the monomial itself."""
-        return self
-
-    @property
     def degree(self) -> int:
         return sum(e for _, e in self)
 
@@ -103,17 +98,6 @@ class Monomial(tuple):
         out += self[i:]
         out += other[j:]
         return Monomial(out)
-
-    def divides(self, other: "Monomial") -> bool:
-        it = dict(other)
-        return all(it.get(v, 0) >= e for v, e in self)
-
-    def divide(self, other: "Monomial") -> "Monomial":
-        """self / other; caller must ensure other.divides(self)."""
-        merged = dict(self)
-        for v, e in other:
-            merged[v] = merged[v] - e
-        return Monomial((v, e) for v, e in merged.items() if e != 0)
 
     def without(self, var: int) -> "Monomial":
         return Monomial(pair for pair in self if pair[0] != var)
@@ -190,14 +174,6 @@ class Polynomial:
             out.update(mono.variables())
         return out
 
-    def lead_monomial(self) -> Monomial:
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self._terms, key=lambda m: m.sort_key)
-
-    def lead_coefficient(self) -> FieldValue:
-        return self._terms[self.lead_monomial()]
-
     def constant_term(self) -> FieldValue:
         return self._terms.get(MONOMIAL_ONE, self.field.zero)
 
@@ -246,18 +222,6 @@ class Polynomial:
         products.add(self.field.one, self._terms, other._terms)
         return self._wrap(products.terms())
 
-    def __pow__(self, e: int) -> "Polynomial":
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        out = Polynomial.constant(self.field, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
-
     def scale(self, c) -> "Polynomial":
         f = self.field
         c = f.normalize(c)
@@ -281,13 +245,12 @@ class Polynomial:
         The arithmetic is in Python ints, on the polynomial's evaluation
         plan (see _compile), which the first call builds and later calls
         reuse.  Each value the plan reads is normalized into the field once.
-        Over F_p a term is reduced once and the sum once.  Over QQ, at a
-        point of integers, the plan's integer terms give one integer sum over
-        the common denominator d; at a point with fractions a term is the
-        integer fraction c*prod(a_v^e) / (d*prod(b_v^e)), numerators are
-        summed per denominator and one Fraction is built per distinct
-        denominator.  A short point or a value with no image in the field
-        raises the error a scan in term order meets first."""
+        Over F_p a term is reduced once and the sum once.  Over QQ the
+        integral values are read as ints and the others stay Fractions, so
+        at a point of integers the plan's integer terms give an integer sum;
+        the value is that sum over the common denominator d.  A short point
+        or a value with no image in the field raises the error a scan in
+        term order meets first."""
         plan = self._plan
         if plan is None:
             plan = self._plan = self._compile()
@@ -308,34 +271,15 @@ class Polynomial:
                     c *= xs[i] if e == 1 else pow(xs[i], e, p)
                 total += c % p
             return total % p
-        nums = [x.numerator for x in xs if x.denominator == 1]
-        if len(nums) == len(xs):
-            xs = nums
-            total = 0
-            for c, mono in terms:
-                for i, e in mono:
-                    c *= xs[i] if e == 1 else xs[i] ** e
-                total += c
-            if not total:
-                return f.zero
-            return Fraction(total) if d == 1 else Fraction(total, d)
-        xs = [(x.numerator, x.denominator) for x in xs]
-        sums: dict[int, int] = {}  # denominator -> sum of numerators
-        for num, mono in terms:
-            den = d
+        xs = [x.numerator if x.denominator == 1 else x for x in xs]
+        total = 0
+        for c, mono in terms:
             for i, e in mono:
-                a, b = xs[i]
-                if e == 1:
-                    num *= a
-                    den *= b
-                else:
-                    num *= a**e
-                    den *= b**e
-            sums[den] = sums.get(den, 0) + num
-        if len(sums) == 1:
-            ((den, n),) = sums.items()
-            return Fraction(n, den)
-        return sum((Fraction(n, den) for den, n in sums.items()), f.zero)
+                c *= xs[i] if e == 1 else xs[i] ** e
+            total += c
+        if not total:
+            return f.zero
+        return Fraction(total, d)
 
     def _compile(self) -> tuple:
         """The evaluation plan: the sorted ids of the variables read, one
@@ -434,11 +378,6 @@ class Polynomial:
                 out[m] = c
         return self._wrap(out)
 
-    def coefficient_in(self, var: int, k: int) -> "Polynomial":
-        """The polynomial q_k with p = sum_k q_k * var^k (var removed)."""
-        out = {m.without(var): c for m, c in self._terms.items() if m.degree_in(var) == k}
-        return self._wrap(out)
-
     def coefficients_in(self, var: int) -> list["Polynomial"]:
         """Dense-in-one-variable view [q_0, ..., q_d]; storage stays sparse.
         Its d + 1 entries are checked against the term budget first."""
@@ -448,33 +387,6 @@ class Polynomial:
         for m, c in self._terms.items():
             buckets[m.degree_in(var)][m.without(var)] = c
         return [self._wrap(b) for b in buckets]
-
-    # -- division ------------------------------------------------------------
-
-    def exact_divide(self, divisor: "Polynomial") -> "Polynomial | None":
-        """Quotient q with self = q * divisor, or None when not divisible.
-
-        Single-divisor division under graded-lex: if at any step the leading
-        term of the remainder is not divisible by the divisor's leading term,
-        the remainder is provably nonzero and we stop.
-        """
-        check_same_field(self.field, divisor.field)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        f = self.field
-        lead_m = divisor.lead_monomial()
-        lead_c = divisor.lead_coefficient()
-        rem = self
-        quot: dict[Monomial, FieldValue] = {}
-        while not rem.is_zero():
-            rm = rem.lead_monomial()
-            if not lead_m.divides(rm):
-                return None
-            qm = rm.divide(lead_m)
-            qc = f.div(rem._terms[rm], lead_c)
-            quot[qm] = qc
-            rem = rem - divisor * Polynomial(f, {qm: qc})
-        return Polynomial(f, quot)
 
 
 class _ProductSum:
@@ -573,9 +485,6 @@ class Namespace:
             if not _NAME_RE.fullmatch(n):
                 raise ValueError(f"invalid variable name {n!r}")
 
-    def __len__(self) -> int:
-        return len(self.names)
-
     def id(self, name: str) -> int:
         if name not in self._ids:
             raise ParseError(f"unknown variable {name!r}")
@@ -592,11 +501,6 @@ class Namespace:
     @staticmethod
     def indexed(prefix: str, count: int, start: int = 1) -> "Namespace":
         return Namespace(f"{prefix}{i}" for i in range(start, start + count))
-
-    @staticmethod
-    def seed(n: int, s: int) -> "Namespace":
-        """x1..xn, y1..ys: the seed variables of a local encoding."""
-        return Namespace([f"x{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, s + 1)])
 
     @staticmethod
     def outputs(m: int) -> "Namespace":

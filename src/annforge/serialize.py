@@ -3,7 +3,8 @@
 All writers emit deterministic key order (plain dict literals below), so
 identical objects serialize byte-identically; readers accept the minimal
 schemas ({seed_len, outputs} for maps, {equations} for systems, {kind, r}
-for refutations) and default the field to the rationals.  Variable names
+for refutations) and default the field to the rationals, a refutation's to
+its system's, which a stated one must equal.  Variable names
 default to natural-sorted identifiers collected from the polynomial texts.
 """
 
@@ -18,9 +19,9 @@ from .annihilator import AnnihilatorCertificate
 from .circuit import parse_circuit, serialize_circuit
 from .encoding import BlockSpans, LocalEncoding, PolynomialMap, local_encode
 from .errors import ParseError
-from .fields import QQ, Field, field_from_json
+from .fields import QQ, check_same_field, field_from_json
 from .ips import EquationSystem, Refutation
-from .poly import Namespace, Polynomial, format_polynomial, fresh_names, parse_polynomial
+from .poly import Namespace, format_polynomial, fresh_names, parse_polynomial
 
 
 def dumps(obj: dict) -> str:
@@ -183,7 +184,8 @@ def refutation_to_json(ref: Refutation, system: EquationSystem) -> dict:
 
 @_reader
 def refutation_from_json(obj: dict, system: EquationSystem) -> Refutation:
-    field = field_from_json(obj["field"]) if "field" in obj else system.field
+    if "field" in obj:
+        check_same_field(field_from_json(obj["field"]), system.field)
     kind = obj["kind"]
     m = len(system.equations)
     if kind == "geometric":
@@ -192,4 +194,4 @@ def refutation_from_json(obj: dict, system: EquationSystem) -> Refutation:
         ns = system.namespace.extended(f"z{i}" for i in range(1, m + 1))
     else:
         raise ParseError(f"unknown refutation kind {kind!r}")
-    return Refutation(kind=kind, r=parse_polynomial(obj["r"], field, ns))
+    return Refutation(kind=kind, r=parse_polynomial(obj["r"], system.field, ns))

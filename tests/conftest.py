@@ -31,6 +31,19 @@ def P(text: str, names: list[str] | Namespace, field=QQ):
     return parse_polynomial(text, field, ns)
 
 
+def power(p, e: int):
+    """p^e as e - 1 products (the constant 1 for e = 0)."""
+    out = p if e else parse_polynomial("1", p.field, Namespace([]))
+    for _ in range(e - 1):
+        out = out * p
+    return out
+
+
+def seed_ns(n: int, s: int) -> Namespace:
+    """x1..xn, y1..ys: the seed variables of a local encoding."""
+    return Namespace([f"x{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, s + 1)])
+
+
 def Z(text: str, m: int, field=QQ):
     """Parse a polynomial over z1..zm."""
     return parse_polynomial(text, field, Namespace.outputs(m))

@@ -4,7 +4,8 @@ as the reference oracle.
 The bodies are the earlier ``Field.pow``, ``Polynomial.evaluate`` and
 ``circuit.evaluate_circuit``, unchanged except that they are free
 functions taking the field, polynomial or circuit as their first argument
-(and the polynomial's terms are read through ``iter_terms``).
+(the polynomial's terms are read through ``iter_terms``, and a monomial's
+(var, exp) pairs by iterating it).
 They work through one ``Field`` call per operation.  The differential tests
 in ``test_evaluate.py`` require the package's evaluators to return the
 same value, of the same type, and to raise the same error type.
@@ -38,7 +39,7 @@ def reference_evaluate(poly: Polynomial, point: Sequence[FieldValue]) -> FieldVa
     acc = f.zero
     for mono, coeff in poly.iter_terms():
         val = coeff
-        for v, e in mono.exps:
+        for v, e in mono:
             if v >= len(point):
                 raise MissingAssignmentError(f"no value for variable id {v}")
             val = f.mul(val, reference_pow(f, f.normalize(point[v]), e))

@@ -2,7 +2,8 @@
 packed integer images, kept as the reference oracle.
 
 ``annihilator_basis_search`` and ``_rational_kernel`` are the earlier
-bodies, unchanged: each candidate's image is a ``Polynomial`` product
+bodies, unchanged except that a monomial is divided by
+``division_reference.divide``: each candidate's image is a ``Polynomial`` product
 ``image(m) * f_i`` over the map's field, and over QQ the rows of
 ``Fraction``s are cleared to integers inside ``_rational_kernel``.  The
 differential tests in ``test_kernel_search.py`` require the package's
@@ -20,6 +21,8 @@ from annforge.errors import SearchSpaceTooLargeError
 from annforge.fields import QQ, PrimeField
 from annforge.linalg import kernel_basis, rational_reconstruction
 from annforge.poly import Monomial, Polynomial, _integral
+
+from division_reference import divide
 
 
 def annihilator_basis_search(
@@ -57,7 +60,7 @@ def annihilator_basis_search(
     for j, mono in enumerate(candidates):
         if mono:
             var = mono[-1][0]
-            image = images[mono.divide(Monomial.of({var: 1}))] * pmap.outputs[var]
+            image = images[divide(mono, Monomial.of({var: 1}))] * pmap.outputs[var]
         else:
             image = Polynomial.constant(f, f.one)
         images[mono] = image

@@ -5,7 +5,7 @@ loop and the tuple monomial keys, kept as the reference oracle.
 ``reference_add_product`` the earlier ``poly._add_product``, unchanged.
 ``reference_mul``, ``reference_pow``, ``reference_compose`` and
 ``reference_substitute`` are the earlier bodies of ``Polynomial.__mul__``,
-``__pow__``, ``compose`` and ``substitute``, as free functions on term dicts
+``__pow__`` (since removed), ``compose`` and ``substitute``, as free functions on term dicts
 keyed by ``RefMonomial``.  They work through one ``Field`` call per
 operation.  The differential tests in ``test_products.py`` require the
 package's products to give the same terms, coefficient types and text.

@@ -25,6 +25,7 @@ from annforge.instances import kayal_map
 from annforge.poly import Namespace, Polynomial
 
 from conftest import SINGLE_ADD_TEXT, P, Z
+from division_reference import exact_divide
 
 
 def test_gate_lifts_worked_example(fig_circuit):
@@ -100,7 +101,7 @@ def test_h_is_monic_linear_in_last_variable():
         h = principal_generator(enc).h
         last = n + s
         assert h.degree_in(last) == 1
-        assert h.coefficient_in(last, 1) == Polynomial.constant(QQ, 1)
+        assert h.coefficients_in(last)[1] == Polynomial.constant(QQ, 1)
 
 
 def test_lift_gate_count_linear_bound():
@@ -206,7 +207,7 @@ def test_search_worked_example(fig_encoding, fig_cert):
     assert annihilator_basis_search(fig_encoding.map, 1) == []
     basis = annihilator_basis_search(fig_encoding.map, 2)
     assert len(basis) == 1
-    ratio = basis[0].exact_divide(fig_cert.h)
+    ratio = exact_divide(basis[0], fig_cert.h)
     assert ratio is not None and ratio.degree() == 0
 
 
@@ -215,7 +216,7 @@ def test_search_certificates_and_principality(fig_encoding, fig_cert):
     for d in (2, 3):
         for q in annihilator_basis_search(fig_encoding.map, d):
             assert verify_annihilates(q, fig_encoding.map)
-            assert q.exact_divide(fig_cert.h) is not None
+            assert exact_divide(q, fig_cert.h) is not None
 
 
 def test_search_kayal_degree_gap():
@@ -243,13 +244,13 @@ def test_extract_worked_example(fig_encoding, fig_cert):
 def test_extract_shifted_multiple(fig_encoding, fig_cert):
     f_minus_beta = Z("z1^2 - z2^2", 7)
     out = extract_hard_multiple(fig_cert.h * Z("z1 + 1", 7), fig_encoding)
-    assert out.exact_divide(f_minus_beta) is not None
+    assert exact_divide(out, f_minus_beta) is not None
 
 
 def test_extract_gate_variable_multiple_shifts_w_power(fig_encoding, fig_cert):
     f_minus_beta = Z("z1^2 - z2^2", 7)
     out = extract_hard_multiple(fig_cert.h * Z("z6", 7), fig_encoding)
-    assert out.exact_divide(f_minus_beta) is not None
+    assert exact_divide(out, f_minus_beta) is not None
     # The multiplier z6 itself survives: result is -(f - beta) * z6.
     assert out == -f_minus_beta * Z("z6", 7)
 
@@ -280,5 +281,5 @@ def test_extract_divisibility_many_multipliers(fig_circuit):
             continue
         out = extract_hard_multiple(cert.h * r, enc)
         assert not out.is_zero()
-        assert out.exact_divide(f_minus_beta) is not None
+        assert exact_divide(out, f_minus_beta) is not None
         done += 1

@@ -135,6 +135,23 @@ def test_ips_verify_full_refutation(tmp_path, capsys, r, code, line, reason, deg
         "error: refutation file has kind full, --kind says geometric\n"
 
 
+@pytest.mark.parametrize("kind, r, field, system_field", [
+    ("geometric", "1 + z1", {"type": "prime", "p": 7}, None),
+    ("full", "z1 - z2", {"type": "prime", "p": 7}, None),
+    ("full", "z1 - z2", {"type": "rational"}, {"type": "prime", "p": 7}),
+])
+def test_ips_verify_refuses_a_refutation_over_another_field(
+        tmp_path, capsys, kind, r, field, system_field):
+    system = tmp_path / "sys.json"
+    obj = {"equations": ["x1", "x1 - 1"]}
+    system.write_text(json.dumps(obj | ({"field": system_field} if system_field else {})))
+    ref = tmp_path / "r.json"
+    ref.write_text(json.dumps({"kind": kind, "field": field, "r": r}))
+    assert main(["ips-verify", "--system", str(system), "--refutation", str(ref)]) == 2
+    names = ("GF(7)", "QQ") if system_field is None else ("QQ", "GF(7)")
+    assert capsys.readouterr() == ("", "error [field.mismatch]: field mismatch: %s vs %s\n" % names)
+
+
 def test_pit_zero_and_nonzero(tmp_path, capsys):
     code, out = run(capsys, "pit", "--circuit", CIRCUIT, "--trials", "8",
                     "--seed", "5", "--json")
@@ -171,6 +188,20 @@ def test_pit_generator_mode(capsys, tmp_path):
                     "--mode", "symbolic", "--json")
     assert code == 0
     assert json.loads(out)["verdict"] == "zero"
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "randomized", "deterministic_grid"])
+def test_pit_refuses_a_map_over_another_field(tmp_path, capsys, mode):
+    # 7*x1 vanishes mod 7 but not over QQ; with the fields mixed the modes
+    # disagreed, and two of them passed --expect zero.
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("circuit c\ninputs x1\ng1 = add x1 0\noutput g1\n")
+    pmap = tmp_path / "m.json"
+    pmap.write_text(json.dumps({"seed_len": 1, "outputs": ["7*x1"]}))
+    code = main(["pit", "--field", "prime:7", "--circuit", str(circuit), "--map", str(pmap),
+                 "--mode", mode, "--expect", "zero"])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error [field.mismatch]: field mismatch: GF(7) vs QQ\n")
 
 
 def test_hit_exit_codes(tmp_path, capsys):
@@ -242,6 +273,27 @@ def test_stretch_command(tmp_path, capsys):
     assert report["seed_len"] == 18
     assert report["out_len"] == 21
     assert report["stretch"] == 3
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_stretch_pads_to_the_target_with_fresh_names(tmp_path, capsys, as_json):
+    # Two copies of the encoding give 14 outputs over 12 seed variables;
+    # padding to 17 adds three fresh seed variables u1..u3 as outputs.
+    enc = str(FIXTURES / "squares_diff_enc.json")
+    out = tmp_path / "padded.json"
+    argv = ["stretch", "--map", enc, "--copies", "2", "--pad", "17", "--out", str(out)]
+    code, report_out = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert code == 0
+    if as_json:
+        assert json.loads(report_out) == {
+            "schema_version": 1, "command": "stretch", "copies": 2, "seed_len": 15,
+            "out_len": 17, "stretch": 2, "degree": 2, "out": str(out)}
+    else:
+        assert report_out == f"2 copies: seed 15 -> out 17 (stretch 2, degree 2)\nwrote {out}\n"
+    obj = json.loads(out.read_text())
+    assert len(obj["outputs"]) == 17 and obj["seed_len"] == 15
+    assert obj["seed_names"][12:] == obj["outputs"][14:] == ["u1", "u2", "u3"]
+    assert not {"u1", "u2", "u3"} & set(obj["seed_names"][:12])
 
 
 @pytest.mark.parametrize("name, seed_names", [

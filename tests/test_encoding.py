@@ -23,14 +23,11 @@ from annforge.fields import QQ, PrimeField
 from annforge.poly import Namespace, Polynomial
 from annforge.serialize import encoding_to_json, dumps
 
-from conftest import SINGLE_ADD_TEXT, P, Z
+from conftest import SINGLE_ADD_TEXT, P, Z, seed_ns
+from division_reference import exact_divide
 from encoding_reference import reference_local_encode
 
 FIELDS = [QQ, PrimeField(7), PrimeField(config.DEFAULT_PRIME)]
-
-
-def seed_ns(n, s):
-    return Namespace.seed(n, s)
 
 
 def test_fig_encoding_outputs_at_general_point(fig_circuit):
@@ -218,7 +215,7 @@ def test_pad_preserves_annihilators_on_old_variables(fig_encoding):
     assert len(before) == len(after) == 1
     old_vars = set(range(fig_encoding.map.out_len))
     assert after[0].variables() <= old_vars
-    assert after[0].exact_divide(before[0]) is not None
+    assert exact_divide(after[0], before[0]) is not None
 
 
 # -- parallel composition -------------------------------------------------------

@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annforge.circuit import evaluate_circuit, random_circuit
@@ -49,9 +49,16 @@ def outcome(fn, *args):
     return value, type(value)
 
 
+TERMS = [(Fraction(1, 2), [1, 0, 2, 0]), (Fraction(-3), [0, 1, 0, 1]),
+         (Fraction(5, 6), [0, 0, 0, 0]), (Fraction(2, 3), [2, 1, 0, 3])]
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @settings(max_examples=150, deadline=None)
 @given(term_lists, st.lists(values, max_size=N_VARS + 1))
+@example(TERMS, [2, -3, 0, 5])  # integers
+@example(TERMS, [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(3, 5)])  # fractions
+@example(TERMS, [2, Fraction(-2, 3), 0, Fraction(5, 6)])  # mixed
 def test_evaluate_matches_reference(field, term_list, point):
     p = build(field, term_list)
     assert outcome(p.evaluate, point) == outcome(reference_evaluate, p, point)

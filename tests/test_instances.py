@@ -7,20 +7,33 @@ from annforge.annihilator import annihilator_basis_search
 from annforge.circuit import evaluate_circuit, expand
 from annforge.encoding import compose_polynomial
 from annforge.errors import ParseError
-from annforge.fields import QQ
+from annforge.fields import QQ, Field
 from annforge.instances import (
     det_circuit,
     encode_3cnf,
     kayal_chain_map,
     kayal_map,
-    leibniz_determinant,
     masser_philippon_system,
     parse_dimacs,
 )
-from annforge.linalg import trdeg_lower_bound
+from annforge.linalg import jacobian, rank_random_eval
 from annforge.poly import Namespace, Polynomial
 
 from conftest import P
+from division_reference import exact_divide
+
+
+def leibniz_determinant(n: int, field: Field = QQ) -> Polynomial:
+    """Independent oracle: the Leibniz permutation sum for det_n."""
+    acc = Polynomial.zero(field)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
+        )
+        exps = {i * n + perm[i]: 1 for i in range(n)}
+        sign = field.one if inversions % 2 == 0 else field.neg(field.one)
+        acc = acc + Polynomial.monomial(field, sign, exps)
+    return acc
 
 
 # -- kayal maps -----------------------------------------------------------------
@@ -49,7 +62,7 @@ def test_kayal_minimal_annihilator_degree_four():
 def test_kayal_outputs_algebraically_dependent():
     for n, d in [(2, 2), (3, 2)]:
         pmap = kayal_map(n, d)
-        assert trdeg_lower_bound(list(pmap.outputs)) <= n
+        assert rank_random_eval(jacobian(list(pmap.outputs), list(range(n)))) <= n
 
 
 def test_kayal_chain_n3_d2():
@@ -118,7 +131,7 @@ def test_masser_philippon_unsat_argument_n2_d2():
     f1, f2 = system.equations
     # On the variety of f1, x1 is nilpotent: check 1 - f2 is divisible by x1.
     ns = ["x1", "x2"]
-    assert (P("1", ns) - f2).exact_divide(P("x1", ns)) is not None
+    assert exact_divide(P("1", ns) - f2, P("x1", ns)) is not None
 
 
 def test_masser_philippon_parameter_validation():

@@ -154,9 +154,10 @@ def test_search_equals_former_search_at_full_exponent_width(field, out_degree, d
     # z1^D reaches x^(D*g), with D*g a power of two or one less, so x fills
     # its packed width.  A width one bit short would carry x^(D*g) into y's
     # bits, where z2 = y and z3's y-terms would collide with it.
-    x, y = Polynomial.variable(field, 0), Polynomial.variable(field, 1)
+    y = Polynomial.variable(field, 1)
     g = out_degree
-    outputs = (x ** g, y, x ** g + y ** g - Polynomial.constant(field, 1))
+    x_g, y_g = Polynomial.monomial(field, 1, {0: g}), Polynomial.monomial(field, 1, {1: g})
+    outputs = (x_g, y, x_g + y_g - Polynomial.constant(field, 1))
     pmap = PolynomialMap(outputs=outputs, seed_len=2, seed_names=("x", "y"))
     assert pmap.degree * degree in (8, 7, 15, 16)
     basis = assert_same_basis(pmap, degree)

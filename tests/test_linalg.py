@@ -15,7 +15,6 @@ from annforge.linalg import (
     resultant,
     resultant_with_cofactors,
     sylvester,
-    trdeg_lower_bound,
 )
 from annforge.poly import Namespace, Polynomial
 
@@ -132,8 +131,9 @@ def test_rank_over_a_prime_field_equals_former_rank():
 
 
 def test_trdeg_examples():
-    assert trdeg_lower_bound([p("x1"), p("x2"), p("x1 + x2")]) == 2
-    assert trdeg_lower_bound([p("x1^2 - 7")]) == 1
+    # The Jacobian's rank over the variables read bounds the transcendence degree.
+    assert rank_random_eval(jacobian([p("x1"), p("x2"), p("x1 + x2")], [0, 1])) == 2
+    assert rank_random_eval(jacobian([p("x1^2 - 7")], [0])) == 1
 
 
 def test_trdeg_encoding_outputs_dependent():
@@ -144,9 +144,8 @@ def test_trdeg_encoding_outputs_dependent():
         s = rng.randint(1, 8)
         c = random_circuit(n, s, seed=seed + 1200, const_pool=(1, -1))
         enc = local_encode(c, [rng.randint(-2, 2) for _ in range(n)], 0)
-        assert trdeg_lower_bound(
-            list(enc.map.outputs), variables=list(range(n + s)), seed=seed
-        ) == n + s
+        mat = jacobian(list(enc.map.outputs), list(range(n + s)))
+        assert rank_random_eval(mat, seed=seed) == n + s
 
 
 # -- sylvester / resultant -------------------------------------------------------
