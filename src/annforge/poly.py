@@ -3,10 +3,10 @@
 Variables are nonnegative integer ids; display names live in a Namespace and
 only matter at the text boundary (parsing/printing).  Terms are kept in a
 dict keyed by Monomial, a tuple subclass holding the sorted (var, exp)
-pairs, so keys hash and compare as plain tuples, in C.  Products
-(``*``, ``compose``, ``substitute``) go through one loop,
-_ProductSum, that sums coefficient products in Python ints and builds one
-field value per output monomial.  ``evaluate`` runs on a plan that the
+pairs, so keys hash and compare as plain tuples, in C.  Products (``*``,
+``compose``, ``substitute``) go through one loop, _ProductSum, that sums
+coefficient products in Python ints and builds one field value per output
+monomial.  ``evaluate`` runs on a plan that the
 first call compiles and the polynomial keeps: the variables read, one
 common denominator and integer terms.  Nothing changes a polynomial's
 terms after construction, so a plan never goes stale.  The canonical order

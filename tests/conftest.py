@@ -7,7 +7,7 @@ import random
 import pytest
 
 from annforge import QQ, local_encode, parse_circuit, principal_generator
-from annforge.poly import Namespace, parse_polynomial
+from annforge.poly import Namespace, Polynomial, parse_polynomial
 
 FIG_TEXT = """circuit squares_diff
 inputs x1 x2
@@ -31,10 +31,10 @@ def P(text: str, names: list[str] | Namespace, field=QQ):
     return parse_polynomial(text, field, ns)
 
 
-def power(p, e: int):
-    """p^e as e - 1 products (the constant 1 for e = 0)."""
-    out = p if e else parse_polynomial("1", p.field, Namespace([]))
-    for _ in range(e - 1):
+def power(p: Polynomial, e: int) -> Polynomial:
+    """p^e as a product of e factors p."""
+    out = Polynomial.constant(p.field, 1)
+    for _ in range(e):
         out = out * p
     return out
 

@@ -144,7 +144,9 @@ def test_ips_verify_refuses_a_refutation_over_another_field(
         tmp_path, capsys, kind, r, field, system_field):
     system = tmp_path / "sys.json"
     obj = {"equations": ["x1", "x1 - 1"]}
-    system.write_text(json.dumps(obj | ({"field": system_field} if system_field else {})))
+    if system_field:
+        obj["field"] = system_field
+    system.write_text(json.dumps(obj))
     ref = tmp_path / "r.json"
     ref.write_text(json.dumps({"kind": kind, "field": field, "r": r}))
     assert main(["ips-verify", "--system", str(system), "--refutation", str(ref)]) == 2
