@@ -4,13 +4,13 @@ Gate lifts h_i recover gate values through the encoding (h_i composed with
 the map equals y_i); the generator of the annihilator ideal is
 h = z_{n+s+1} - h_s + beta, monic of degree 1 in the last variable.  The
 brute-force degree-bounded kernel search builds its coefficient matrix in
-plain ints: seed monomials are packed into one int key each, and over the
-rationals each output is cleared to integers once, so a column is an
-integer multiple of its candidate's image.  It eliminates modular-first:
-over the rationals it works on the integer rows mod 2^61 - 1, lifts the
-kernel by rational reconstruction and keeps it only after an exact check
-against the same integer rows (else it eliminates over QQ), so it returns
-certificate vectors, not probabilistic claims.
+plain ints: seed monomials are packed into one int key each, and each
+output is read in its stored form, integer numerators over one
+denominator, so a column is an integer multiple of its candidate's image.
+It eliminates modular-first: over the rationals it works on the integer
+rows mod 2^61 - 1, lifts the kernel by rational reconstruction and keeps it
+only after an exact check against the same integer rows (else it eliminates
+over QQ), so it returns certificate vectors, not probabilistic claims.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fields import QQ, PrimeField
 from .linalg import kernel_basis, rational_reconstruction
-from .poly import Monomial, Polynomial, _integral
+from .poly import Monomial, Polynomial
 
 
 @dataclass(frozen=True)
@@ -145,10 +145,11 @@ def annihilator_basis_search(
     incrementally as image(m * z_i) = image(m) * f_i in plain ints.  No
     image exponent exceeds D * deg F, so a seed monomial packs into one int
     key with that many bits per variable and a product of monomials is the
-    sum of their keys, with no carry.  Over GF(p) the coefficients are
-    residues, each image entry reduced once.  Over QQ each output is cleared
-    once to F_i = den_i * f_i, so column j holds den_j = prod den_i^e_i times
-    candidate j's image, an integer matrix with the same free columns.  The
+    sum of their keys, with no carry.  Each output f_i is read in its stored
+    form, integer numerators F_i over a denominator den_i (over GF(p)
+    residues over 1, and each image entry is reduced once), so over QQ
+    column j holds den_j = prod den_i^e_i times candidate j's image, an
+    integer matrix with the same free columns.  The
     basis is the kernel in reduced row echelon form, one vector per free
     candidate, so it is canonical.  Over GF(p) it is computed directly; over
     QQ by _rational_kernel, and each integer kernel vector w is scaled back
@@ -170,7 +171,7 @@ def annihilator_basis_search(
     factors: list[list[tuple[int, int]]] = []  # packed terms of each F_i
     factor_dens: list[int] = []
     for q in pmap.outputs:
-        terms, den = (list(q.iter_terms()), 1) if p else _integral(dict(q.iter_terms()))
+        terms, den = q.integer_terms()
         factors.append([(sum(e << bits * v for v, e in m), c) for m, c in terms])
         factor_dens.append(den)
 
@@ -204,9 +205,7 @@ def annihilator_basis_search(
         kernel = []
         for w in _rational_kernel(rows, n_cols):
             den = {j: prod(factor_dens[v] ** e for v, e in candidates[j]) for j in w}
-            free = den[max(w)]
-            kernel.append({j: Fraction(c.numerator * den[j], c.denominator * free)
-                           for j, c in w.items()})
+            kernel.append({j: Fraction(c * den[j], den[max(w)]) for j, c in w.items()})
     return [Polynomial(f, {candidates[j]: c for j, c in vec.items()}) for vec in kernel]
 
 
@@ -232,8 +231,9 @@ def _rational_kernel(rows: list[dict[int, int]], n_cols: int) -> list[dict]:
         if None in exact.values():
             return kernel_basis(rows, n_cols, QQ)
         lifted.append(exact)
-    # A v = 0 exactly; with vectors scaled to integers too it stays Fraction-free.
-    vectors = [dict(_integral(vec)[0]) for vec in lifted]
+    # A v = 0 exactly; with vectors cleared to integers by the constructor
+    # (keyed by column, not monomial) the check builds no Fraction.
+    vectors = [dict(Polynomial(QQ, vec).integer_terms()[0]) for vec in lifted]
     for row in rows:
         for vec in vectors:
             if sum(c * vec[j] for j, c in row.items() if j in vec) != 0:

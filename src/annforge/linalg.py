@@ -10,8 +10,8 @@ only arise at desk scale.
 
 from __future__ import annotations
 
+import dataclasses
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Mapping
@@ -22,9 +22,12 @@ from .fields import Field, FieldValue, PrimeField
 from .poly import Polynomial
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class PolyMatrix:
     entries: tuple[tuple[Polynomial, ...], ...]
+    #: rank_random_eval's nonzero entries over F_p by p, kept like a plan.
+    nonzero_mod: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         if not self.entries or not self.entries[0]:
@@ -160,17 +163,18 @@ def rank_random_eval(
     """Max over trials of the rank of the matrix evaluated at uniform random
     points of F_p.  Never exceeds the true rank; equal with high probability.
     Only the nonzero entries are evaluated (row_reduce drops zeros anyway);
-    a Jacobian is mostly structural zeros."""
+    a Jacobian is mostly structural zeros.  They are built over F_p once
+    per matrix and prime and kept on it, with their evaluation plans; a
+    refused prime keeps nothing, so it raises on every call."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    entries = [[(j, e) for j, e in enumerate(row) if e] for row in matrix.entries]
-    if isinstance(matrix.field, PrimeField):
-        gf = matrix.field  # evaluate natively; a foreign modulus would be unsound
-    else:
-        gf = PrimeField(p)  # validates primality
-        # Reduce the coefficients once; evaluation then stays in F_p.
-        entries = [[(j, Polynomial(gf, dict(e.iter_terms()))) for j, e in row]
-                   for row in entries]
+    # Over F_q evaluate natively: a foreign modulus would be unsound.
+    gf = matrix.field if isinstance(matrix.field, PrimeField) else PrimeField(p)
+    entries = matrix.nonzero_mod.get(gf.p)
+    if entries is None:
+        entries = matrix.nonzero_mod[gf.p] = [
+            [(j, e if e.field == gf else Polynomial(gf, dict(e.iter_terms())))
+             for j, e in enumerate(row) if e] for row in matrix.entries]
     rng = random.Random(seed)
     variables = sorted(matrix.variables())
     point = [0] * (variables[-1] + 1 if variables else 0)

@@ -1,17 +1,19 @@
 """Canonical sparse multivariate polynomials over an exact field.
 
 Variables are nonnegative integer ids; display names live in a Namespace and
-only matter at the text boundary (parsing/printing).  Terms are kept in a
-dict keyed by Monomial, a tuple subclass holding the sorted (var, exp)
-pairs, so keys hash and compare as plain tuples, in C.  Products (``*``,
-``compose``, ``substitute``) go through one loop, _ProductSum, that sums
-coefficient products in Python ints and builds one field value per output
-monomial.  ``evaluate`` runs on a plan that the
-first call compiles and the polynomial keeps: the variables read, one
-common denominator and integer terms.  Nothing changes a polynomial's
-terms after construction, so a plan never goes stale.  The canonical order
-is graded lexicographic with lower variable ids more significant.  Printing always
-emits terms in descending canonical order, so serialize -> parse ->
+only matter at the text boundary (parsing/printing).  A polynomial is
+stored as integer numerators, in a dict keyed by Monomial (a tuple subclass
+of sorted (var, exp) pairs, so keys hash and compare in C), over one
+positive denominator: over F_p residues over 1, over QQ numerators with no
+factor in common with it.  No zero is stored, so the form is canonical.
+The constructor clears field values to it, _wrap restores it after integer
+arithmetic, and field values (Fractions over QQ) appear only at the API
+edge.  Products (``*``, ``compose``, ``substitute``) go through one integer
+loop, _ProductSum.  ``evaluate`` runs on a plan that the first call
+compiles and the polynomial keeps.  Nothing changes a polynomial's terms
+after construction, so a plan never goes stale.  The canonical order is
+graded lexicographic with lower variable ids more significant.  Printing
+always emits terms in descending canonical order, so serialize -> parse ->
 serialize is a fixed point.
 
 Text grammar: signed terms ``c*v1^e1*...*vk^ek`` with rational ``c``
@@ -27,8 +29,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import count, islice
-from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from math import gcd, lcm
+from typing import ItemsView, Iterable, Iterator, Mapping, Sequence
 
 from . import config
 from .errors import MissingAssignmentError, ModularReductionError, ParseError
@@ -110,20 +112,20 @@ MONOMIAL_ONE = Monomial()
 
 
 class Polynomial:
-    """Immutable-by-convention sparse polynomial; zero coefficients never
-    stored, so dict equality is canonical equality."""
+    """Immutable-by-convention sparse polynomial: integer numerators over
+    one denominator, in the canonical form the module docstring gives, so
+    equality of (numerators, denominator) is canonical equality."""
 
-    __slots__ = ("field", "_terms", "_plan")
+    __slots__ = ("field", "_terms", "_den", "_plan")
 
     def __init__(self, field: Field, terms: Mapping[Monomial, FieldValue] | None = None):
+        values = [(m, field.normalize(c)) for m, c in terms.items()] if terms else []
+        # Over the lcm of reduced Fractions' denominators the numerators have
+        # no common factor with it; a residue is an int, of denominator 1.
+        den = lcm(*[c.denominator for _, c in values])
         self.field = field
-        clean: dict[Monomial, FieldValue] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = field.normalize(coeff)
-                if not field.is_zero(c):
-                    clean[mono] = c
-        self._terms = clean
+        self._terms = {m: c.numerator * (den // c.denominator) for m, c in values if c}
+        self._den = den
         self._plan = None  # the evaluation plan, built by the first evaluate
 
     # -- constructors -------------------------------------------------------
@@ -134,7 +136,7 @@ class Polynomial:
 
     @staticmethod
     def constant(field: Field, value) -> "Polynomial":
-        return Polynomial(field, {MONOMIAL_ONE: field.normalize(value)})
+        return Polynomial(field, {MONOMIAL_ONE: value})
 
     @staticmethod
     def variable(field: Field, var: int) -> "Polynomial":
@@ -142,7 +144,7 @@ class Polynomial:
 
     @staticmethod
     def monomial(field: Field, coeff, exps: Mapping[int, int]) -> "Polynomial":
-        return Polynomial(field, {Monomial.of(exps): field.normalize(coeff)})
+        return Polynomial(field, {Monomial.of(exps): coeff})
 
     # -- inspection ---------------------------------------------------------
 
@@ -151,12 +153,19 @@ class Polynomial:
 
     def terms(self) -> Iterator[tuple[Monomial, FieldValue]]:
         """Terms in descending canonical (graded-lex) order."""
-        for mono in sorted(self._terms, key=lambda m: m.sort_key, reverse=True):
-            yield mono, self._terms[mono]
+        return iter(sorted(self.iter_terms(), key=lambda t: t[0].sort_key, reverse=True))
 
     def iter_terms(self) -> Iterator[tuple[Monomial, FieldValue]]:
         """Terms in arbitrary order (no sorting cost)."""
-        return iter(self._terms.items())
+        if self.field.characteristic:
+            return iter(self._terms.items())
+        d = self._den
+        return ((m, Fraction(n, d)) for m, n in self._terms.items())
+
+    def integer_terms(self) -> tuple[ItemsView[Monomial, int], int]:
+        """The stored form, read-only: the (monomial, integer numerator)
+        pairs and their positive common denominator, 1 over F_p."""
+        return self._terms.items(), self._den
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -175,15 +184,17 @@ class Polynomial:
         return out
 
     def constant_term(self) -> FieldValue:
-        return self._terms.get(MONOMIAL_ONE, self.field.zero)
+        return self.coefficient(MONOMIAL_ONE)
 
     def coefficient(self, mono: Monomial) -> FieldValue:
-        return self._terms.get(mono, self.field.zero)
+        n = self._terms.get(mono, 0)
+        return n if self.field.characteristic else Fraction(n, self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.field == other.field and self._terms == other._terms
+        return (self.field == other.field and self._den == other._den
+                and self._terms == other._terms)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -194,47 +205,56 @@ class Polynomial:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self._combine(other, self.field.add)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self._combine(other, self.field.sub)
+        return self._combine(other, -1)
 
-    def _combine(self, other: "Polynomial", op) -> "Polynomial":
-        """self op other, termwise, in one pass over other's terms."""
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other, over the lcm of the denominators."""
         check_same_field(self.field, other.field)
-        f = self.field
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            c = op(out.get(mono, f.zero), coeff)
-            if f.is_zero(c):
-                out.pop(mono, None)
-            else:
-                out[mono] = c
-        return self._wrap(out)
+        den = lcm(self._den, other._den)
+        up, other_up = den // self._den, sign * (den // other._den)
+        out = dict(self._terms) if up == 1 else {m: n * up for m, n in self._terms.items()}
+        get = out.get
+        for mono, n in other._terms.items():
+            out[mono] = get(mono, 0) + n * other_up
+        return self._wrap(out, den)
 
     def __neg__(self) -> "Polynomial":
-        f = self.field
-        return self._wrap({m: f.neg(c) for m, c in self._terms.items()})
+        return self._wrap({m: -n for m, n in self._terms.items()}, self._den)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         check_same_field(self.field, other.field)
-        products = _ProductSum(self.field)
-        products.add(self.field.one, self._terms, other._terms)
-        return self._wrap(products.terms())
+        products = _ProductSum()
+        products.add(1, self, other)
+        return self._wrap(products.sums, products.den)
 
     def scale(self, c) -> "Polynomial":
-        f = self.field
-        c = f.normalize(c)
-        if f.is_zero(c):
-            return Polynomial.zero(f)
-        return self._wrap({m: f.mul(v, c) for m, v in self._terms.items()})
+        c = self.field.normalize(c)
+        a = c.numerator
+        return self._wrap({m: n * a for m, n in self._terms.items()}, self._den * c.denominator)
 
-    def _wrap(self, terms: dict[Monomial, FieldValue]) -> "Polynomial":
-        p = Polynomial.__new__(Polynomial)
-        p.field = self.field
-        p._terms = terms
-        p._plan = None
-        return p
+    def _wrap(self, terms: dict[Monomial, int], den: int = 1) -> "Polynomial":
+        """The polynomial of this field with integer numerators ``terms`` over
+        ``den`` (positive; 1 over F_p) in canonical form: zeros dropped, and
+        numerators reduced mod p over F_p, divided with den by their gcd over QQ."""
+        p = self.field.characteristic
+        if p:
+            terms = {m: r for m, n in terms.items() if (r := n % p)}
+        else:
+            terms = {m: n for m, n in terms.items() if n}
+            if den != 1:
+                g = gcd(den, *terms.values())
+                if g != 1:
+                    terms = {m: n // g for m, n in terms.items()}
+                    den //= g
+        out = Polynomial.__new__(Polynomial)
+        out.field = self.field
+        out._terms = terms
+        out._den = den
+        out._plan = None
+        return out
 
     # -- evaluation / substitution -------------------------------------------
 
@@ -242,15 +262,16 @@ class Polynomial:
         """Exact value at a point indexed by variable id; every variable in
         the support must be assigned.
 
-        The arithmetic is in Python ints, on the polynomial's evaluation
-        plan (see _compile), which the first call builds and later calls
-        reuse.  Each value the plan reads is normalized into the field once.
-        Over F_p a term is reduced once and the sum once.  Over QQ the
-        integral values are read as ints and the others stay Fractions, so
-        at a point of integers the plan's integer terms give an integer sum;
-        the value is that sum over the common denominator d.  A short point
-        or a value with no image in the field raises the error a scan in
-        term order meets first."""
+        One loop over the polynomial's evaluation plan (see _compile), which
+        the first call builds and later calls reuse, sums the stored
+        numerators times the powers of the point's values.  Each value the
+        plan reads is normalized into the field once.  Over F_p a power is
+        taken mod p and the sum reduced once.  Over QQ the integral values
+        are read as ints and the others stay Fractions, so at a point of
+        integers the sum is an integer and the value is that sum over the
+        stored denominator d, the only Fraction built.  A short point or a
+        value with no image in the field raises the error a scan in term
+        order meets first."""
         plan = self._plan
         if plan is None:
             plan = self._plan = self._compile()
@@ -263,38 +284,28 @@ class Polynomial:
         except ModularReductionError:
             self._first_error(point)
             raise
-        p = f.characteristic
-        if p:
-            total = 0
-            for c, mono in terms:
-                for i, e in mono:
-                    c *= xs[i] if e == 1 else pow(xs[i], e, p)
-                total += c % p
-            return total % p
-        xs = [x.numerator if x.denominator == 1 else x for x in xs]
+        p = f.characteristic or None
+        if p is None:
+            xs = [x.numerator if x.denominator == 1 else x for x in xs]
         total = 0
         for c, mono in terms:
             for i, e in mono:
-                c *= xs[i] if e == 1 else xs[i] ** e
+                c *= xs[i] if e == 1 else pow(xs[i], e, p)
             total += c
-        if not total:
-            return f.zero
-        return Fraction(total, d)
+        if p:
+            return total % p
+        return Fraction(total, d) if total else f.zero
 
     def _compile(self) -> tuple:
-        """The evaluation plan: the sorted ids of the variables read, one
-        common denominator d (the lcm of the coefficients' denominators over
-        QQ, 1 over F_p) and the terms as (integer coefficient times d,
-        ((index into the ids, exp), ...)).  It depends on the terms only,
-        which no method changes after construction."""
+        """The evaluation plan, read straight from the stored form: the
+        sorted ids of the variables read, the denominator d and the terms as
+        (integer numerator, ((index into the ids, exp), ...)).  It depends
+        on the terms only, which no method changes after construction."""
         variables = sorted(self.variables())
         index = {v: i for i, v in enumerate(variables)}
-        if self.field.characteristic:
-            items, d = self._terms.items(), 1
-        else:
-            items, d = _integral(self._terms)
-        terms = tuple((c, tuple((index[v], e) for v, e in mono)) for mono, c in items)
-        return tuple(variables), d, terms
+        terms = tuple((n, tuple((index[v], e) for v, e in mono))
+                      for mono, n in self._terms.items())
+        return tuple(variables), self._den, terms
 
     def _first_error(self, point: Sequence[FieldValue]) -> None:
         """Raise the error that reading ``point`` in term order meets first:
@@ -330,19 +341,20 @@ class Polynomial:
                     cache.append(cache[-1] * subst[v])
             return cache[e - 1]
 
-        # Each term's last factor is multiplied straight into the sum.
-        unit = {MONOMIAL_ONE: f.one}
-        products = _ProductSum(f)
-        for mono, coeff in self._terms.items():
+        # Each term's last factor is multiplied straight into the sum; self's
+        # numerators go in as ints, and its denominator divides the total once.
+        unit = Polynomial.constant(f, 1)
+        products = _ProductSum()
+        for mono, n in self._terms.items():
             if not mono:
-                products.add(coeff, unit, unit)
+                products.add(n, unit, unit)
                 continue
             v, e = mono[-1]
-            left = power(v, e - 1, e) if e > 1 else None
+            left = power(v, e - 1, e) if e > 1 else unit
             for u, d in mono[:-1]:
-                left = power(u, d, d) if left is None else left * power(u, d, d)
-            products.add(coeff, unit if left is None else left._terms, subst[v]._terms)
-        return self._wrap(products.terms())
+                left = power(u, d, d) if left is unit else left * power(u, d, d)
+            products.add(n, left, subst[v])
+        return self._wrap(products.sums, products.den * self._den)
 
     def substitute(self, partial: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Like compose, but variables absent from ``partial`` stay themselves."""
@@ -354,111 +366,62 @@ class Polynomial:
 
     def rename_variables(self, mapping: Mapping[int, int]) -> "Polynomial":
         """Injective variable relabeling (ids absent from mapping unchanged)."""
-        return self._wrap({m.rename(mapping): c for m, c in self._terms.items()})
+        return self._wrap({m.rename(mapping): n for m, n in self._terms.items()}, self._den)
 
     # -- calculus / views ----------------------------------------------------
 
     def partial_derivative(self, var: int) -> "Polynomial":
-        f = self.field
-        out: dict[Monomial, FieldValue] = {}
-        for mono, coeff in self._terms.items():
+        # Lowering the exponent of var is one-to-one on the monomials that
+        # read var, so no two terms meet.
+        out: dict[Monomial, int] = {}
+        for mono, n in self._terms.items():
             e = mono.degree_in(var)
-            if e == 0:
-                continue
-            lowered = dict(mono)
-            if e == 1:
-                lowered.pop(var)
-            else:
-                lowered[var] = e - 1
-            m = Monomial(sorted(lowered.items()))
-            c = f.add(out.get(m, f.zero), f.mul(coeff, f.normalize(e)))
-            if f.is_zero(c):
-                out.pop(m, None)
-            else:
-                out[m] = c
-        return self._wrap(out)
+            if e:
+                out[Monomial((v, k - (v == var)) for v, k in mono if v != var or k > 1)] = n * e
+        return self._wrap(out, self._den)
 
     def coefficients_in(self, var: int) -> list["Polynomial"]:
         """Dense-in-one-variable view [q_0, ..., q_d]; storage stays sparse.
         Its d + 1 entries are checked against the term budget first."""
         d = self.degree_in(var)
         config.check_degree(f"variable id {var}: degree", d)
-        buckets: list[dict[Monomial, FieldValue]] = [{} for _ in range(d + 1)]
-        for m, c in self._terms.items():
-            buckets[m.degree_in(var)][m.without(var)] = c
-        return [self._wrap(b) for b in buckets]
+        buckets: list[dict[Monomial, int]] = [{} for _ in range(d + 1)]
+        for m, n in self._terms.items():
+            buckets[m.degree_in(var)][m.without(var)] = n
+        return [self._wrap(b, self._den) for b in buckets]
 
 
 class _ProductSum:
-    """A sum of products coeff * left * right of term dicts over one field,
-    kept in Python ints until terms() turns each monomial's sum into one
-    field value.
+    """A sum of products n * left * right of polynomials, n an integer, kept
+    as integer sums over one denominator: the value is sums[m] / den.  The
+    numerators of a product are multiplied in Python ints over the product
+    of its factors' denominators, and den is the lcm of those (earlier sums
+    are scaled up when it grows).  Over F_p every den is 1, and _wrap
+    reduces each sum once."""
 
-    Over F_p the raw products ca*cb are summed and reduced once per
-    monomial.  Over QQ each factor is scaled to integer numerators over the
-    lcm of its denominators, coeff going with the left one, and the sums
-    share one denominator d, the lcm of the denominators of all the
-    products added (earlier sums are scaled up when it grows); a sum n
-    becomes Fraction(n, d), or Fraction(n) when d = 1.  Zero sums are
-    dropped."""
+    __slots__ = ("den", "sums")
 
-    __slots__ = ("p", "den", "sums")
-
-    def __init__(self, f: Field):
-        self.p = f.characteristic
+    def __init__(self):
         self.den = 1
         self.sums: dict[Monomial, int] = {}
 
-    def add(self, coeff: FieldValue, left: dict, right: dict) -> None:
-        """Add coeff * left * right (coeff nonzero)."""
-        p = self.p
-        if p:
-            a = left.items() if coeff == 1 else [(m, c * coeff % p) for m, c in left.items()]
-            b = right.items()
-        else:
-            a, da = _integral(left)
-            b, db = _integral(right)
-            den = coeff.denominator * da * db
-            scale = coeff.numerator
-            if den != self.den:
-                common = lcm(self.den, den)
-                if common != self.den:
-                    up = common // self.den
-                    self.sums = {m: n * up for m, n in self.sums.items()}
-                    self.den = common
-                scale *= common // den
-            if scale != 1:
-                a = [(m, c * scale) for m, c in a]
+    def add(self, n: int, left: Polynomial, right: Polynomial) -> None:
+        """Add n * left * right (n nonzero)."""
+        den = left._den * right._den
+        if den != self.den:
+            common = lcm(self.den, den)
+            if common != self.den:
+                up = common // self.den
+                self.sums = {m: s * up for m, s in self.sums.items()}
+                self.den = common
+            n *= common // den
+        a = left._terms.items() if n == 1 else [(m, c * n) for m, c in left._terms.items()]
         sums = self.sums
         get = sums.get
         for ma, ca in a:
-            for mb, cb in b:
+            for mb, cb in right._terms.items():
                 mono = ma.mul(mb)
                 sums[mono] = get(mono, 0) + ca * cb
-
-    def terms(self) -> dict:
-        """The sums as field values, without the zero ones."""
-        p, d = self.p, self.den
-        if p:
-            return {m: r for m, n in self.sums.items() if (r := n % p)}
-        if d == 1:
-            return {m: Fraction(n) for m, n in self.sums.items() if n}
-        return {m: Fraction(n, d) for m, n in self.sums.items() if n}
-
-
-def _integral(terms: dict) -> tuple[list, int]:
-    """The (key, integer numerator) pairs of QQ terms over the lcm d of
-    their denominators, and d; keys are monomials or column indices."""
-    if len(terms) == 1:
-        ((m, c),) = terms.items()
-        return [(m, c.numerator)], c.denominator
-    for c in terms.values():
-        if c.denominator != 1:
-            break
-    else:
-        return [(m, c.numerator) for m, c in terms.items()], 1
-    d = lcm(*[c.denominator for c in terms.values()])
-    return [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()], d
 
 
 # -- namespaces and the text grammar ----------------------------------------
@@ -535,7 +498,7 @@ def parse_polynomial(text: str, field: Field, ns: Namespace) -> Polynomial:
     if not text.strip():
         raise ParseError("empty polynomial text")
     minus_one = field.neg(field.one)
-    terms: dict[Monomial, FieldValue] = {}
+    terms: dict[Monomial, FieldValue] = {}  # zero sums are dropped by the constructor
     pos = 0
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
@@ -551,26 +514,23 @@ def parse_polynomial(text: str, field: Field, ns: Namespace) -> Polynomial:
                 var = ns.id(name)
                 exps[var] = exps.get(var, 0) + (int(exp) if exp else 1)
         mono = Monomial.of(exps)
-        c = field.add(terms.get(mono, field.zero), coeff)
-        if field.is_zero(c):
-            terms.pop(mono, None)
-        else:
-            terms[mono] = c
-    return Polynomial(field)._wrap(terms)
+        terms[mono] = field.add(terms.get(mono, field.zero), coeff)
+    return Polynomial(field, terms)
 
 
 def format_polynomial(p: Polynomial, ns: Namespace | None = None) -> str:
     """Canonical text: descending graded-lex terms, exact round trip."""
     if p.is_zero():
         return "0"
-    f = p.field
     name = ns.name if ns is not None else (lambda v: f"v{v + 1}")
     parts: list[str] = []
-    for mono, coeff in p.terms():
-        c = f.format_value(coeff)
-        sign, c = ("-", c[1:]) if c[0] == "-" else ("+", c)
+    den = p._den
+    for mono, n in sorted(p._terms.items(), key=lambda t: t[0].sort_key, reverse=True):
+        # The coefficient n/den in lowest terms; over F_p den is 1.
+        g = gcd(n, den)
+        c = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
         factors = [c] if c != "1" or not mono else []
         factors += [name(v) if e == 1 else f"{name(v)}^{e}" for v, e in mono]
-        parts.append(f"{sign} {'*'.join(factors)}")
+        parts.append(f"{'-' if n < 0 else '+'} {'*'.join(factors)}")
     text = " ".join(parts)
     return text[2:] if text[0] == "+" else "-" + text[2:]

@@ -19,7 +19,7 @@ from .annihilator import AnnihilatorCertificate
 from .circuit import parse_circuit, serialize_circuit
 from .encoding import BlockSpans, LocalEncoding, PolynomialMap, local_encode
 from .errors import ParseError
-from .fields import QQ, check_same_field, field_from_json
+from .fields import QQ, Field, check_same_field, field_from_json
 from .ips import EquationSystem, Refutation
 from .poly import Namespace, format_polynomial, fresh_names, parse_polynomial
 
@@ -43,6 +43,11 @@ def _reader(read):
     return checked
 
 
+def _field(obj: dict) -> Field:
+    """The field a file states; a file that states none is over QQ."""
+    return field_from_json(obj["field"]) if "field" in obj else QQ
+
+
 # -- polynomial maps ----------------------------------------------------------
 
 
@@ -60,7 +65,7 @@ def map_to_json(pmap: PolynomialMap) -> dict:
 
 @_reader
 def map_from_json(obj: dict) -> PolynomialMap:
-    field = field_from_json(obj["field"]) if "field" in obj else QQ
+    field = _field(obj)
     texts = obj["outputs"]
     seed_len = int(obj["seed_len"])
     if "seed_names" in obj:
@@ -105,7 +110,7 @@ def encoding_from_json(obj: dict) -> LocalEncoding:
     prov = obj.get("provenance")
     if not prov or prov.get("type") != "local_encoding":
         raise ParseError("JSON lacks local_encoding provenance")
-    field = field_from_json(obj["field"]) if "field" in obj else QQ
+    field = _field(obj)
     circuit = parse_circuit(prov["circuit"], field)
     alpha = [field.parse_value(a) for a in prov["alpha"]]
     beta = field.parse_value(prov["beta"])
@@ -155,7 +160,7 @@ def system_to_json(system: EquationSystem) -> dict:
 
 @_reader
 def system_from_json(obj: dict) -> EquationSystem:
-    field = field_from_json(obj["field"]) if "field" in obj else QQ
+    field = _field(obj)
     texts = obj["equations"]
     if "var_names" in obj:
         names = list(obj["var_names"])
@@ -168,17 +173,23 @@ def system_from_json(obj: dict) -> EquationSystem:
     return EquationSystem(pmap, obj.get("name", "system"))
 
 
-def refutation_to_json(ref: Refutation, system: EquationSystem) -> dict:
+def _refutation_namespace(kind: str, system: EquationSystem) -> Namespace:
+    """The names r is written in: z1..zm for a geometric refutation, the
+    system's names and then z1..zm for a full one (m equations)."""
     m = len(system.equations)
-    if ref.kind == "geometric":
-        ns = Namespace.outputs(m)
-    else:
-        ns = system.namespace.extended(f"z{i}" for i in range(1, m + 1))
+    if kind == "geometric":
+        return Namespace.outputs(m)
+    if kind == "full":
+        return system.namespace.extended(f"z{i}" for i in range(1, m + 1))
+    raise ParseError(f"unknown refutation kind {kind!r}")
+
+
+def refutation_to_json(ref: Refutation, system: EquationSystem) -> dict:
     return {
         "schema_version": 1,
         "kind": ref.kind,
         "field": system.field.to_json(),
-        "r": format_polynomial(ref.r, ns),
+        "r": format_polynomial(ref.r, _refutation_namespace(ref.kind, system)),
     }
 
 
@@ -187,11 +198,5 @@ def refutation_from_json(obj: dict, system: EquationSystem) -> Refutation:
     if "field" in obj:
         check_same_field(field_from_json(obj["field"]), system.field)
     kind = obj["kind"]
-    m = len(system.equations)
-    if kind == "geometric":
-        ns = Namespace.outputs(m)
-    elif kind == "full":
-        ns = system.namespace.extended(f"z{i}" for i in range(1, m + 1))
-    else:
-        raise ParseError(f"unknown refutation kind {kind!r}")
+    ns = _refutation_namespace(kind, system)
     return Refutation(kind=kind, r=parse_polynomial(obj["r"], system.field, ns))

@@ -13,6 +13,7 @@ search to return the same bases.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from annforge import config
 from annforge.annihilator import count_monomials, monomials_up_to
@@ -20,7 +21,7 @@ from annforge.encoding import PolynomialMap
 from annforge.errors import SearchSpaceTooLargeError
 from annforge.fields import QQ, PrimeField
 from annforge.linalg import kernel_basis, rational_reconstruction
-from annforge.poly import Monomial, Polynomial, _integral
+from annforge.poly import Monomial, Polynomial
 
 from division_reference import divide
 
@@ -75,6 +76,12 @@ def annihilator_basis_search(
     return [Polynomial(f, {candidates[j]: c for j, c in vec.items()}) for vec in kernel]
 
 
+def _integral(values: dict) -> dict:
+    """Rationals keyed by column, scaled by the lcm of their denominators."""
+    d = lcm(*[c.denominator for c in values.values()])
+    return {j: c.numerator * (d // c.denominator) for j, c in values.items()}
+
+
 def _rational_kernel(rows: list[dict[int, Fraction]], n_cols: int) -> list[dict]:
     """kernel_basis over QQ, computed mod p first.
 
@@ -85,7 +92,7 @@ def _rational_kernel(rows: list[dict[int, Fraction]], n_cols: int) -> list[dict]
     lifted vectors fix the rational free columns and equal the rational
     reduced echelon basis.
     """
-    integral = [dict(_integral(row)[0]) for row in rows]
+    integral = [_integral(row) for row in rows]
     p = config.DEFAULT_PRIME
     reduced = [{j: c % p for j, c in row.items()} for row in integral]
     lifted = []
@@ -95,7 +102,7 @@ def _rational_kernel(rows: list[dict[int, Fraction]], n_cols: int) -> list[dict]
             return kernel_basis(integral, n_cols, QQ)
         lifted.append(exact)
     # A v = 0 exactly; with vectors scaled to integers too it stays Fraction-free.
-    vectors = [dict(_integral(vec)[0]) for vec in lifted]
+    vectors = [_integral(vec) for vec in lifted]
     for row in integral:
         for vec in vectors:
             if sum(c * vec[j] for j, c in row.items() if j in vec) != 0:

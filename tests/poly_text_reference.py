@@ -84,7 +84,7 @@ def reference_parse_polynomial(text: str, field: Field, ns: Namespace) -> Polyno
             terms.pop(mono, None)
         else:
             terms[mono] = c
-    return Polynomial(field)._wrap(terms)
+    return Polynomial(field, terms)
 
 
 def reference_format_polynomial(p: Polynomial, ns: Namespace | None = None) -> str:

@@ -101,9 +101,9 @@ def reference_sorted(terms: dict) -> list:
 
 
 def reference_polynomial(f: Field, terms: dict) -> Polynomial:
-    """A Polynomial holding exactly the given reference terms (no
-    normalization), for formatting."""
-    return Polynomial(f)._wrap({Monomial(m.exps): c for m, c in terms.items()})
+    """A Polynomial holding exactly the given reference terms (field
+    values, none zero), for formatting."""
+    return Polynomial(f, {Monomial(m.exps): c for m, c in terms.items()})
 
 
 def reference_mul(f: Field, a: dict, b: dict) -> dict:

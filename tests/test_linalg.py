@@ -4,7 +4,7 @@ import pytest
 
 from annforge.circuit import parse_circuit, random_circuit
 from annforge.encoding import local_encode
-from annforge.errors import MatrixTooLargeError
+from annforge.errors import MatrixTooLargeError, ModularReductionError
 from annforge.fields import QQ, PrimeField
 from annforge.instances import det_circuit, kayal_map
 from annforge.linalg import (
@@ -128,6 +128,29 @@ def test_rank_over_a_prime_field_equals_former_rank():
         mat = _encoding_jacobian(circuit, rng)
         assert rank_random_eval(mat, trials=1, seed=seed) == \
             reference_rank(mat, trials=1, seed=seed)
+
+
+def test_rank_keeps_the_reduced_entries_of_a_matrix(monkeypatch):
+    # The nonzero entries over F_p are built once per matrix and prime, so a
+    # second call compiles no evaluation plan; a refused prime keeps nothing
+    # and raises on every call.
+    compile_plan = Polynomial._compile
+    compiled = []
+    monkeypatch.setattr(Polynomial, "_compile",
+                        lambda poly: compiled.append(poly) or compile_plan(poly))
+    qq = jacobian([p("1/3*x1^2 + x2"), p("x1*x2 - 2/5*x3")], [0, 1, 2])
+    gf = PolyMatrix(tuple(tuple(Polynomial(PrimeField(7), dict(e.iter_terms())) for e in row)
+                          for row in qq.entries))
+    for mat in (qq, gf):
+        rank = rank_random_eval(mat, trials=3, seed=1)
+        assert rank == reference_rank(mat, trials=3, seed=1) == 2
+        count = len(compiled)
+        assert count
+        assert rank_random_eval(mat, trials=3, seed=1) == rank
+        assert len(compiled) == count
+    for _ in range(2):
+        with pytest.raises(ModularReductionError):
+            rank_random_eval(qq, p=3)
 
 
 def test_trdeg_examples():

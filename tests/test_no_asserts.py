@@ -3,7 +3,8 @@
 Invariants in the package are typed AnnforgeErrors, never ``assert``
 statements, so they still hold under ``python -O``.  Arithmetic is exact:
 no float literal, no use of ``float`` and no float-valued ``math`` call.
-The term budget has one owner, ``config``."""
+The term budget has one owner, ``config``, and the stored integer form of a
+polynomial one too, ``poly``."""
 
 from __future__ import annotations
 
@@ -61,3 +62,12 @@ def test_only_config_holds_the_term_budget_rule():
     found = [where for where, node in package_nodes()
              if is_term_budget_rule(node) and not where.startswith("config.py:")]
     assert not found, f"term-budget rule outside config: {found}"
+
+
+def test_only_poly_reads_polynomial_storage():
+    # Other modules read a polynomial through its methods; the integer form
+    # through Polynomial.integer_terms.
+    found = [where for where, node in package_nodes()
+             if isinstance(node, ast.Attribute) and node.attr in {"_terms", "_den"}
+             and not where.startswith("poly.py:")]
+    assert not found, f"Polynomial storage read outside poly: {found}"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -310,3 +311,52 @@ def test_rename_variables():
     p = poly("x1^2 - x2")
     q = p.rename_variables({0: 2, 1: 0})
     assert q == poly("x3^2 - x1")
+
+
+# -- the stored integer form ------------------------------------------------------
+
+GF7 = PrimeField(7)
+#: Field values over QQ and GF(7): Fractions of several denominators (none
+#: divisible by 7), ints, and zero.
+values = st.one_of(
+    st.integers(min_value=-13, max_value=13),
+    st.builds(Fraction, st.integers(min_value=-13, max_value=13),
+              st.integers(min_value=1, max_value=13).filter(lambda d: d % 7)),
+)
+units = st.builds(Fraction, st.integers(min_value=-13, max_value=13).filter(lambda n: n % 7),
+                  st.integers(min_value=1, max_value=13).filter(lambda d: d % 7))
+raw_terms = st.lists(st.tuples(exponents, values), max_size=5)
+
+
+def from_raw(field, raw) -> Polynomial:
+    """The constructor, given raw field values (zeros too)."""
+    return Polynomial(field, {Monomial.of({0: e1, 1: e2, 2: e3}): c for (e1, e2, e3), c in raw})
+
+
+def assert_canonical(p: Polynomial) -> None:
+    terms, den = p.integer_terms()
+    numerators = [n for _, n in terms]
+    assert den >= 1
+    assert gcd(den, *numerators) == 1
+    assert 0 not in numerators
+    if p.field.characteristic:
+        assert den == 1
+        assert all(0 < n < p.field.characteristic for n in numerators)
+
+
+@pytest.mark.parametrize("field", [QQ, GF7], ids=["QQ", "GF7"])
+@settings(max_examples=150, deadline=None)
+@given(raw_p=raw_terms, raw_q=raw_terms, c=units)
+def test_every_route_keeps_the_stored_form_canonical(field, raw_p, raw_q, c):
+    p, q = from_raw(field, raw_p), from_raw(field, raw_q)
+    routes = [
+        p, q, parse_polynomial(format_polynomial(p, XYZ), field, XYZ),
+        p + q, p - q, -p, p * q, p.scale(c),
+        p.compose({0: q, 1: Polynomial.variable(field, 2), 2: q.scale(c)}),
+        p.substitute({1: q}), p.partial_derivative(0), *p.coefficients_in(1),
+        p.rename_variables({0: 2, 2: 0}),
+    ]
+    for route in routes:
+        assert_canonical(route)
+    assert p.scale(c).scale(1 / c) == p
+    assert (p + q) - q == p
