@@ -235,7 +235,7 @@ class Polynomial:
         a = c.numerator
         return self._wrap({m: n * a for m, n in self._terms.items()}, self._den * c.denominator)
 
-    def _wrap(self, terms: dict[Monomial, int], den: int = 1) -> "Polynomial":
+    def _wrap(self, terms: dict[Monomial, int], den: int) -> "Polynomial":
         """The polynomial of this field with integer numerators ``terms`` over
         ``den`` (positive; 1 over F_p) in canonical form: zeros dropped, and
         numerators reduced mod p over F_p, divided with den by their gcd over QQ."""
