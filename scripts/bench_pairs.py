@@ -14,8 +14,10 @@ rewritten after each run, so a cut run keeps the pairs it finished:
 
 ``--summarize`` prints, per workload and end-to-end metric of
 ``BENCHMARK.json``, the median and quartiles of each side, the pairs the
-change won and the metric's bound.  Run it from the root of
-the repository.  ``tests/test_bench_files.py`` checks every committed
+change won, the metric's bound and the parent's spread (interquartile range
+over median).  A metric whose parent spread exceeds its bound is marked
+UNRESOLVED: the runs cannot tell a regression of that size from noise.  Run
+it from the root of the repository.  ``tests/test_bench_files.py`` checks every committed
 ``BENCH_*.json`` with ``layout_problems``.
 """
 
@@ -98,32 +100,67 @@ def layout_problems(doc: dict) -> list[str]:
     return problems
 
 
-def summarize(doc: dict) -> str:
-    """Median [quartiles] of each side and the pairs the change won."""
+def _pairs(doc: dict, workload: str) -> list[dict]:
+    """The complete pairs of ``workload``: one result per side."""
+    pairs: dict[int, dict] = {}
+    for run in doc["runs"]:
+        if run["workload"] == workload:
+            pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]
+    return [p for p in pairs.values() if len(p) == 2]
+
+
+def _quartiles(values: list[float]) -> list[float]:
+    return statistics.quantiles(values, n=4, method="inclusive")[::2] \
+        if len(values) > 1 else values * 2
+
+
+def _spread(values: list[float]) -> float:
+    """The interquartile range relative to the median."""
+    q1, q3 = _quartiles(values)
+    return (q3 - q1) / statistics.median(values)
+
+
+def unresolved(doc: dict) -> list[str]:
+    """``workload/metric`` for each end-to-end metric whose parent runs
+    spread wider than its bound: such a metric cannot show a regression of
+    that size, so it reads as unresolved, not as unchanged."""
     out = []
     for workload in doc["workloads"]:
-        pairs: dict[int, dict] = {}
-        for run in doc["runs"]:
-            if run["workload"] == workload:
-                pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]
-        pairs = {i: p for i, p in pairs.items() if len(p) == 2}
+        pairs = _pairs(doc, workload)
+        for name, metric in METRICS.items():
+            values = [p["parent"]["metrics"][name]["value"] for p in pairs]
+            if values and _spread(values) > metric["bound"]:
+                out.append(f"{workload}/{name}")
+    return out
+
+
+def summarize(doc: dict) -> str:
+    """Median [quartiles] of each side, the pairs the change won, and the
+    metrics whose parent spread leaves them unresolved."""
+    out = []
+    for workload in doc["workloads"]:
+        pairs = _pairs(doc, workload)
         out.append(f"{workload} ({len(pairs)} pairs)")
         for name, metric in METRICS.items():
-            values = {s: [p[s]["metrics"][name]["value"] for p in pairs.values()] for s in SIDES}
+            values = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
             if not values["parent"]:
                 continue
             won = sum((c > a) == (metric["better"] == "higher") and c != a
                       for a, c in zip(values["parent"], values["change"]))
             med = {s: statistics.median(v) for s, v in values.items()}
-            quart = {s: statistics.quantiles(v, n=4, method="inclusive")[::2]
-                     if len(v) > 1 else v * 2 for s, v in values.items()}
+            quart = {s: _quartiles(v) for s, v in values.items()}
+            spread = _spread(values["parent"])
             out.append(f"  {name}: {med['parent']:.4g} [{quart['parent'][0]:.4g}, "
                        f"{quart['parent'][1]:.4g}] -> {med['change']:.4g} "
                        f"[{quart['change'][0]:.4g}, {quart['change'][1]:.4g}], "
                        f"{med['change'] / med['parent']:.3f}x, change won {won}/{len(pairs)}, "
-                       f"{metric['better']} is better, bound {metric['bound']:g}")
-        ok = all(p[s]["correct"] and not p[s]["failed"] for p in pairs.values() for s in SIDES)
+                       f"{metric['better']} is better, bound {metric['bound']:g}, "
+                       f"parent spread {spread:.3f}"
+                       + (" UNRESOLVED" if spread > metric["bound"] else ""))
+        ok = all(p[s]["correct"] and not p[s]["failed"] for p in pairs for s in SIDES)
         out.append(f"  every run correct with 0 failed: {ok}")
+    flagged = unresolved(doc)
+    out.append(f"unresolved: {', '.join(flagged) if flagged else 'none'}")
     return "\n".join(out)
 
 

@@ -3,8 +3,10 @@
 Exit codes: 0 = success / Accept / verdict matches --expect; 1 = verification
 Reject or Fooled (or verdict mismatch); 2 = usage error; 3 = budget or
 search-space guard exceeded.  With --json a machine-readable report
-(schema_version 1) is printed to stdout; every randomized command echoes its
-seed in the report.
+(schema_version 1, the command, its fields, and last the --out path where the
+command has --out) is printed to stdout; every randomized command echoes its
+seed in the report.  On stderr, main prints each error as one ``error:`` line
+and commands print each warning as one ``warning:`` line.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 from . import config
@@ -68,19 +71,38 @@ def _parse_alpha(text: str, field) -> list:
     return [field.parse_value(part) for part in text.split(",")]
 
 
+def _write_out(args, text: str) -> list[str]:
+    """Write ``text`` to --out, if given: the report line saying so, or none."""
+    if not args.out:
+        return []
+    _write(args.out, text)
+    return [f"wrote {args.out}"]
+
+
+def _warn(message) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def _warn_small_characteristic(field, degree_bound: int) -> None:
     """The small-characteristic regime is out of the artifact's warranty."""
     if isinstance(field, PrimeField) and field.p <= degree_bound:
-        print(
-            f"warning: field characteristic {field.p} <= degree bound "
-            f"{degree_bound}; results may not transfer",
-            file=sys.stderr,
-        )
+        _warn(f"field characteristic {field.p} <= degree bound "
+              f"{degree_bound}; results may not transfer")
 
 
-def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps({"schema_version": 1, **report}, indent=2))
+def _map_summary(pmap) -> dict:
+    return {"seed_len": pmap.seed_len, "out_len": pmap.out_len,
+            "stretch": pmap.stretch, "degree": pmap.degree}
+
+
+def _emit(args, report: dict, lines: list[str]) -> None:
+    """Print ``lines``, or with --json the report: schema_version, the
+    command, the report's fields, and last the --out path where the command
+    has --out."""
+    if args.json:
+        out = {"out": args.out} if "out" in vars(args) else {}
+        print(json.dumps({"schema_version": 1, "command": args.command, **report, **out},
+                         indent=2))
     else:
         for line in lines:
             print(line)
@@ -93,23 +115,15 @@ def cmd_encode(args) -> int:
     beta = field.parse_value(args.beta)
     enc = local_encode(circuit, alpha, beta)
     m = enc.map
-    if args.out:
-        _write(args.out, dumps(encoding_to_json(enc)))
+    wrote = _write_out(args, dumps(encoding_to_json(enc)))
     _emit(
-        {
-            "command": "encode",
-            "seed_len": m.seed_len,
-            "out_len": m.out_len,
-            "stretch": m.stretch,
-            "degree": m.degree,
-            "out": args.out,
-        },
-        args.json,
+        args,
+        _map_summary(m),
         [
             f"encoded {circuit.name}: seed {m.seed_len} -> out {m.out_len} "
             f"(stretch {m.stretch}, degree {m.degree})"
         ]
-        + ([f"wrote {args.out}"] if args.out else []),
+        + wrote,
     )
     return 0
 
@@ -118,22 +132,19 @@ def cmd_annihilate(args) -> int:
     enc = encoding_from_json(_read_json(args.encoding))
     cert = principal_generator(enc)
     payload = certificate_to_json(cert)
-    if args.out:
-        _write(args.out, dumps(payload))
+    wrote = _write_out(args, dumps(payload))
     _emit(
+        args,
         {
-            "command": "annihilate",
             "h": payload["h"],
             "degree": cert.h.degree(),
             "lift_gate_count": cert.lift_gate_count,
-            "out": args.out,
         },
-        args.json,
         [
             f"h = {payload['h']}",
             f"degree {cert.h.degree()}, straight-line lift gates {cert.lift_gate_count}",
         ]
-        + ([f"wrote {args.out}"] if args.out else []),
+        + wrote,
     )
     return 0
 
@@ -145,13 +156,12 @@ def cmd_search_ann(args) -> int:
     zs = Namespace.outputs(pmap.out_len)
     texts = [format_polynomial(p, zs) for p in basis]
     _emit(
+        args,
         {
-            "command": "search-ann",
             "degree": args.degree,
             "dimension": len(basis),
             "basis": texts,
         },
-        args.json,
         [f"annihilator space at degree <= {args.degree}: dimension {len(basis)}"]
         + [f"  {t}" for t in texts],
     )
@@ -164,8 +174,8 @@ def cmd_verify(args) -> int:
     poly = parse_polynomial(_read(args.poly), enc.map.field, zs)
     ok = verify_annihilates(poly, enc.map)
     _emit(
-        {"command": "verify", "annihilates": ok},
-        args.json,
+        args,
+        {"annihilates": ok},
         ["annihilates: yes" if ok else "annihilates: no"],
     )
     return 0 if ok else 1
@@ -174,8 +184,7 @@ def cmd_verify(args) -> int:
 def cmd_pit(args) -> int:
     if args.map and args.grid is not None or not args.map and args.mode:
         flag, when = ("--grid", "with") if args.map else ("--mode", "without")
-        print(f"error: {flag} does not apply {when} --map", file=sys.stderr)
-        return 2
+        raise ValueError(f"{flag} does not apply {when} --map")
     field = field_from_spec(args.field)
     circuit = parse_circuit(_read(args.circuit), field)
     d = metrics(circuit).degree_bound
@@ -186,9 +195,12 @@ def cmd_pit(args) -> int:
             circuit, pmap, mode=args.mode or "symbolic", trials=args.trials, seed=args.seed
         )
     else:
-        verdict = sz_pit(circuit, trials=args.trials, grid_size=args.grid, seed=args.seed)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            verdict = sz_pit(circuit, trials=args.trials, grid_size=args.grid, seed=args.seed)
+        for caught_warning in caught:
+            _warn(caught_warning.message)
     report = {
-        "command": "pit",
         "verdict": verdict.verdict,
         "trials_run": verdict.trials_run,
         "failure_bound": str(verdict.failure_bound),
@@ -199,7 +211,7 @@ def cmd_pit(args) -> int:
         report["witness"] = [field.format_value(v) for v in verdict.witness]
     lines = [f"verdict: {verdict.verdict} (trials {verdict.trials_run}, "
              f"failure bound {verdict.failure_bound})"]
-    _emit(report, args.json, lines)
+    _emit(args, report, lines)
     if args.expect:
         return 0 if verdict.verdict == args.expect else 1
     return 0
@@ -211,8 +223,8 @@ def cmd_hit(args) -> int:
     poly = parse_polynomial(_read(args.poly), pmap.field, zs)
     result = hit_test(pmap, poly)
     _emit(
-        {"command": "hit", "result": result.value},
-        args.json,
+        args,
+        {"result": result.value},
         [f"result: {result.value}"],
     )
     return 1 if result is HitResult.FOOLED else 0
@@ -232,7 +244,7 @@ def cmd_jacobian(args) -> int:
     polys = [parse_polynomial(t, field, ns) for t in texts]
     variables = sorted(set().union(set(), *[p.variables() for p in polys]))
     if not variables:
-        _emit({"command": "jacobian", "rank_lower_bound": 0}, args.json,
+        _emit(args, {"rank_lower_bound": 0},
               ["all polynomials constant: rank 0"])
         return 0
     mat = jacobian(polys, variables)
@@ -243,8 +255,8 @@ def cmd_jacobian(args) -> int:
     deg = max(mat.max_entry_degree(), 0) * min(mat.rows, mat.cols)
     bound = min(Fraction(max(deg, 1), prime), Fraction(1)) ** args.trials
     _emit(
+        args,
         {
-            "command": "jacobian",
             "rows": mat.rows,
             "cols": mat.cols,
             "rank_lower_bound": rank,
@@ -253,7 +265,6 @@ def cmd_jacobian(args) -> int:
             "seed": args.seed,
             "failure_bound": str(bound),
         },
-        args.json,
         [
             f"jacobian is {mat.rows}x{mat.cols}; rank >= {rank} "
             f"(exact with prob >= 1 - {bound})"
@@ -275,13 +286,13 @@ def cmd_resultant(args) -> int:
     if args.cofactors:
         res, u, v = (format_polynomial(p, ns)
                      for p in resultant_with_cofactors(f_poly, g_poly, var))
-        report = {"command": "resultant", "resultant": res, "u": u, "v": v}
+        report = {"resultant": res, "u": u, "v": v}
         lines = [f"res = {res}", f"u = {u}", f"v = {v}"]
     else:
         res = format_polynomial(resultant(f_poly, g_poly, var), ns)
-        report = {"command": "resultant", "resultant": res}
+        report = {"resultant": res}
         lines = [f"res = {res}"]
-    _emit(report, args.json, lines)
+    _emit(args, report, lines)
     return 0
 
 
@@ -290,20 +301,17 @@ def cmd_ips_verify(args) -> int:
     ref = refutation_from_json(_read_json(args.refutation), system)
     kind = args.kind or ref.kind
     if kind != ref.kind:
-        print(f"error: refutation file has kind {ref.kind}, --kind says {kind}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"refutation file has kind {ref.kind}, --kind says {kind}")
     result = verify_geometric(ref, system) if kind == "geometric" \
         else verify_full_ips(ref, system)
     _emit(
+        args,
         {
-            "command": "ips-verify",
             "kind": kind,
             "accepted": result.accepted,
             "reason": result.reason,
             "degree": result.degree,
         },
-        args.json,
         [
             f"{'Accept' if result.accepted else 'Reject'}"
             + (f" ({result.reason})" if result.reason else "")
@@ -321,21 +329,17 @@ def cmd_ips_refute(args) -> int:
     if not check.accepted:
         raise InvariantError(f"canonical refutation does not verify ({check.reason})")
     payload = refutation_to_json(ref, system)
-    if args.out:
-        _write(args.out, dumps(payload))
+    wrote = _write_out(args, dumps(payload))
     if args.system_out:
         _write(args.system_out, dumps(system_to_json(system)))
     _emit(
+        args,
         {
-            "command": "ips-refute",
             "kind": "geometric",
             "degree": check.degree,
             "r": payload["r"],
-            "out": args.out,
         },
-        args.json,
-        [f"r = {payload['r']}", f"degree {check.degree}"]
-        + ([f"wrote {args.out}"] if args.out else []),
+        [f"r = {payload['r']}", f"degree {check.degree}"] + wrote,
     )
     return 0
 
@@ -356,8 +360,7 @@ def cmd_instance(args) -> int:
         desc = f"det n={args.n}"
     else:  # cnf3
         if not args.cnf:
-            print("error: --cnf <file> required for family cnf3", file=sys.stderr)
-            return 2
+            raise ValueError("--cnf <file> required for family cnf3")
         clauses, n_vars = parse_dimacs(_read(args.cnf))
         payload = dumps(system_to_json(encode_3cnf(clauses, n_vars, field)))
         desc = f"cnf3 with {len(clauses)} clauses on {n_vars} variables"
@@ -367,8 +370,7 @@ def cmd_instance(args) -> int:
     else:
         print(payload, end="")
         lines = []
-    _emit({"command": "instance", "family": args.family, "out": args.out},
-          args.json, lines)
+    _emit(args, {"family": args.family}, lines)
     return 0
 
 
@@ -377,38 +379,27 @@ def cmd_stretch(args) -> int:
     out = parallel_compose(pmap, args.copies)
     if args.pad:
         out = pad(out, args.pad)
-    if args.out:
-        _write(args.out, dumps(map_to_json(out)))
+    wrote = _write_out(args, dumps(map_to_json(out)))
     _emit(
-        {
-            "command": "stretch",
-            "copies": args.copies,
-            "seed_len": out.seed_len,
-            "out_len": out.out_len,
-            "stretch": out.stretch,
-            "degree": out.degree,
-            "out": args.out,
-        },
-        args.json,
+        args,
+        {"copies": args.copies, **_map_summary(out)},
         [
             f"{args.copies} copies: seed {out.seed_len} -> out {out.out_len} "
             f"(stretch {out.stretch}, degree {out.degree})"
         ]
-        + ([f"wrote {args.out}"] if args.out else []),
+        + wrote,
     )
     return 0
 
 
 def cmd_metrics(args) -> int:
     if args.encoding and args.field is not None:
-        print("error: --field does not apply with --encoding", file=sys.stderr)
-        return 2
+        raise ValueError("--field does not apply with --encoding")
     if args.circuit:
         field = field_from_spec(args.field or "rational")
         circuit = parse_circuit(_read(args.circuit), field)
         m = metrics(circuit)
         report = {
-            "command": "metrics",
             "size": m.size,
             "depth": m.depth,
             "degree_bound": m.degree_bound,
@@ -419,19 +410,12 @@ def cmd_metrics(args) -> int:
         # Every output is one subtraction, plus one add or mul for an
         # internal gate, and a local encoding has at least one internal gate.
         max_formula_size = 2
-        report = {
-            "command": "metrics",
-            "seed_len": m.seed_len,
-            "out_len": m.out_len,
-            "stretch": m.stretch,
-            "degree": m.degree,
-            "max_formula_size": max_formula_size,
-        }
+        report = {**_map_summary(m), "max_formula_size": max_formula_size}
         lines = [
             f"seed {m.seed_len}, out {m.out_len}, stretch {m.stretch}, "
             f"degree {m.degree}, per-output formula size <= {max_formula_size}"
         ]
-    _emit(report, args.json, lines)
+    _emit(args, report, lines)
     return 0
 
 
@@ -551,20 +535,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if [] in vars(args).values():
-        # argparse reads "--opt=--" as an empty list; no option takes a list.
-        print("error: '--' is not an option value", file=sys.stderr)
-        return 2
     try:
+        if [] in vars(args).values():
+            # argparse reads "--opt=--" as an empty list; no option takes a list.
+            raise ValueError("'--' is not an option value")
         for name in config.ENV_LIMITS:  # a bad limit is refused by every command
             config.env_limit(name)
         return args.func(args)
-    except ResourceLimitError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 3
     except AnnforgeError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ResourceLimitError) else 2
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

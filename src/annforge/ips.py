@@ -66,9 +66,6 @@ class VerifyResult:
     reason: str | None
     degree: int
 
-    def __bool__(self) -> bool:
-        return self.accepted
-
 
 def verify_geometric(ref: Refutation, system: EquationSystem) -> VerifyResult:
     """Accept iff r(0, ..., 0) = 1 and r(f_1, ..., f_m) = 0, decided exactly
@@ -135,6 +132,6 @@ def canonical_geometric_refutation(enc: LocalEncoding) -> Refutation:
     return Refutation(kind="geometric", r=cert.h.scale(f.inv(constant)))
 
 
-def system_of(pmap: PolynomialMap, name: str = "map_system") -> EquationSystem:
+def system_of(pmap: PolynomialMap) -> EquationSystem:
     """The equation system {outputs = 0} of a polynomial map."""
-    return EquationSystem(pmap, name)
+    return EquationSystem(pmap, "map_system")

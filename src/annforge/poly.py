@@ -462,13 +462,9 @@ class Namespace:
         return Namespace(self.names + list(extra))
 
     @staticmethod
-    def indexed(prefix: str, count: int, start: int = 1) -> "Namespace":
-        return Namespace(f"{prefix}{i}" for i in range(start, start + count))
-
-    @staticmethod
     def outputs(m: int) -> "Namespace":
         """z1..zm: the output-side variables annihilators live on."""
-        return Namespace.indexed("z", m)
+        return Namespace(f"z{i}" for i in range(1, m + 1))
 
     @staticmethod
     def inferred(texts: Iterable[str]) -> "Namespace":

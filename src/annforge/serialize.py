@@ -167,6 +167,8 @@ def system_from_json(obj: dict) -> EquationSystem:
     else:
         names = list(Namespace.inferred(texts).names)
     n_vars = int(obj.get("n_vars", len(names)))
+    if len(names) != n_vars:
+        raise ParseError(f"var_names has {len(names)} entries, n_vars is {n_vars}")
     ns = Namespace(names)
     equations = tuple(parse_polynomial(t, field, ns) for t in texts)
     pmap = PolynomialMap(outputs=equations, seed_len=n_vars, seed_names=tuple(names))
@@ -180,7 +182,7 @@ def _refutation_namespace(kind: str, system: EquationSystem) -> Namespace:
     if kind == "geometric":
         return Namespace.outputs(m)
     if kind == "full":
-        return system.namespace.extended(f"z{i}" for i in range(1, m + 1))
+        return system.namespace.extended(Namespace.outputs(m).names)
     raise ParseError(f"unknown refutation kind {kind!r}")
 
 

@@ -38,3 +38,16 @@ def test_layout_check_finds_a_missing_run_and_a_bare_workload_key():
     assert any("pair" in problem for problem in bench_pairs.layout_problems(doc))
     doc["workload"] = doc.pop("workloads")[0]
     assert bench_pairs.layout_problems(doc)
+
+
+def test_unresolved_flags_a_metric_whose_parent_spread_exceeds_its_bound():
+    doc = json.loads((ROOT / "BENCH_intcore.json").read_text())
+    assert bench_pairs.unresolved(doc) == []
+    parent_runs = [run for run in doc["runs"]
+                   if run["workload"] == "certify" and run["side"] == "parent"]
+    for k, run in enumerate(parent_runs):  # half the parent runs 3x the others
+        value = run["result"]["metrics"]["ops_per_s"]["value"]
+        run["result"]["metrics"]["ops_per_s"]["value"] = value * (0.5 if k % 2 else 1.5)
+    assert bench_pairs.unresolved(doc) == ["certify/ops_per_s"]
+    assert "ops_per_s" in next(line for line in bench_pairs.summarize(doc).splitlines()
+                               if line.endswith("UNRESOLVED"))

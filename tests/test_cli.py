@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import resource
@@ -650,6 +651,41 @@ def test_pit_refuses_a_flag_that_does_not_apply(capsys):
     assert code == 0 and json.loads(out)["mode"] == "symbolic"
     code, out = run(capsys, "pit", "--circuit", CIRCUIT, "--json")
     assert code == 0 and json.loads(out)["mode"] == "randomized"
+
+
+def test_pit_small_grid_warns_on_every_call(capsys):
+    # sz_pit's UserWarning becomes one warning: line, also on a second call.
+    for _ in range(2):
+        assert main(["pit", "--circuit", CIRCUIT, "--grid", "3"]) == 0
+        assert capsys.readouterr().err == \
+            "warning: grid size 3 below 2*degree_bound = 4; failure bound degrades\n"
+
+
+def test_system_file_with_too_few_var_names_exits_2(tmp_path, capsys):
+    system, ref = tmp_path / "sys.json", tmp_path / "r.json"
+    system.write_text(json.dumps({"equations": ["x1"], "n_vars": 2}))
+    ref.write_text(json.dumps({"kind": "geometric", "r": "1 - z1"}))
+    assert main(["ips-verify", "--system", str(system), "--refutation", str(ref)]) == 2
+    assert capsys.readouterr().err == \
+        "error [parse.error]: var_names has 1 entries, n_vars is 2\n"
+
+
+def test_commands_print_through_emit_and_main():
+    # Reports get command and out from _emit, and usage errors are raised
+    # for main to print, so no cmd_* function states either itself.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_"):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Dict):
+                    keys = {k.value for k in sub.keys if isinstance(k, ast.Constant)}
+                    assert not keys & {"command", "out"}, node.name
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    assert not sub.value.startswith("error"), node.name
+    main_fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    handlers = [h for n in ast.walk(main_fn) if isinstance(n, ast.Try) for h in n.handlers]
+    assert [ast.unparse(h.type) for h in handlers].count("AnnforgeError") == 1
+    assert "ResourceLimitError" not in [ast.unparse(h.type) for h in handlers]
 
 
 def test_written_systems_read_back_byte_identically(tmp_path, capsys):
