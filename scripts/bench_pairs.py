@@ -17,8 +17,8 @@ rewritten after each run, so a cut run keeps the pairs it finished:
 change won, the metric's bound and the parent's spread (interquartile range
 over median).  A metric whose parent spread exceeds its bound is marked
 UNRESOLVED: the runs cannot tell a regression of that size from noise.  Run
-it from the root of the repository.  ``tests/test_bench_files.py`` checks every committed
-``BENCH_*.json`` with ``layout_problems``.
+it from the root of the repository.  ``tests/test_bench_files.py`` checks
+every committed ``BENCH_*.json`` with ``layout_problems``.
 """
 
 from __future__ import annotations

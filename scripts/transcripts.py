@@ -129,7 +129,7 @@ class Scenario:
         path = Path(self.root, name)
         return path.read_text(encoding="utf-8") if path.exists() else None
 
-    def run(self, *argv: str, env: dict[str, str] | None = None) -> dict:
+    def run(self, *argv: str, env: dict[str, str] | None = None) -> None:
         outcome = run_call(self.root, list(argv), env or {})
         call = {"argv": list(argv)}
         if env:
@@ -141,7 +141,6 @@ class Scenario:
             call["files"] = outcome["files"]
         self._inputs = {}
         self.calls.append(call)
-        return call
 
     def both(self, *argv: str, env: dict[str, str] | None = None) -> None:
         """The call as text and with --json."""
@@ -200,6 +199,18 @@ def evaluate(gates: list, alpha: list[Fraction], p: int) -> Fraction:
     if p:
         return Fraction(out.numerator * pow(out.denominator, -1, p) % p)
     return out
+
+
+def evaluate_det(alpha: list[Fraction], k: int, p: int) -> Fraction:
+    """det of the k x k matrix with rows read from ``alpha``, mod p when p > 0."""
+    rows = [alpha[i * k:(i + 1) * k] for i in range(k)]
+    if k == 2:
+        value = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    else:
+        value = sum(rows[0][j] * (rows[1][(j + 1) % 3] * rows[2][(j + 2) % 3]
+                                  - rows[1][(j + 2) % 3] * rows[2][(j + 1) % 3])
+                    for j in range(3))
+    return Fraction(value % p) if p else value
 
 
 def random_polynomial(rng: random.Random, names: list[str], terms: int, degree: int) -> str:
@@ -262,10 +273,17 @@ def pipeline(sc: Scenario, field: str, n: int, alpha: list[Fraction], beta: Frac
 
 def build_corpus() -> list[dict]:
     """Every scenario of the corpus, run against the importable annforge."""
+    with tempfile.TemporaryDirectory(prefix="transcripts_") as base:
+        scenarios = _scenarios(base)
+        return [{"name": sc.name, "calls": sc.calls} for sc in scenarios]
+
+
+def _scenarios(base: str) -> list[Scenario]:
     scenarios = []
 
     def scenario(name: str):
-        root = tempfile.mkdtemp(prefix="transcript_")
+        root = os.path.join(base, str(len(scenarios)))
+        os.mkdir(root)
         sc = Scenario(name, root)
         scenarios.append(sc)
         return sc
@@ -445,26 +463,7 @@ def build_corpus() -> list[dict]:
            env={"AF_TERM_BUDGET": "2"})
     sc.run("encode", "--circuit", "chain.txt", "--alpha", "1", "--beta", "0",
            env={"AF_MONOMIAL_CEILING": "0"})
-
-    corpus = []
-    for sc in scenarios:
-        corpus.append({"name": sc.name, "calls": sc.calls})
-        for name in os.listdir(sc.root):
-            os.remove(os.path.join(sc.root, name))
-        os.rmdir(sc.root)
-    return corpus
-
-
-def evaluate_det(alpha: list[Fraction], k: int, p: int) -> Fraction:
-    """det of the k x k matrix with rows read from ``alpha``, mod p when p > 0."""
-    rows = [alpha[i * k:(i + 1) * k] for i in range(k)]
-    if k == 2:
-        value = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    else:
-        value = sum(rows[0][j] * (rows[1][(j + 1) % 3] * rows[2][(j + 2) % 3]
-                                  - rows[1][(j + 2) % 3] * rows[2][(j + 1) % 3])
-                    for j in range(3))
-    return Fraction(value % p) if p else value
+    return scenarios
 
 
 def _field_json(p: int) -> dict:
