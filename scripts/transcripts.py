@@ -16,9 +16,11 @@ Nothing in a record depends on the machine, so no text is normalized.
     PYTHONPATH=src python3 scripts/transcripts.py           # replay, list differences
     PYTHONPATH=src python3 scripts/transcripts.py --write   # regenerate the fixture
 
-``tests/test_transcripts.py`` replays the fixture.  A change that alters
-output on purpose regenerates it, and the fixture diff is its list of
-behaviour changes.
+Replay prints one line per differing call, and for a call whose stderr alone
+differs, the recorded stderr (``was:``) and the new one (``now:``); long
+arguments and texts are cut.  ``tests/test_transcripts.py`` replays the
+fixture.  A change that alters output on purpose regenerates it, and the
+replay listing against the old fixture is its list of behaviour changes.
 """
 
 from __future__ import annotations
@@ -84,8 +86,10 @@ def run_call(root: str, argv: list[str], env: dict[str, str]) -> dict:
 
 
 def _write_files(root: str, files: dict[str, str]) -> None:
+    """Write each text as UTF-8; a lone surrogate U+DC80..U+DCFF in it
+    stands for the byte 0x80..0xFF that is not UTF-8 (surrogateescape)."""
     for name, text in files.items():
-        Path(root, name).write_bytes(text.encode("utf-8"))
+        Path(root, name).write_bytes(text.encode("utf-8", "surrogateescape"))
 
 
 def replay_scenario(scenario: dict) -> list[tuple[int, dict, dict]]:
@@ -121,7 +125,7 @@ class Scenario:
         self._inputs: dict[str, str] = {}
 
     def put(self, name: str, text: str) -> None:
-        """Place an input file for the next call."""
+        """Place an input file for the next call (see _write_files)."""
         self._inputs[name] = text
         _write_files(self.root, {name: text})
 
@@ -463,7 +467,45 @@ def _scenarios(base: str) -> list[Scenario]:
            env={"AF_TERM_BUDGET": "2"})
     sc.run("encode", "--circuit", "chain.txt", "--alpha", "1", "--beta", "0",
            env={"AF_MONOMIAL_CEILING": "0"})
+    sc.put("latin1.txt", SQUARES_DIFF.replace("-1", "\udcff1"))  # the byte 0xff
+    sc.run("metrics", "--circuit", "latin1.txt")
+    for name, obj in [("abc.json", {"seed_len": "abc", "outputs": ["x1"]}),
+                      ("nan.json", {"seed_len": float("nan"), "outputs": ["x1"]}),
+                      ("empty.json", {"seed_len": 1, "outputs": []}),
+                      ("badname.json", {"seed_len": 1, "seed_names": ["1bad"], "outputs": ["x1"]}),
+                      ("field.json", {"field": {"type": "prime", "p": "x"}, "seed_len": 1,
+                                      "outputs": ["x1"]})]:
+        sc.put(name, json.dumps(obj))
+        sc.run("stretch", "--map", name, "--copies", "1")
+    sc.run("metrics", "--circuit", "c.txt", "--field", "prime:abc")
+    sc.run("metrics", "--circuit", "c.txt", "--field", "prime:3317044064679887385961983")
+    sc.put("tok.cnf", "p cnf 3 1\n1 x 3 0\n")
+    sc.run("instance", "--family", "cnf3", "--cnf", "tok.cnf")
+    sc.put("tokp.cnf", "p cnf x 1\n1 2 3 0\n")
+    sc.run("instance", "--family", "cnf3", "--cnf", "tokp.cnf")
+    sc.put("m.json", json.dumps({"seed_len": 1, "outputs": ["x1^2 - 1"]}))
+    sc.run("search-ann", "--map", "m.json", "--degree", "-1")
+    sc.run("stretch", "--map", "m.json", "--copies", "0")
+    sc.run("instance", "--family", "det", "--n", "7")
+    # Numbers past the 4300 decimal digits that Python converts to or from text.
+    sc.put("long.json", '{"seed_len": 1' + "0" * 4300 + ', "outputs": ["x1"]}')
+    sc.run("stretch", "--map", "long.json", "--copies", "1")
+    sc.put("long.txt", "z1^" + "9" * 4301)
+    sc.run("hit", "--map", "m.json", "--poly", "long.txt")
+    sc.run("resultant", "--f=x" + "1" * 4301 + " + 1", "--g=x - 1", "--var", "x")
+    big = "7" * 3000
+    sc.run("resultant", f"--f={big}*x + 1", f"--g=x - {big}", "--var", "x")
+    sc.put("zero.txt", "circuit zero\ninputs x1\ng1 = mul x1 0\noutput g1\n")
+    sc.run("pit", "--circuit", "zero.txt", "--trials", "20000")
+    sc.put("polys.json", json.dumps(["x1^2 + x2", "x1*x2"]))
+    sc.run("jacobian", "--polys", "polys.json", "--trials", "300")
     return scenarios
+
+
+def _short(text: str, width: int = 60) -> str:
+    """``text`` cut to ``width`` characters, newlines shown as ``\\n``."""
+    text = text.replace("\n", "\\n")
+    return text if len(text) <= width else f"{text[:width - 20]}...({len(text)} chars)"
 
 
 def _field_json(p: int) -> dict:
@@ -476,7 +518,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.write:
         corpus = build_corpus()
-        text = json.dumps({"scenarios": corpus}, indent=0, ensure_ascii=False) + "\n"
+        # ASCII escapes keep a lone surrogate (a byte that is not UTF-8) writable.
+        text = json.dumps({"scenarios": corpus}, indent=0) + "\n"
         FIXTURE.write_text(text, encoding="utf-8")
         calls = sum(len(s["calls"]) for s in corpus)
         print(f"wrote {calls} calls in {len(corpus)} scenarios to {FIXTURE}")
@@ -488,8 +531,11 @@ def main(argv=None) -> int:
             keys = differences(call, outcome)
             if keys:
                 differing += 1
-                print(f"{scenario['name']} call {i}: {' '.join(call['argv'])}: "
+                print(f"{scenario['name']} call {i}: {' '.join(map(_short, call['argv']))}: "
                       f"{', '.join(keys)} differ")
+                if keys == ["stderr"]:
+                    print(f"    was: {_short(call['stderr'].rstrip(), 160)}")
+                    print(f"    now: {_short(outcome['stderr'].rstrip(), 160)}")
     print(f"{differing} calls differ")
     return 1 if differing else 0
 

@@ -24,6 +24,7 @@ from .circuit import expand
 from .encoding import LocalEncoding, PolynomialMap, annihilates
 from .errors import (
     DecompositionMismatchError,
+    InputError,
     InvariantError,
     NotAnAnnihilatorError,
     SearchSpaceTooLargeError,
@@ -157,7 +158,7 @@ def annihilator_basis_search(
     polynomial composes to zero (certificates, not samples).
     """
     if max_total_degree < 0:
-        raise ValueError("max_total_degree must be >= 0")
+        raise InputError("--degree must be >= 0")
     limit = config.monomial_ceiling() if ceiling is None else ceiling
     n_cols = count_monomials(pmap.out_len, max_total_degree)
     if n_cols > limit:

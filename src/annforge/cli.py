@@ -5,8 +5,10 @@ Reject or Fooled (or verdict mismatch); 2 = usage error; 3 = budget or
 search-space guard exceeded.  With --json a machine-readable report
 (schema_version 1, the command, its fields, and last the --out path where the
 command has --out) is printed to stdout; every randomized command echoes its
-seed in the report.  On stderr, main prints each error as one ``error:`` line
-and commands print each warning as one ``warning:`` line.
+seed in the report.  On stderr, commands print each warning as one
+``warning:`` line and main each refusal as one ``error [<code>]: <message>``
+line, the code being the AnnforgeError's or, for a file it cannot open,
+decode or read as JSON, ``input.unreadable``; anything else is a fault.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import config
 from .annihilator import annihilator_basis_search, principal_generator, verify_annihilates
 from .circuit import metrics, parse_circuit
 from .encoding import local_encode, pad, parallel_compose
-from .errors import AnnforgeError, InvariantError, ParseError, ResourceLimitError
+from .errors import AnnforgeError, InputError, InvariantError, ParseError, ResourceLimitError
 from .fields import PrimeField, field_from_spec
 from .instances import (
     det_circuit,
@@ -57,7 +59,13 @@ def _read(path: str) -> str:
 
 
 def _read_json(path: str) -> dict:
-    return json.loads(_read(path))
+    text = _read(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # int() reads no more than 4300 digits
+        raise ParseError(f"{path}: an integer has too many digits") from exc
 
 
 def _write(path: str, text: str) -> None:
@@ -77,6 +85,14 @@ def _write_out(args, text: str) -> list[str]:
         return []
     _write(args.out, text)
     return [f"wrote {args.out}"]
+
+
+def _bound_text(bound: Fraction, trials: int) -> str:
+    """str(bound), which a large --trials takes past the 4300 digits str() writes."""
+    try:
+        return str(bound)
+    except ValueError as exc:
+        raise InputError(f"--trials {trials}: the failure bound has too many digits") from exc
 
 
 def _warn(message) -> None:
@@ -184,7 +200,7 @@ def cmd_verify(args) -> int:
 def cmd_pit(args) -> int:
     if args.map and args.grid is not None or not args.map and args.mode:
         flag, when = ("--grid", "with") if args.map else ("--mode", "without")
-        raise ValueError(f"{flag} does not apply {when} --map")
+        raise InputError(f"{flag} does not apply {when} --map")
     field = field_from_spec(args.field)
     circuit = parse_circuit(_read(args.circuit), field)
     d = metrics(circuit).degree_bound
@@ -200,17 +216,18 @@ def cmd_pit(args) -> int:
             verdict = sz_pit(circuit, trials=args.trials, grid_size=args.grid, seed=args.seed)
         for caught_warning in caught:
             _warn(caught_warning.message)
+    bound = _bound_text(verdict.failure_bound, args.trials)
     report = {
         "verdict": verdict.verdict,
         "trials_run": verdict.trials_run,
-        "failure_bound": str(verdict.failure_bound),
+        "failure_bound": bound,
         "seed": verdict.seed,
         "mode": verdict.mode,
     }
     if verdict.witness is not None:
         report["witness"] = [field.format_value(v) for v in verdict.witness]
     lines = [f"verdict: {verdict.verdict} (trials {verdict.trials_run}, "
-             f"failure bound {verdict.failure_bound})"]
+             f"failure bound {bound})"]
     _emit(args, report, lines)
     if args.expect:
         return 0 if verdict.verdict == args.expect else 1
@@ -252,8 +269,9 @@ def cmd_jacobian(args) -> int:
     prime = field.p if isinstance(field, PrimeField) else args.prime
     rank = rank_random_eval(mat, trials=args.trials, p=prime, seed=args.seed)
     # Schwartz-Zippel: each trial misses a nonzero minor with prob <= deg/p.
-    deg = max(mat.max_entry_degree(), 0) * min(mat.rows, mat.cols)
-    bound = min(Fraction(max(deg, 1), prime), Fraction(1)) ** args.trials
+    deg = max(0, *(p.degree() for row in mat.entries for p in row)) * min(mat.rows, mat.cols)
+    bound = _bound_text(min(Fraction(max(deg, 1), prime), Fraction(1)) ** args.trials,
+                        args.trials)
     _emit(
         args,
         {
@@ -263,7 +281,7 @@ def cmd_jacobian(args) -> int:
             "trials": args.trials,
             "prime": prime,
             "seed": args.seed,
-            "failure_bound": str(bound),
+            "failure_bound": bound,
         },
         [
             f"jacobian is {mat.rows}x{mat.cols}; rank >= {rank} "
@@ -301,7 +319,7 @@ def cmd_ips_verify(args) -> int:
     ref = refutation_from_json(_read_json(args.refutation), system)
     kind = args.kind or ref.kind
     if kind != ref.kind:
-        raise ValueError(f"refutation file has kind {ref.kind}, --kind says {kind}")
+        raise InputError(f"refutation file has kind {ref.kind}, --kind says {kind}")
     result = verify_geometric(ref, system) if kind == "geometric" \
         else verify_full_ips(ref, system)
     _emit(
@@ -360,7 +378,7 @@ def cmd_instance(args) -> int:
         desc = f"det n={args.n}"
     else:  # cnf3
         if not args.cnf:
-            raise ValueError("--cnf <file> required for family cnf3")
+            raise InputError("--cnf <file> required for family cnf3")
         clauses, n_vars = parse_dimacs(_read(args.cnf))
         payload = dumps(system_to_json(encode_3cnf(clauses, n_vars, field)))
         desc = f"cnf3 with {len(clauses)} clauses on {n_vars} variables"
@@ -394,7 +412,7 @@ def cmd_stretch(args) -> int:
 
 def cmd_metrics(args) -> int:
     if args.encoding and args.field is not None:
-        raise ValueError("--field does not apply with --encoding")
+        raise InputError("--field does not apply with --encoding")
     if args.circuit:
         field = field_from_spec(args.field or "rational")
         circuit = parse_circuit(_read(args.circuit), field)
@@ -538,15 +556,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if [] in vars(args).values():
             # argparse reads "--opt=--" as an empty list; no option takes a list.
-            raise ValueError("'--' is not an option value")
+            raise InputError("'--' is not an option value")
         for name in config.ENV_LIMITS:  # a bad limit is refused by every command
             config.env_limit(name)
         return args.func(args)
     except AnnforgeError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ResourceLimitError) else 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        print(f"error [input.unreadable]: {exc}", file=sys.stderr)
         return 2
 
 

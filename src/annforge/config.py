@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InputError
 
 #: Default prime for randomized rank / PIT work and the modular-first kernel
 #: search (Mersenne, fits in 64 bits).
@@ -33,7 +33,7 @@ def env_limit(name: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise ValueError(f"{name}={text!r} is not an integer >= 1")
+        raise InputError(f"{name}={text!r} is not an integer >= 1")
     return value
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import config
 from .circuit import Circuit
-from .errors import CircuitError, SupportOverflowError
+from .errors import CircuitError, InputError, SupportOverflowError
 from .fields import FieldValue
 from .poly import Monomial, Namespace, Polynomial, fresh_names
 
@@ -32,15 +32,15 @@ class PolynomialMap:
 
     def __post_init__(self):
         if not self.outputs:
-            raise ValueError("a polynomial map needs at least one output")
+            raise InputError("a polynomial map needs at least one output")
         if len(self.seed_names) != self.seed_len:
-            raise ValueError("seed_names length must equal seed_len")
+            raise InputError("seed_names length must equal seed_len")
         for i, p in enumerate(self.outputs):
             high = [v for v in p.variables() if v >= self.seed_len]
             if high:
-                raise ValueError(f"output {i} uses non-seed variable ids {high}")
+                raise InputError(f"output {i} uses non-seed variable ids {high}")
             if p.field != self.field:
-                raise ValueError("outputs must share one field")
+                raise InputError("outputs must share one field")
 
     @property
     def field(self):
@@ -155,7 +155,7 @@ def pad(pmap: PolynomialMap, target_out_len: int) -> PolynomialMap:
     """Pad with fresh seed variables emitted verbatim as new outputs."""
     extra = target_out_len - pmap.out_len
     if extra < 0:
-        raise ValueError(f"target {target_out_len} below out_len {pmap.out_len}")
+        raise InputError(f"--pad {target_out_len} is below the output length {pmap.out_len}")
     if extra == 0:
         return pmap
     config.check_map_size("pad", pmap.seed_len + extra, target_out_len)
@@ -173,7 +173,7 @@ def parallel_compose(pmap: PolynomialMap, copies: int) -> PolynomialMap:
     copy 1's outputs, then copy 2's, ...).  Copy k's seed variable ``v`` is
     renamed ``v_k``."""
     if copies < 1:
-        raise ValueError("copies must be >= 1")
+        raise InputError("--copies must be >= 1")
     ell = pmap.seed_len
     config.check_map_size("parallel_compose", copies * ell, copies * pmap.out_len)
     outputs: list[Polynomial] = []

@@ -1,9 +1,11 @@
 """Exception hierarchy shared across the package.
 
-Every error carries a qualified ``code`` so the CLI can surface failures
-uniformly (for example ``field.not_reducible``).  Resource-guard
-errors (budgets, ceilings, matrix-size guards) subclass ResourceLimitError so
-callers can map them to a common exit code.
+Every refusal is an AnnforgeError whose class has its own qualified
+``code``, which the CLI prints as ``error [<code>]: <message>``.  InputError
+refuses an argument, flag or value and names the flag that caused it;
+ParseError refuses malformed text or file content.  Resource-guard errors
+(budgets, ceilings, matrix-size guards) subclass ResourceLimitError so
+callers can map them to a common exit code.  No class is a ValueError.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ class ModularReductionError(AnnforgeError, ZeroDivisionError):
     """A rational value has no image in F_p: p divides its denominator."""
 
     code = "field.not_reducible"
+
+
+class InputError(AnnforgeError):
+    code = "input.invalid"
 
 
 class ParseError(AnnforgeError):

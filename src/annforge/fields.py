@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Union
 
-from .errors import FieldMismatchError, ModularReductionError, ParseError
+from .errors import FieldMismatchError, InputError, ModularReductionError, ParseError
 
 FieldValue = Union[Fraction, int]
 
@@ -23,13 +23,13 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 @cache
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < _MR_BOUND; larger n raise ValueError.
+    """Deterministic Miller-Rabin for n < _MR_BOUND; larger n raise InputError.
     Cached: every PrimeField built tests its modulus.  A refused n raises
     again on the next call, since raised exceptions are not cached."""
     if n < 2:
         return False
     if n >= _MR_BOUND:
-        raise ValueError(f"{n} >= {_MR_BOUND}, the bound of the exact prime test")
+        raise InputError(f"{n} >= {_MR_BOUND}, the bound of the exact prime test")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -152,7 +152,7 @@ class PrimeField(Field):
 
     def __init__(self, p: int):
         if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+            raise InputError(f"modulus {p} is not prime")
         self.p = p
         self.characteristic = p
 
@@ -213,11 +213,16 @@ def check_same_field(a: Field, b: Field) -> None:
 
 
 def field_from_spec(spec: str) -> Field:
-    """Parse "rational" or "prime:<p>" (CLI --field syntax)."""
+    """Parse "rational" or "prime:<p>" (CLI --field syntax), naming --field."""
     if spec == "rational":
         return QQ
-    if spec.startswith("prime:"):
-        return PrimeField(int(spec.split(":", 1)[1]))
+    try:
+        if spec.startswith("prime:"):
+            return PrimeField(int(spec.split(":", 1)[1]))
+    except ValueError:  # no integer after "prime:": an unknown spec
+        pass
+    except InputError as exc:
+        raise InputError(f"--field {spec}: {exc}") from exc
     raise ParseError(f"unknown field spec {spec!r}")
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .circuit import Circuit, CircuitBuilder
 from .encoding import PolynomialMap
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .fields import QQ, Field
 from .ips import EquationSystem
 from .poly import Polynomial
@@ -20,7 +20,7 @@ def kayal_map(n: int, d: int, field: Field = QQ) -> PolynomialMap:
     x_1 + ... + x_n - n.  Stretch 1; minimal annihilator degree grows like
     d^n."""
     if n < 1 or d < 1:
-        raise ValueError("require n >= 1 and d >= 1")
+        raise InputError("family kayal needs --n >= 1 and --d >= 1")
     one = Polynomial.constant(field, 1)
     outputs = [Polynomial.monomial(field, field.one, {i: d}) - one for i in range(n)]
     total = Polynomial.zero(field)
@@ -38,10 +38,8 @@ def kayal_chain_map(n: int, d: int, field: Field = QQ) -> PolynomialMap:
     """Constant-locality variant: the linear output is unrolled through
     chain variables y_2..y_{n-1}, so every output touches at most 3
     variables.  Requires n >= 3."""
-    if n < 3:
-        raise ValueError("chain variant requires n >= 3")
-    if d < 1:
-        raise ValueError("require d >= 1")
+    if n < 3 or d < 1:
+        raise InputError("family kayal-chain needs --n >= 3 and --d >= 1")
     one = Polynomial.constant(field, 1)
     # Seed variables: x1..xn (ids 0..n-1), y2..y_{n-1} (ids n..2n-3).
     def y(j: int) -> Polynomial:  # j in 2..n-1
@@ -64,7 +62,7 @@ def kayal_chain_map(n: int, d: int, field: Field = QQ) -> PolynomialMap:
 def masser_philippon_system(n: int, d: int, field: Field = QQ) -> EquationSystem:
     """The tight-degree system: x_1^d, x_{i-1} - x_i^d, ..., 1 - x_{n-1}x_n^{d-1}."""
     if n < 2 or d < 2:
-        raise ValueError("require n >= 2 and d >= 2")
+        raise InputError("family masser-philippon needs --n >= 2 and --d >= 2")
     eqs = [Polynomial.monomial(field, field.one, {0: d})]
     for i in range(2, n):
         eqs.append(
@@ -84,7 +82,7 @@ def det_circuit(n: int, field: Field = QQ) -> Circuit:
     """Fan-in-2 circuit for the n x n determinant on variables x11..xnn,
     by first-row cofactor expansion with memoized minors (2 <= n <= 5)."""
     if not 2 <= n <= 5:
-        raise ValueError("determinant circuits are built for 2 <= n <= 5")
+        raise InputError("family det needs 2 <= --n <= 5")
     names = tuple(f"x{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
     b = CircuitBuilder(field, n * n, input_names=names, name=f"det{n}")
     cache: dict[tuple[int, ...], int] = {}
@@ -121,7 +119,7 @@ def encode_3cnf(clauses: list[Clause], n_vars: int, field: Field = QQ) -> Equati
     literal -i contributes factor x_i.
     """
     if n_vars < 1:
-        raise ValueError("need at least one variable")
+        raise ParseError("a 3CNF needs at least one variable")
     eqs = [
         Polynomial.monomial(field, field.one, {i: 2}) - Polynomial.variable(field, i)
         for i in range(n_vars)
@@ -152,14 +150,17 @@ def parse_dimacs(text: str) -> tuple[list[Clause], int]:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) < 4 or parts[1] != "cnf":
-                raise ParseError(f"bad problem line {line!r}")
-            n_vars = int(parts[2])
-            continue
-        for tok in line.split():
-            lit = int(tok)
+        try:
+            if line.startswith("p"):
+                parts = line.split()
+                if len(parts) < 4 or parts[1] != "cnf":
+                    raise ParseError(f"bad problem line {line!r}")
+                n_vars = int(parts[2])
+                continue
+            literals = [int(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise ParseError(f"line {line!r} has a token that is not an integer") from exc
+        for lit in literals:
             if lit == 0:
                 if len(current) != 3:
                     raise ParseError(f"clause {current} does not have 3 literals")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .annihilator import principal_generator
 from .circuit import evaluate_circuit
 from .encoding import LocalEncoding, PolynomialMap, annihilates
-from .errors import InvariantError, SupportOverflowError, SystemSatisfiableError
+from .errors import InputError, InvariantError, SupportOverflowError, SystemSatisfiableError
 from .poly import Namespace, Polynomial
 
 
@@ -55,10 +55,6 @@ class Refutation:
     kind: str  # "geometric" | "full"
     r: Polynomial
 
-    def __post_init__(self):
-        if self.kind not in ("geometric", "full"):
-            raise ValueError(f"unknown refutation kind {self.kind!r}")
-
 
 @dataclass(frozen=True)
 class VerifyResult:
@@ -71,7 +67,7 @@ def verify_geometric(ref: Refutation, system: EquationSystem) -> VerifyResult:
     """Accept iff r(0, ..., 0) = 1 and r(f_1, ..., f_m) = 0, decided exactly
     by encoding.annihilates through the peel of the equations."""
     if ref.kind != "geometric":
-        raise ValueError("refutation kind must be geometric")
+        raise InputError("refutation kind must be geometric")
     m = len(system.equations)
     r = ref.r
     bad = [v for v in r.variables() if v >= m]
@@ -91,7 +87,7 @@ def verify_full_ips(ref: Refutation, system: EquationSystem) -> VerifyResult:
     """Accept iff r(x, f(x)) = 1 and r(x, 0) = 0, both exact.  The z-block
     occupies ids n_vars..n_vars+m-1."""
     if ref.kind != "full":
-        raise ValueError("refutation kind must be full")
+        raise InputError("refutation kind must be full")
     n = system.n_vars
     m = len(system.equations)
     f = system.field

@@ -17,7 +17,7 @@ from math import isqrt
 from typing import Iterable, Mapping
 
 from . import config
-from .errors import MatrixTooLargeError
+from .errors import InputError, MatrixTooLargeError
 from .fields import Field, FieldValue, PrimeField
 from .poly import Polynomial
 
@@ -30,16 +30,10 @@ class PolyMatrix:
                                           compare=False)
 
     def __post_init__(self):
-        if not self.entries or not self.entries[0]:
-            raise ValueError("empty matrix")
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
-            raise ValueError("ragged matrix")
-        field = self.entries[0][0].field
-        for row in self.entries:
-            for p in row:
-                if p.field != field:
-                    raise ValueError("entries must share one field")
+        rows = self.entries
+        if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows) \
+                or len({p.field for row in rows for p in row}) > 1:
+            raise InputError("a matrix needs nonempty rows of one length over one field")
 
     @property
     def rows(self) -> int:
@@ -54,14 +48,7 @@ class PolyMatrix:
         return self.entries[0][0].field
 
     def variables(self) -> set[int]:
-        out: set[int] = set()
-        for row in self.entries:
-            for p in row:
-                out |= p.variables()
-        return out
-
-    def max_entry_degree(self) -> int:
-        return max(p.degree() for row in self.entries for p in row)
+        return set().union(*(p.variables() for row in self.entries for p in row))
 
 
 def jacobian(polys: list[Polynomial], variables: list[int]) -> PolyMatrix:
@@ -167,7 +154,7 @@ def rank_random_eval(
     per matrix and prime and kept on it, with their evaluation plans; a
     refused prime keeps nothing, so it raises on every call."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InputError("--trials must be >= 1")
     # Over F_q evaluate natively: a foreign modulus would be unsound.
     gf = matrix.field if isinstance(matrix.field, PrimeField) else PrimeField(p)
     entries = matrix.nonzero_mod.get(gf.p)
@@ -196,7 +183,7 @@ def sylvester(f: Polynomial, g: Polynomial, var: int) -> PolyMatrix:
     n = f.degree_in(var)
     m = g.degree_in(var)
     if n == 0 and m == 0:
-        raise ValueError("both polynomials are constant in the variable")
+        raise InputError("--f and --g are both constant in --var")
     size = n + m
     limit = config.DET_SIZE_LIMIT
     if size > limit:
@@ -221,7 +208,7 @@ def _minors(matrix: PolyMatrix):
     subsets; guarded size.  minor(all columns) is the determinant, and the
     minors of its expansion are the cofactors of the last row."""
     if matrix.rows != matrix.cols:
-        raise ValueError("determinant of a non-square matrix")
+        raise InputError("determinant of a non-square matrix")
     limit = config.DET_SIZE_LIMIT
     if matrix.rows > limit:
         raise MatrixTooLargeError(f"size {matrix.rows} exceeds guard {limit}")

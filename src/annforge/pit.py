@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import config
 from .circuit import Circuit, evaluate_circuit, expand, metrics
 from .encoding import PolynomialMap, annihilates
-from .errors import PointBudgetExceededError, SupportOverflowError
+from .errors import InputError, PointBudgetExceededError, SupportOverflowError
 from .fields import Field, FieldValue, PrimeField, check_same_field
 from .poly import Polynomial
 
@@ -39,9 +39,9 @@ class PitVerdict:
 
 def _check_grid(field: Field, grid_size: int) -> None:
     if grid_size < 1:
-        raise ValueError("grid size must be >= 1")
+        raise InputError("--grid must be >= 1")
     if isinstance(field, PrimeField) and grid_size > field.p:
-        raise ValueError(f"grid of size {grid_size} does not fit in GF({field.p})")
+        raise InputError(f"grid of size {grid_size} does not fit in GF({field.p})")
 
 
 def _first_nonzero(
@@ -65,6 +65,15 @@ def _first_nonzero(
     )
 
 
+def _random_points(f: Field, grid: int, n: int, trials: int, seed: int):
+    """``trials`` points of f^n drawn uniformly from the grid of side
+    ``grid`` by random.Random(seed), lazily; --trials below 1 is refused."""
+    if trials < 1:
+        raise InputError("--trials must be >= 1")
+    rng = random.Random(seed)
+    return (tuple(f.normalize(rng.randrange(grid)) for _ in range(n)) for _ in range(trials))
+
+
 def sz_pit(
     circuit: Circuit,
     trials: int = 10,
@@ -77,24 +86,20 @@ def sz_pit(
     side >= 2d grid with probability >= 1/2 per trial; a "zero" verdict
     carries the exact failure bound (d / grid_size)^trials.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    f = circuit.field
     d = max(metrics(circuit).degree_bound, 1)
-    if not circuit.field.characteristic:  # over QQ values grow with the degree
-        config.check_degree("circuit degree bound", d)
     if grid_size is None:
         grid_size = 2 * d + 1
-    _check_grid(circuit.field, grid_size)
+    points = _random_points(f, grid_size, circuit.n_inputs, trials, seed)  # --trials first
+    if not f.characteristic:  # over QQ values grow with the degree
+        config.check_degree("circuit degree bound", d)
+    _check_grid(f, grid_size)
     if grid_size < 2 * d:
         warnings.warn(
             f"grid size {grid_size} below 2*degree_bound = {2 * d}; "
             "failure bound degrades",
             stacklevel=2,
         )
-    f = circuit.field
-    rng = random.Random(seed)
-    points = (tuple(f.normalize(rng.randrange(grid_size)) for _ in range(circuit.n_inputs))
-              for _ in range(trials))
     return _first_nonzero(f, points, lambda point: evaluate_circuit(circuit, point),
                           Fraction(d, grid_size), seed, "randomized")
 
@@ -143,11 +148,7 @@ def generator_pit(
             config.check_degree("circuit degree bound", degree)
         grid = 2 * d + 1
         _check_grid(f, grid)
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        rng = random.Random(seed)
-        points = (tuple(f.normalize(rng.randrange(grid)) for _ in range(pmap.seed_len))
-                  for _ in range(trials))
+        points = _random_points(f, grid, pmap.seed_len, trials, seed)
         return _first_nonzero(f, points, value, Fraction(d, grid), seed, mode)
     if mode == "deterministic_grid":
         side = d + 1
@@ -161,7 +162,7 @@ def generator_pit(
                   for raw in itertools.product(range(side), repeat=pmap.seed_len))
         # Vanishing on a full (d+1)-side grid forces the composition to zero.
         return _first_nonzero(f, points, value, Fraction(0), None, mode)
-    raise ValueError(f"unknown mode {mode!r}")
+    raise InputError(f"unknown --mode {mode!r}")
 
 
 class HitResult(Enum):

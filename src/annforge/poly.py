@@ -33,7 +33,7 @@ from math import gcd, lcm
 from typing import ItemsView, Iterable, Iterator, Mapping, Sequence
 
 from . import config
-from .errors import MissingAssignmentError, ModularReductionError, ParseError
+from .errors import InputError, MissingAssignmentError, ModularReductionError, ParseError
 from .fields import Field, FieldValue, check_same_field
 
 
@@ -51,7 +51,7 @@ class Monomial(tuple):
         items = sorted((v, e) for v, e in mapping.items() if e != 0)
         for v, e in items:
             if e < 0 or v < 0:
-                raise ValueError(f"bad exponent entry ({v}, {e})")
+                raise InputError(f"bad exponent entry ({v}, {e})")
         return Monomial(items)
 
     @property
@@ -69,9 +69,6 @@ class Monomial(tuple):
             if v == var:
                 return e
         return 0
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self)
 
     def mul(self, other: "Monomial") -> "Monomial":
         """The product, by a merge of the two sorted pair lists."""
@@ -178,10 +175,7 @@ class Polynomial:
         return max((m.degree_in(var) for m in self._terms), default=0)
 
     def variables(self) -> set[int]:
-        out: set[int] = set()
-        for mono in self._terms:
-            out.update(mono.variables())
-        return out
+        return {v for mono in self._terms for v, _ in mono}
 
     def constant_term(self) -> FieldValue:
         return self.coefficient(MONOMIAL_ONE)
@@ -443,10 +437,10 @@ class Namespace:
         self.names = list(names)
         self._ids = {n: i for i, n in enumerate(self.names)}
         if len(self._ids) != len(self.names):
-            raise ValueError("duplicate variable names")
+            raise ParseError("duplicate variable names")
         for n in self.names:
             if not _NAME_RE.fullmatch(n):
-                raise ValueError(f"invalid variable name {n!r}")
+                raise ParseError(f"invalid variable name {n!r}")
 
     def id(self, name: str) -> int:
         if name not in self._ids:
@@ -479,7 +473,10 @@ class Namespace:
             prefix, digits = (m.group(1), m.group(2)) if m else (name, "")
             return (prefix, int(digits) if digits else -1, name)
 
-        return Namespace(sorted(seen, key=key))
+        try:
+            return Namespace(sorted(seen, key=key))
+        except ValueError as exc:  # int() reads no more than 4300 digits
+            raise ParseError("a numeric suffix of a variable name has too many digits") from exc
 
 
 def fresh_names(taken: Iterable[str], n: int) -> list[str]:
@@ -506,9 +503,12 @@ def parse_polynomial(text: str, field: Field, ns: Namespace) -> Polynomial:
         for name, exp, constant in _FACTOR_RE.findall(m.group(2)):
             if constant:
                 coeff = field.mul(coeff, field.parse_value(constant))
-            else:
-                var = ns.id(name)
+                continue
+            var = ns.id(name)
+            try:
                 exps[var] = exps.get(var, 0) + (int(exp) if exp else 1)
+            except ValueError as exc:  # int() reads no more than 4300 digits
+                raise ParseError(f"the exponent of {name} has too many digits") from exc
         mono = Monomial.of(exps)
         terms[mono] = field.add(terms.get(mono, field.zero), coeff)
     return Polynomial(field, terms)
@@ -521,12 +521,15 @@ def format_polynomial(p: Polynomial, ns: Namespace | None = None) -> str:
     name = ns.name if ns is not None else (lambda v: f"v{v + 1}")
     parts: list[str] = []
     den = p._den
-    for mono, n in sorted(p._terms.items(), key=lambda t: t[0].sort_key, reverse=True):
-        # The coefficient n/den in lowest terms; over F_p den is 1.
-        g = gcd(n, den)
-        c = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
-        factors = [c] if c != "1" or not mono else []
-        factors += [name(v) if e == 1 else f"{name(v)}^{e}" for v, e in mono]
-        parts.append(f"{'-' if n < 0 else '+'} {'*'.join(factors)}")
+    try:
+        for mono, n in sorted(p._terms.items(), key=lambda t: t[0].sort_key, reverse=True):
+            # The coefficient n/den in lowest terms; over F_p den is 1.
+            g = gcd(n, den)
+            c = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
+            factors = [c] if c != "1" or not mono else []
+            factors += [name(v) if e == 1 else f"{name(v)}^{e}" for v, e in mono]
+            parts.append(f"{'-' if n < 0 else '+'} {'*'.join(factors)}")
+    except ValueError as exc:  # str() writes no more than 4300 digits
+        raise InputError("a coefficient has too many digits to write") from exc
     text = " ".join(parts)
     return text[2:] if text[0] == "+" else "-" + text[2:]

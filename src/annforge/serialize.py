@@ -17,7 +17,7 @@ import json
 from . import config
 from .annihilator import AnnihilatorCertificate
 from .circuit import parse_circuit, serialize_circuit
-from .encoding import BlockSpans, LocalEncoding, PolynomialMap, local_encode
+from .encoding import LocalEncoding, PolynomialMap, local_encode
 from .errors import ParseError
 from .fields import QQ, Field, check_same_field, field_from_json
 from .ips import EquationSystem, Refutation
@@ -37,7 +37,7 @@ def _reader(read):
             return read(*args)
         except KeyError as exc:
             raise ParseError(f"{read.__name__}: missing key {exc}") from exc
-        except (TypeError, AttributeError, OverflowError) as exc:
+        except (TypeError, AttributeError, OverflowError, ValueError) as exc:
             raise ParseError(f"{read.__name__}: mistyped value ({exc})") from exc
 
     return checked
@@ -88,7 +88,7 @@ def map_from_json(obj: dict) -> PolynomialMap:
 def encoding_to_json(enc: LocalEncoding) -> dict:
     obj = map_to_json(enc.map)
     obj["kind"] = "local_encoding"
-    obj["blocks"] = _blocks_to_json(enc.blocks)
+    obj["blocks"] = {name: list(span) for name, span in dataclasses.asdict(enc.blocks).items()}
     field = enc.map.field
     obj["provenance"] = {
         "type": "local_encoding",
@@ -97,10 +97,6 @@ def encoding_to_json(enc: LocalEncoding) -> dict:
         "beta": field.format_value(enc.beta),
     }
     return obj
-
-
-def _blocks_to_json(blocks: BlockSpans) -> dict:
-    return {name: list(span) for name, span in dataclasses.asdict(blocks).items()}
 
 
 @_reader

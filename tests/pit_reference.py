@@ -2,7 +2,8 @@
 became one, kept as the reference oracle.
 
 The bodies are the earlier ``pit.sz_pit`` and ``pit.generator_pit``,
-unchanged but for their names: each sampling mode runs its own loop, and
+unchanged but for their names and their refusals, which now raise the
+package's InputError with its message: each sampling mode runs its own loop, and
 the randomized and grid modes evaluate every output of the map.  The
 differential tests in ``test_pit_differential.py`` require the package's
 verdicts to agree with these field by field, with the same warnings and
@@ -19,7 +20,7 @@ from fractions import Fraction
 from annforge import config
 from annforge.circuit import Circuit, evaluate_circuit, expand, metrics
 from annforge.encoding import PolynomialMap, annihilates
-from annforge.errors import PointBudgetExceededError, SupportOverflowError
+from annforge.errors import InputError, PointBudgetExceededError, SupportOverflowError
 from annforge.pit import PitVerdict, _check_grid
 
 
@@ -36,7 +37,7 @@ def reference_sz_pit(
     carries the exact failure bound (d / grid_size)^trials.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InputError("--trials must be >= 1")
     d = max(metrics(circuit).degree_bound, 1)
     if grid_size is None:
         grid_size = 2 * d + 1
@@ -135,4 +136,4 @@ def reference_generator_pit(
         return PitVerdict(
             verdict="zero", trials_run=count, failure_bound=Fraction(0), mode=mode
         )
-    raise ValueError(f"unknown mode {mode!r}")
+    raise InputError(f"unknown --mode {mode!r}")

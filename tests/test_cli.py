@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import annforge
-from annforge import cli, config, encoding, ips
+from annforge import cli, config, encoding, errors, ips
 from annforge.cli import main
 from annforge.instances import kayal_map
 from annforge.ips import VerifyResult
@@ -21,6 +21,7 @@ from dense_reference import reference_basis_search
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CIRCUIT = str(FIXTURES / "squares_diff.txt")
+ENC = str(FIXTURES / "squares_diff_enc.json")
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -133,7 +134,7 @@ def test_ips_verify_full_refutation(tmp_path, capsys, r, code, line, reason, deg
                                "accepted": code == 0, "reason": reason, "degree": degree}
     assert main([*argv, "--kind", "geometric"]) == 2
     assert capsys.readouterr().err == \
-        "error: refutation file has kind full, --kind says geometric\n"
+        "error [input.invalid]: refutation file has kind full, --kind says geometric\n"
 
 
 @pytest.mark.parametrize("kind, r, field, system_field", [
@@ -383,7 +384,7 @@ def test_a_bad_limit_exits_2_naming_it(tmp_path, capsys, monkeypatch, name, valu
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {name}={value!r} is not an integer >= 1\n"
+        assert captured.err == f"error [input.invalid]: {name}={value!r} is not an integer >= 1\n"
 
 
 def test_a_limit_is_read_as_int_and_empty_means_the_default(monkeypatch):
@@ -682,10 +683,23 @@ def test_commands_print_through_emit_and_main():
                     assert not keys & {"command", "out"}, node.name
                 if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
                     assert not sub.value.startswith("error"), node.name
+    # main has one handler for package errors and one for unreadable input,
+    # and none for ValueError: every refusal is an AnnforgeError with a code.
     main_fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
     handlers = [h for n in ast.walk(main_fn) if isinstance(n, ast.Try) for h in n.handlers]
-    assert [ast.unparse(h.type) for h in handlers].count("AnnforgeError") == 1
-    assert "ResourceLimitError" not in [ast.unparse(h.type) for h in handlers]
+    assert [ast.unparse(h.type) for h in handlers] == [
+        "AnnforgeError", "(OSError, UnicodeDecodeError, json.JSONDecodeError)"]
+    package = Path(annforge.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                assert ast.unparse(raised) != "ValueError", (path.name, node.lineno)
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.AnnforgeError)]
+    codes = [c.code for c in classes]
+    assert len(classes) > 10 and len(set(codes)) == len(codes)
+    assert not any(issubclass(c, ValueError) for c in classes)
 
 
 def test_written_systems_read_back_byte_identically(tmp_path, capsys):
@@ -711,6 +725,27 @@ def test_pit_randomized_refuses_zero_trials(capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "trials must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["instance", "--family", "kayal", "--n", "0"], "family kayal needs --n >= 1 and --d >= 1"),
+    (["instance", "--family", "kayal-chain", "--n", "2"],
+     "family kayal-chain needs --n >= 3 and --d >= 1"),
+    (["instance", "--family", "det", "--n", "7"], "family det needs 2 <= --n <= 5"),
+    (["resultant", "--f", "x + 1", "--g", "x - 1", "--var", "z"],
+     "--f and --g are both constant in --var"),
+    (["metrics", "--circuit", CIRCUIT, "--field", "prime:8"],
+     "--field prime:8: modulus 8 is not prime"),
+    (["pit", "--circuit", CIRCUIT, "--grid", "0"], "--grid must be >= 1"),
+    (["pit", "--circuit", CIRCUIT, "--trials", "0"], "--trials must be >= 1"),
+    (["search-ann", "--map", ENC, "--degree", "-1"], "--degree must be >= 0"),
+    (["stretch", "--map", ENC, "--copies", "0"], "--copies must be >= 1"),
+    (["stretch", "--map", ENC, "--copies", "1", "--pad", "2"],
+     "--pad 2 is below the output length 7"),
+])
+def test_a_refused_value_names_its_flag(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error [input.invalid]: {message}\n")
 
 
 def test_metrics_refuses_field_with_encoding(capsys):

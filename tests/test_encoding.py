@@ -18,7 +18,7 @@ from annforge.encoding import (
     pad,
     parallel_compose,
 )
-from annforge.errors import BudgetExceededError, CircuitError, SupportOverflowError
+from annforge.errors import BudgetExceededError, CircuitError, InputError, SupportOverflowError
 from annforge.fields import QQ, PrimeField
 from annforge.poly import Namespace, Polynomial
 from annforge.serialize import encoding_to_json, dumps
@@ -202,7 +202,7 @@ def test_pad_and_copies_beyond_the_term_budget(fig_encoding, monkeypatch):
 
 
 def test_pad_below_out_len_rejected(fig_encoding):
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         pad(fig_encoding.map, 6)
 
 
@@ -236,7 +236,7 @@ def test_parallel_compose_k3_arithmetic(fig_encoding):
 
 
 def test_parallel_compose_rejects_k0(fig_encoding):
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         parallel_compose(fig_encoding.map, 0)
 
 
@@ -338,7 +338,7 @@ def test_local_encode_deterministic(fig_circuit):
 
 
 def test_map_validates_support():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         PolynomialMap(
             outputs=(Polynomial.variable(QQ, 3),),
             seed_len=2,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from annforge.errors import FieldMismatchError, ParseError
+from annforge.errors import FieldMismatchError, InputError, ParseError
 from annforge.fields import QQ, PrimeField, check_same_field, field_from_spec, is_prime
 
 
@@ -28,9 +28,9 @@ def test_rational_parse_and_format():
 
 
 def test_prime_field_requires_prime():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         PrimeField(10)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         PrimeField(1)
     PrimeField(2)
     PrimeField(2**61 - 1)
@@ -51,7 +51,7 @@ def test_is_prime_past_twelve_bases():
     # PSI_12 is composite but passes Miller-Rabin to every base 2..37.
     assert PSI_12 == 399165290221 * 798330580441
     assert not is_prime(PSI_12)
-    with pytest.raises(ValueError, match="not prime"):
+    with pytest.raises(InputError, match="not prime"):
         field_from_spec(f"prime:{PSI_12}")
     assert is_prime(2**61 - 1)
     assert field_from_spec(f"prime:{2**61 - 1}") == PrimeField(2**61 - 1)
@@ -59,9 +59,9 @@ def test_is_prime_past_twelve_bases():
 
 def test_is_prime_refuses_moduli_at_the_bound():
     for n in (PSI_13, PSI_13 + 2, 2**89 - 1):
-        with pytest.raises(ValueError, match=str(PSI_13)):
+        with pytest.raises(InputError, match=str(PSI_13)):
             is_prime(n)
-        with pytest.raises(ValueError, match=str(PSI_13)):
+        with pytest.raises(InputError, match=str(PSI_13)):
             PrimeField(n)
 
 

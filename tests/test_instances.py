@@ -6,7 +6,7 @@ import pytest
 from annforge.annihilator import annihilator_basis_search
 from annforge.circuit import evaluate_circuit, expand
 from annforge.encoding import compose_polynomial
-from annforge.errors import ParseError
+from annforge.errors import InputError, ParseError
 from annforge.fields import QQ, Field
 from annforge.instances import (
     det_circuit,
@@ -86,7 +86,7 @@ def test_kayal_chain_outputs_are_local():
 
 
 def test_kayal_chain_requires_n_at_least_3():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         kayal_chain_map(2, 2)
 
 
@@ -135,9 +135,9 @@ def test_masser_philippon_unsat_argument_n2_d2():
 
 
 def test_masser_philippon_parameter_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         masser_philippon_system(1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         masser_philippon_system(2, 1)
 
 
@@ -167,9 +167,9 @@ def test_det_matches_leibniz(n):
 
 
 def test_det_range_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         det_circuit(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         det_circuit(6)
 
 

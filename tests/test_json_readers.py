@@ -3,8 +3,8 @@
 Each example takes one input file (the fixture encoding, an equation system
 or a geometric refutation), either drops one key or list entry or replaces
 one value, and runs the command that reads the file.  A bad file must end in
-a usage error (exit 2), never in a traceback or in exit 1, which is reserved
-for Reject.
+a usage error (exit 2) printed as one ``error [<code>]: ...`` line, never in
+a traceback or in exit 1, which is reserved for Reject.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from annforge.serialize import dumps, refutation_to_json, system_to_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DROP = object()
-REPLACEMENTS = [DROP, None, [], {}, "x", 1.5, float("inf"), 10**30]
+REPLACEMENTS = [DROP, None, [], {}, "x", 1.5, float("inf"), float("nan"), 10**30]
 
 
 def _inputs() -> dict[str, dict]:
@@ -97,6 +97,8 @@ def mutations(draw):
 @given(mutations())
 @example(("enc.json", ("seed_len",), float("inf")))
 @example(("sys.json", ("n_vars",), float("inf")))
+@example(("enc.json", ("seed_len",), float("nan")))
+@example(("sys.json", ("n_vars",), float("nan")))
 def test_mutated_input_file_exits_0_or_2(workdir, mutation):
     name, path, value = mutation
     target = workdir / f"mutated_{name}"
@@ -106,6 +108,9 @@ def test_mutated_input_file_exits_0_or_2(workdir, mutation):
         code = main(command(workdir, name, target))
     assert code in (0, 2), (name, path, value, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error ["), (name, path, value, lines)
 
 
 def test_unmutated_inputs_are_accepted(workdir):

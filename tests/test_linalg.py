@@ -4,7 +4,7 @@ import pytest
 
 from annforge.circuit import parse_circuit, random_circuit
 from annforge.encoding import local_encode
-from annforge.errors import MatrixTooLargeError, ModularReductionError
+from annforge.errors import InputError, MatrixTooLargeError, ModularReductionError
 from annforge.fields import QQ, PrimeField
 from annforge.instances import det_circuit, kayal_map
 from annforge.linalg import (
@@ -198,7 +198,7 @@ def test_sylvester_shape():
 
 
 def test_sylvester_rejects_constant_pair():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         sylvester(p("a"), p("b"), NS.id("y"))
 
 

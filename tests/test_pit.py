@@ -13,7 +13,7 @@ from annforge.circuit import (
     random_circuit,
 )
 from annforge.encoding import local_encode
-from annforge.errors import BudgetExceededError, PointBudgetExceededError
+from annforge.errors import BudgetExceededError, InputError, PointBudgetExceededError
 from annforge.fields import QQ, PrimeField
 from annforge.instances import kayal_map
 from annforge.pit import HitResult, generator_pit, hit_test, sz_pit
@@ -67,7 +67,7 @@ def test_sz_failure_bound_value(fig_circuit):
 def test_sz_grid_too_small_for_field():
     gf = PrimeField(5)
     c = parse_circuit(FIG_TEXT, gf)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         sz_pit(c, trials=1, grid_size=9, seed=0)
 
 

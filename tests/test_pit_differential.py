@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from annforge.annihilator import principal_generator
 from annforge.circuit import CircuitBuilder, circuit_from_polynomial
 from annforge.encoding import local_encode
-from annforge.errors import AnnforgeError
+from annforge.errors import AnnforgeError, InputError
 from annforge.fields import QQ, PrimeField
 from annforge.instances import kayal_map
 from annforge.pit import generator_pit, sz_pit
@@ -46,7 +46,7 @@ def outcome(fn, *args, **kwargs):
         warnings.simplefilter("always")
         try:
             verdict = fn(*args, **kwargs)
-        except (AnnforgeError, ValueError) as exc:
+        except AnnforgeError as exc:
             result = (type(exc), str(exc))
         else:
             result = [(f.name, getattr(verdict, f.name), type(getattr(verdict, f.name)))
@@ -116,7 +116,7 @@ def test_generator_pit_matches_reference(field, which, own_generator, n_inputs, 
     if mode == "randomized" and trials == 0 and isinstance(expected[0], list):
         # The reference drew no point and answered "zero"; the package refuses
         # trials < 1 as sz_pit does, after the checks the reference makes.
-        expected = ((ValueError, "trials must be >= 1"), expected[1])
+        expected = ((InputError, "--trials must be >= 1"), expected[1])
     assert outcome(generator_pit, *args, **kwargs) == expected
 
 

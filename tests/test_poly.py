@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annforge.errors import BudgetExceededError, MissingAssignmentError, ParseError
+from annforge.errors import BudgetExceededError, InputError, MissingAssignmentError, ParseError
 from annforge.fields import QQ, PrimeField
 from annforge.poly import (
     Monomial,
@@ -293,7 +293,7 @@ def test_monomial_canonical_and_degree():
     assert m == ((0, 2), (2, 1))
     assert m.degree == 3
     assert Monomial.of({}).degree == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         Monomial.of({0: -1})
 
 
@@ -303,7 +303,7 @@ def test_namespace_inferred_natural_sort():
 
 
 def test_namespace_duplicate_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         Namespace(["x1", "x1"])
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ _spec.loader.exec_module(transcripts)
 SCENARIOS = json.loads(transcripts.FIXTURE.read_text(encoding="utf-8"))["scenarios"]
 CALLS = [call for scenario in SCENARIOS for call in scenario["calls"]]
 SOURCE_LOCATION = re.compile(r"\.py:\d+")
+CODED_ERROR = re.compile(r"error \[[a-z_]+(\.[a-z_]+)+\]: ")
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s["name"])
@@ -47,3 +49,40 @@ def test_corpus_covers_every_subcommand_and_exit_code():
     assert {c["exit"] for c in CALLS} == {0, 1, 2, 3}
     fields = {b for c in CALLS for a, b in zip(c["argv"], c["argv"][1:]) if a == "--field"}
     assert set(transcripts.FIELDS) <= fields
+
+
+def test_exit_1_means_reject_fooled_or_a_verdict_mismatch():
+    causes = Counter()
+    for call in CALLS:
+        if call["exit"] != 1:
+            continue
+        argv, out = call["argv"], call["stdout"]
+        report = json.loads(out) if "--json" in argv else {}
+        if argv[0] == "verify":
+            assert report.get("annihilates") is False or out == "annihilates: no\n", argv
+        elif argv[0] == "hit":
+            assert report.get("result") == "fooled" or out == "result: fooled\n", argv
+        elif argv[0] == "ips-verify":
+            assert report.get("accepted") is False or out.startswith("Reject"), argv
+        else:
+            assert argv[0] == "pit" and "--expect" in argv, argv
+            verdict = report.get("verdict") or out.split()[1]
+            assert verdict != argv[argv.index("--expect") + 1], argv
+        causes[argv[0]] += 1
+    assert set(causes) == {"verify", "hit", "ips-verify", "pit"}
+
+
+def test_every_refusal_prints_one_coded_error_line():
+    # Exit 2 and 3 end in one "error [<code>]: <message>" line, after any
+    # warning: lines; argparse's own refusals print its usage instead.
+    usage = []
+    for call in CALLS:
+        if call["exit"] not in (2, 3):
+            continue
+        if call["stderr"].startswith("usage: "):
+            usage.append(call["argv"])
+            continue
+        *warnings, last = call["stderr"].splitlines()
+        assert CODED_ERROR.match(last), call["argv"]
+        assert all(line.startswith("warning: ") for line in warnings), call["argv"]
+    assert len(usage) == 2
