@@ -499,6 +499,18 @@ def _scenarios(base: str) -> list[Scenario]:
     sc.run("pit", "--circuit", "zero.txt", "--trials", "20000")
     sc.put("polys.json", json.dumps(["x1^2 + x2", "x1*x2"]))
     sc.run("jacobian", "--polys", "polys.json", "--trials", "300")
+    # 14,300 squarings: a degree bound of 2^14300, which has 4305 digits.
+    squarings = [f"g{i} = mul g{i - 1} g{i - 1}" for i in range(2, 14301)]
+    sc.put("deep.txt", "\n".join(["circuit deep", "inputs x1", "g1 = mul x1 x1",
+                                   *squarings, "output g14300", ""]))
+    sc.both("metrics", "--circuit", "deep.txt")
+    sc.run("pit", "--circuit", "deep.txt")
+    sc.run("pit", "--circuit", "deep.txt", "--field", "prime:7")
+    sc.run("pit", "--circuit", "deep.txt", "--field", "prime:7", "--grid", "3")
+    sc.run("pit", "--circuit", "deep.txt", "--map", "m.json", "--mode", "deterministic_grid")
+    nines = "9" * 4300  # a monomial whose degree has 4301 digits
+    sc.put("wide.json", json.dumps({"seed_len": 2, "outputs": [f"x1^{nines}*x2^{nines}"]}))
+    sc.run("stretch", "--map", "wide.json", "--copies", "1")
     return scenarios
 
 

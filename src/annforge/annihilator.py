@@ -163,7 +163,7 @@ def annihilator_basis_search(
     n_cols = count_monomials(pmap.out_len, max_total_degree)
     if n_cols > limit:
         raise SearchSpaceTooLargeError(
-            f"{n_cols} candidate monomials exceed ceiling {limit}"
+            f"{config.int_text(n_cols)} candidate monomials exceed ceiling {limit}"
         )
     f = pmap.field
     p = f.characteristic

@@ -47,6 +47,14 @@ class Gate:
     def const(value: FieldValue) -> "Gate":
         return Gate("const", value=value)
 
+    @staticmethod
+    def add(left: int, right: int) -> "Gate":
+        return Gate("add", left=left, right=right)
+
+    @staticmethod
+    def mul(left: int, right: int) -> "Gate":
+        return Gate("mul", left=left, right=right)
+
     @property
     def is_internal(self) -> bool:
         return self.op in ("add", "mul")
@@ -154,14 +162,18 @@ def metrics(circuit: Circuit) -> CircuitMetrics:
     """size = internal gate count; depth = longest input-to-output path;
     degree bound by gate-wise propagation (add: max, mul: sum)."""
     depth = [0] * len(circuit.gates)
-    degree = [0] * len(circuit.gates)  # a const gate keeps depth and degree 0
+    degree = [0] * len(circuit.gates)
     for i, g in enumerate(circuit.gates):
         if g.op == "input":
             degree[i] = 1
-        elif g.is_internal:
+        elif g.op == "const":
+            degree[i] = 0
+        elif g.op == "add":
             depth[i] = 1 + max(depth[g.left], depth[g.right])
-            children = degree[g.left], degree[g.right]
-            degree[i] = max(children) if g.op == "add" else sum(children)
+            degree[i] = max(degree[g.left], degree[g.right])
+        else:
+            depth[i] = 1 + max(depth[g.left], depth[g.right])
+            degree[i] = degree[g.left] + degree[g.right]
     return CircuitMetrics(
         size=circuit.size,
         depth=depth[circuit.output],
@@ -219,11 +231,11 @@ class CircuitBuilder:
         return self._const_ids[v]
 
     def add(self, a: int, b: int) -> int:
-        self.gates.append(Gate("add", left=a, right=b))
+        self.gates.append(Gate.add(a, b))
         return len(self.gates) - 1
 
     def mul(self, a: int, b: int) -> int:
-        self.gates.append(Gate("mul", left=a, right=b))
+        self.gates.append(Gate.mul(a, b))
         return len(self.gates) - 1
 
     def tree_reduce(self, op: str, operands: list[int]) -> int:
@@ -350,7 +362,9 @@ def serialize_circuit(circuit: Circuit) -> str:
             return circuit.field.format_value(g.value)
         return gate_names[gid]
 
-    lines = [f"circuit {circuit.name}", " ".join(["inputs", *circuit.input_names])]
+    lines = [f"circuit {circuit.name}", "inputs " + " ".join(circuit.input_names)]
+    if circuit.n_inputs == 0:
+        lines[1] = "inputs"
     for gid in circuit.internal_order:
         g = circuit.gates[gid]
         lines.append(f"{gate_names[gid]} = {g.op} {ref(g.left)} {ref(g.right)}")

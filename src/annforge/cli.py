@@ -59,13 +59,7 @@ def _read(path: str) -> str:
 
 
 def _read_json(path: str) -> dict:
-    text = _read(path)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except ValueError as exc:  # int() reads no more than 4300 digits
-        raise ParseError(f"{path}: an integer has too many digits") from exc
+    return json.loads(_read(path), parse_int=lambda s: config.read_int(s, f"{path}: an integer"))
 
 
 def _write(path: str, text: str) -> None:
@@ -87,14 +81,6 @@ def _write_out(args, text: str) -> list[str]:
     return [f"wrote {args.out}"]
 
 
-def _bound_text(bound: Fraction, trials: int) -> str:
-    """str(bound), which a large --trials takes past the 4300 digits str() writes."""
-    try:
-        return str(bound)
-    except ValueError as exc:
-        raise InputError(f"--trials {trials}: the failure bound has too many digits") from exc
-
-
 def _warn(message) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -103,10 +89,11 @@ def _warn_small_characteristic(field, degree_bound: int) -> None:
     """The small-characteristic regime is out of the artifact's warranty."""
     if isinstance(field, PrimeField) and field.p <= degree_bound:
         _warn(f"field characteristic {field.p} <= degree bound "
-              f"{degree_bound}; results may not transfer")
+              f"{config.int_text(degree_bound)}; results may not transfer")
 
 
 def _map_summary(pmap) -> dict:
+    config.exact_text(pmap.degree, "the map's degree")  # every report states it
     return {"seed_len": pmap.seed_len, "out_len": pmap.out_len,
             "stretch": pmap.stretch, "degree": pmap.degree}
 
@@ -216,7 +203,7 @@ def cmd_pit(args) -> int:
             verdict = sz_pit(circuit, trials=args.trials, grid_size=args.grid, seed=args.seed)
         for caught_warning in caught:
             _warn(caught_warning.message)
-    bound = _bound_text(verdict.failure_bound, args.trials)
+    bound = config.exact_text(verdict.failure_bound, f"--trials {args.trials}: the failure bound")
     report = {
         "verdict": verdict.verdict,
         "trials_run": verdict.trials_run,
@@ -269,9 +256,9 @@ def cmd_jacobian(args) -> int:
     prime = field.p if isinstance(field, PrimeField) else args.prime
     rank = rank_random_eval(mat, trials=args.trials, p=prime, seed=args.seed)
     # Schwartz-Zippel: each trial misses a nonzero minor with prob <= deg/p.
-    deg = max(0, *(p.degree() for row in mat.entries for p in row)) * min(mat.rows, mat.cols)
-    bound = _bound_text(min(Fraction(max(deg, 1), prime), Fraction(1)) ** args.trials,
-                        args.trials)
+    deg = max(mat.max_entry_degree(), 0) * min(mat.rows, mat.cols)
+    bound = config.exact_text(min(Fraction(max(deg, 1), prime), Fraction(1)) ** args.trials,
+                              f"--trials {args.trials}: the failure bound")
     _emit(
         args,
         {
@@ -322,6 +309,7 @@ def cmd_ips_verify(args) -> int:
         raise InputError(f"refutation file has kind {ref.kind}, --kind says {kind}")
     result = verify_geometric(ref, system) if kind == "geometric" \
         else verify_full_ips(ref, system)
+    degree = config.exact_text(result.degree, "the refutation degree")
     _emit(
         args,
         {
@@ -333,7 +321,7 @@ def cmd_ips_verify(args) -> int:
         [
             f"{'Accept' if result.accepted else 'Reject'}"
             + (f" ({result.reason})" if result.reason else "")
-            + f", refutation degree {result.degree}"
+            + f", refutation degree {degree}"
         ],
     )
     return 0 if result.accepted else 1
@@ -397,10 +385,11 @@ def cmd_stretch(args) -> int:
     out = parallel_compose(pmap, args.copies)
     if args.pad:
         out = pad(out, args.pad)
+    summary = _map_summary(out)
     wrote = _write_out(args, dumps(map_to_json(out)))
     _emit(
         args,
-        {"copies": args.copies, **_map_summary(out)},
+        {"copies": args.copies, **summary},
         [
             f"{args.copies} copies: seed {out.seed_len} -> out {out.out_len} "
             f"(stretch {out.stretch}, degree {out.degree})"
@@ -417,12 +406,13 @@ def cmd_metrics(args) -> int:
         field = field_from_spec(args.field or "rational")
         circuit = parse_circuit(_read(args.circuit), field)
         m = metrics(circuit)
+        degree_bound = config.exact_text(m.degree_bound, "the degree bound")
         report = {
             "size": m.size,
             "depth": m.depth,
             "degree_bound": m.degree_bound,
         }
-        lines = [f"size {m.size}, depth {m.depth}, degree bound {m.degree_bound}"]
+        lines = [f"size {m.size}, depth {m.depth}, degree bound {degree_bound}"]
     else:
         m = encoding_from_json(_read_json(args.encoding)).map
         # Every output is one subtraction, plus one add or mul for an

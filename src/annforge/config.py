@@ -5,13 +5,22 @@ one process honours per-invocation overrides; each must be an integer >= 1,
 and unset or empty means the default.  check_budget is the one term-budget
 rule, refusing a measured size above the budget; no other module reads the
 budget or raises BudgetExceededError.
+
+CPython converts no integer of more than sys.get_int_max_str_digits() (4300)
+decimal digits to or from text.  int_text, exact_text and read_int are the
+one rule for an integer of unbounded size: a message shows it by int_text,
+which never fails; a report or file writes it by exact_text and a reader
+reads it by read_int, which refuse one past the limit.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from fractions import Fraction
+from typing import Callable
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, ParseError
 
 #: Default prime for randomized rank / PIT work and the modular-first kernel
 #: search (Mersenne, fits in 64 bits).
@@ -47,19 +56,48 @@ def monomial_ceiling() -> int:
     return env_limit("AF_MONOMIAL_CEILING")
 
 
-def check_budget(what: str, size: int) -> None:
-    """Refuse a ``size`` above the term budget: "<what> exceeds budget <limit>"."""
+def check_budget(what: str | Callable[[], str], size: int) -> None:
+    """Refuse a ``size`` above the term budget: "<what> exceeds budget <limit>".
+    ``what`` may be a function giving the text, called only to refuse."""
     budget = term_budget()
     if size > budget:
-        raise BudgetExceededError(f"{what} exceeds budget {budget}")
+        text = what() if callable(what) else what
+        raise BudgetExceededError(f"{text} exceeds budget {budget}")
 
 
 def check_degree(what: str, d: int) -> None:
     """Refuse a degree ``d``, which counts its d + 1 coefficients."""
-    check_budget(f"{what} {d}", d + 1)
+    check_budget(lambda: f"{what} {int_text(d)}", d + 1)
 
 
 def check_map_size(stage: str, seed_len: int, out_len: int) -> None:
     """Refuse a map before ``stage`` builds it: it counts its larger side."""
-    check_budget(f"{stage}: a map with seed length {seed_len} and {out_len} outputs",
+    check_budget(lambda: f"{stage}: a map with seed length {int_text(seed_len)} "
+                         f"and {int_text(out_len)} outputs",
                  max(seed_len, out_len))
+
+
+def int_text(n: int) -> str:
+    """``n`` in decimal for a message or, past the digit limit, its size in bits."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"(a {n.bit_length()}-bit integer)"
+
+
+def exact_text(value: int | Fraction, what: str) -> str:
+    """``value`` in decimal for a report or a file; past the digit limit an
+    InputError, "<what> has more than <limit> digits"."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise InputError(f"{what} has more than {sys.get_int_max_str_digits()} digits") from exc
+
+
+def read_int(digits: str, what: str) -> int:
+    """The integer that a string of decimal digits (and sign) writes; past the
+    digit limit a ParseError, "<what> has more than <limit> digits"."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise ParseError(f"{what} has more than {sys.get_int_max_str_digits()} digits") from exc

@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Union
 
+from . import config
 from .errors import FieldMismatchError, InputError, ModularReductionError, ParseError
 
 FieldValue = Union[Fraction, int]
@@ -161,7 +162,8 @@ class PrimeField(Field):
             den = value.denominator % self.p
             if den == 0:
                 raise ModularReductionError(
-                    f"coefficient {value} has no value mod p={self.p}: "
+                    f"coefficient {config.int_text(value.numerator)}/"
+                    f"{config.int_text(value.denominator)} has no value mod p={self.p}: "
                     "p divides its denominator"
                 )
             return value.numerator * pow(den, -1, self.p) % self.p

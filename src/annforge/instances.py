@@ -38,8 +38,10 @@ def kayal_chain_map(n: int, d: int, field: Field = QQ) -> PolynomialMap:
     """Constant-locality variant: the linear output is unrolled through
     chain variables y_2..y_{n-1}, so every output touches at most 3
     variables.  Requires n >= 3."""
-    if n < 3 or d < 1:
-        raise InputError("family kayal-chain needs --n >= 3 and --d >= 1")
+    if n < 3:
+        raise InputError("family kayal-chain needs --n >= 3")
+    if d < 1:
+        raise InputError("family kayal-chain needs --d >= 1")
     one = Polynomial.constant(field, 1)
     # Seed variables: x1..xn (ids 0..n-1), y2..y_{n-1} (ids n..2n-3).
     def y(j: int) -> Polynomial:  # j in 2..n-1

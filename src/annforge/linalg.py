@@ -30,10 +30,16 @@ class PolyMatrix:
                                           compare=False)
 
     def __post_init__(self):
-        rows = self.entries
-        if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows) \
-                or len({p.field for row in rows for p in row}) > 1:
-            raise InputError("a matrix needs nonempty rows of one length over one field")
+        if not self.entries or not self.entries[0]:
+            raise InputError("empty matrix")
+        width = len(self.entries[0])
+        if any(len(row) != width for row in self.entries):
+            raise InputError("ragged matrix")
+        field = self.entries[0][0].field
+        for row in self.entries:
+            for p in row:
+                if p.field != field:
+                    raise InputError("entries must share one field")
 
     @property
     def rows(self) -> int:
@@ -48,7 +54,14 @@ class PolyMatrix:
         return self.entries[0][0].field
 
     def variables(self) -> set[int]:
-        return set().union(*(p.variables() for row in self.entries for p in row))
+        out: set[int] = set()
+        for row in self.entries:
+            for p in row:
+                out |= p.variables()
+        return out
+
+    def max_entry_degree(self) -> int:
+        return max(p.degree() for row in self.entries for p in row)
 
 
 def jacobian(polys: list[Polynomial], variables: list[int]) -> PolyMatrix:
@@ -187,7 +200,7 @@ def sylvester(f: Polynomial, g: Polynomial, var: int) -> PolyMatrix:
     size = n + m
     limit = config.DET_SIZE_LIMIT
     if size > limit:
-        raise MatrixTooLargeError(f"size {size} exceeds guard {limit}")
+        raise MatrixTooLargeError(f"size {config.int_text(size)} exceeds guard {limit}")
     field = f.field
     fc = f.coefficients_in(var)  # index k -> coefficient of var^k
     gc = g.coefficients_in(var)

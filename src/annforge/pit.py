@@ -41,7 +41,8 @@ def _check_grid(field: Field, grid_size: int) -> None:
     if grid_size < 1:
         raise InputError("--grid must be >= 1")
     if isinstance(field, PrimeField) and grid_size > field.p:
-        raise InputError(f"grid of size {grid_size} does not fit in GF({field.p})")
+        raise InputError(f"grid of size {config.int_text(grid_size)} does not fit in "
+                         f"GF({field.p})")
 
 
 def _first_nonzero(
@@ -96,7 +97,7 @@ def sz_pit(
     _check_grid(f, grid_size)
     if grid_size < 2 * d:
         warnings.warn(
-            f"grid size {grid_size} below 2*degree_bound = {2 * d}; "
+            f"grid size {grid_size} below 2*degree_bound = {config.int_text(2 * d)}; "
             "failure bound degrades",
             stacklevel=2,
         )
@@ -155,7 +156,8 @@ def generator_pit(
         total = side ** pmap.seed_len
         if total > config.DEFAULT_POINT_BUDGET:
             raise PointBudgetExceededError(
-                f"{total} grid points exceed budget {config.DEFAULT_POINT_BUDGET}"
+                f"{config.int_text(total)} grid points exceed budget "
+                f"{config.DEFAULT_POINT_BUDGET}"
             )
         _check_grid(f, side)
         points = (tuple(f.normalize(v) for v in raw)

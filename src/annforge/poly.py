@@ -70,6 +70,9 @@ class Monomial(tuple):
                 return e
         return 0
 
+    def variables(self) -> tuple[int, ...]:
+        return tuple(v for v, _ in self)
+
     def mul(self, other: "Monomial") -> "Monomial":
         """The product, by a merge of the two sorted pair lists."""
         if not other:
@@ -175,7 +178,10 @@ class Polynomial:
         return max((m.degree_in(var) for m in self._terms), default=0)
 
     def variables(self) -> set[int]:
-        return {v for mono in self._terms for v, _ in mono}
+        out: set[int] = set()
+        for mono in self._terms:
+            out.update(mono.variables())
+        return out
 
     def constant_term(self) -> FieldValue:
         return self.coefficient(MONOMIAL_ONE)
@@ -471,12 +477,10 @@ class Namespace:
         def key(name: str):
             m = re.fullmatch(r"([A-Za-z_]+?)(\d*)", name)
             prefix, digits = (m.group(1), m.group(2)) if m else (name, "")
-            return (prefix, int(digits) if digits else -1, name)
+            suffix = config.read_int(digits, "a variable's numeric suffix") if digits else -1
+            return (prefix, suffix, name)
 
-        try:
-            return Namespace(sorted(seen, key=key))
-        except ValueError as exc:  # int() reads no more than 4300 digits
-            raise ParseError("a numeric suffix of a variable name has too many digits") from exc
+        return Namespace(sorted(seen, key=key))
 
 
 def fresh_names(taken: Iterable[str], n: int) -> list[str]:
@@ -503,12 +507,10 @@ def parse_polynomial(text: str, field: Field, ns: Namespace) -> Polynomial:
         for name, exp, constant in _FACTOR_RE.findall(m.group(2)):
             if constant:
                 coeff = field.mul(coeff, field.parse_value(constant))
-                continue
-            var = ns.id(name)
-            try:
-                exps[var] = exps.get(var, 0) + (int(exp) if exp else 1)
-            except ValueError as exc:  # int() reads no more than 4300 digits
-                raise ParseError(f"the exponent of {name} has too many digits") from exc
+            else:
+                var = ns.id(name)
+                e = config.read_int(exp, f"the exponent of {name}") if exp else 1
+                exps[var] = exps.get(var, 0) + e
         mono = Monomial.of(exps)
         terms[mono] = field.add(terms.get(mono, field.zero), coeff)
     return Polynomial(field, terms)
@@ -521,15 +523,15 @@ def format_polynomial(p: Polynomial, ns: Namespace | None = None) -> str:
     name = ns.name if ns is not None else (lambda v: f"v{v + 1}")
     parts: list[str] = []
     den = p._den
-    try:
-        for mono, n in sorted(p._terms.items(), key=lambda t: t[0].sort_key, reverse=True):
-            # The coefficient n/den in lowest terms; over F_p den is 1.
-            g = gcd(n, den)
-            c = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
-            factors = [c] if c != "1" or not mono else []
-            factors += [name(v) if e == 1 else f"{name(v)}^{e}" for v, e in mono]
-            parts.append(f"{'-' if n < 0 else '+'} {'*'.join(factors)}")
-    except ValueError as exc:  # str() writes no more than 4300 digits
-        raise InputError("a coefficient has too many digits to write") from exc
+    for mono, n in sorted(p._terms.items(), key=lambda t: t[0].sort_key, reverse=True):
+        # The coefficient n/den in lowest terms; over F_p den is 1.
+        g = gcd(n, den)
+        c = config.exact_text(abs(n) // g, "a coefficient")
+        if g != den:
+            c += "/" + config.exact_text(den // g, "a coefficient's denominator")
+        factors = [c] if c != "1" or not mono else []
+        factors += [name(v) if e == 1 else f"{name(v)}^{config.exact_text(e, 'an exponent')}"
+                    for v, e in mono]
+        parts.append(f"{'-' if n < 0 else '+'} {'*'.join(factors)}")
     text = " ".join(parts)
     return text[2:] if text[0] == "+" else "-" + text[2:]

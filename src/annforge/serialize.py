@@ -17,7 +17,7 @@ import json
 from . import config
 from .annihilator import AnnihilatorCertificate
 from .circuit import parse_circuit, serialize_circuit
-from .encoding import LocalEncoding, PolynomialMap, local_encode
+from .encoding import BlockSpans, LocalEncoding, PolynomialMap, local_encode
 from .errors import ParseError
 from .fields import QQ, Field, check_same_field, field_from_json
 from .ips import EquationSystem, Refutation
@@ -88,7 +88,7 @@ def map_from_json(obj: dict) -> PolynomialMap:
 def encoding_to_json(enc: LocalEncoding) -> dict:
     obj = map_to_json(enc.map)
     obj["kind"] = "local_encoding"
-    obj["blocks"] = {name: list(span) for name, span in dataclasses.asdict(enc.blocks).items()}
+    obj["blocks"] = _blocks_to_json(enc.blocks)
     field = enc.map.field
     obj["provenance"] = {
         "type": "local_encoding",
@@ -97,6 +97,10 @@ def encoding_to_json(enc: LocalEncoding) -> dict:
         "beta": field.format_value(enc.beta),
     }
     return obj
+
+
+def _blocks_to_json(blocks: BlockSpans) -> dict:
+    return {name: list(span) for name, span in dataclasses.asdict(blocks).items()}
 
 
 @_reader

@@ -729,8 +729,9 @@ def test_pit_randomized_refuses_zero_trials(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["instance", "--family", "kayal", "--n", "0"], "family kayal needs --n >= 1 and --d >= 1"),
-    (["instance", "--family", "kayal-chain", "--n", "2"],
-     "family kayal-chain needs --n >= 3 and --d >= 1"),
+    (["instance", "--family", "kayal-chain", "--n", "2"], "family kayal-chain needs --n >= 3"),
+    (["instance", "--family", "kayal-chain", "--n", "3", "--d", "0"],
+     "family kayal-chain needs --d >= 1"),
     (["instance", "--family", "det", "--n", "7"], "family det needs 2 <= --n <= 5"),
     (["resultant", "--f", "x + 1", "--g", "x - 1", "--var", "z"],
      "--f and --g are both constant in --var"),
