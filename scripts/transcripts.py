@@ -511,6 +511,9 @@ def _scenarios(base: str) -> list[Scenario]:
     nines = "9" * 4300  # a monomial whose degree has 4301 digits
     sc.put("wide.json", json.dumps({"seed_len": 2, "outputs": [f"x1^{nines}*x2^{nines}"]}))
     sc.run("stretch", "--map", "wide.json", "--copies", "1")
+    sc.put("sys.json", json.dumps({"equations": ["x1", "x2"], "n_vars": 2}))
+    sc.put("wide_ref.json", json.dumps({"kind": "geometric", "r": f"z1^{nines}*z2^{nines} + 2"}))
+    sc.run("ips-verify", "--system", "sys.json", "--refutation", "wide_ref.json")
     return scenarios
 
 
