@@ -210,8 +210,8 @@ def peel(outputs: Sequence[Polynomial], n_vars: int) -> tuple[dict, frozenset[in
     and the set of outputs it pairs.
 
     While it can, pair the lowest-index output j that reads exactly one
-    unpaired variable v, as c*v + g with c a nonzero constant, and set
-    sigma(v) = (z_j - g o sigma) / c.  The k-th variable left unpaired goes
+    unpaired variable v, stored as (c*v + g)/den with v not in g, and set
+    sigma(v) = (den*z_j - g o sigma)/c.  The k-th variable left unpaired goes
     to the fresh id len(outputs) + k.  Counts of unpaired variables per
     output and a heap of the outputs at count one spare rescans.  Outputs
     triangular in seed order pair v_j with output j."""
@@ -229,26 +229,21 @@ def peel(outputs: Sequence[Polynomial], n_vars: int) -> tuple[dict, frozenset[in
         j = heapq.heappop(ready)
         if unpaired[j] != 1:
             continue
-        out = outputs[j]
         (v,) = (u for u in reads[j] if u not in sigma)
         diagonal = Monomial(((v, 1),))
-        c = out.coefficient(diagonal)
-        if f.is_zero(c):
-            continue
-        unit = c == f.one
-        minus_inv = f.neg(f.one if unit else f.inv(c))
-        step: dict[Monomial, FieldValue] = {}
-        for mono, coeff in out.iter_terms():
+        terms, den = outputs[j].integer_terms()
+        step = {diagonal: den}
+        for mono, n in terms:
             if mono == diagonal:
-                step[mono] = f.neg(minus_inv)
+                c = n
             elif mono.degree_in(v):
                 break  # v occurs other than in c*v
             else:
-                step[mono] = f.neg(coeff) if unit else f.mul(coeff, minus_inv)
+                step[mono] = -n
         else:
-            # (v - g) / c with v kept as z_j and the paired variables by sigma.
+            # (den*v - g) / c with v kept as z_j and the paired variables by sigma.
             sigma[v] = Polynomial.variable(f, j)
-            sigma[v] = Polynomial(f, step).compose(sigma)
+            sigma[v] = Polynomial.from_integer_terms(f, step).compose(sigma).scale(f.inv(c))
             paired.add(j)
             for k in readers[v]:
                 unpaired[k] -= 1

@@ -6,8 +6,8 @@ stored as integer numerators, in a dict keyed by Monomial (a tuple subclass
 of sorted (var, exp) pairs, so keys hash and compare in C), over one
 positive denominator: over F_p residues over 1, over QQ numerators with no
 factor in common with it.  No zero is stored, so the form is canonical.
-The constructor clears field values to it, _wrap restores it after integer
-arithmetic, and field values (Fractions over QQ) appear only at the API
+The constructor clears field values to it, from_integer_terms builds it from
+integers, and field values (Fractions over QQ) appear only at the API
 edge.  Products (``*``, ``compose``, ``substitute``) go through one integer
 loop, _ProductSum.  ``evaluate`` runs on a plan that the first call
 compiles and the polynomial keeps.  Nothing changes a polynomial's terms
@@ -131,16 +131,39 @@ class Polynomial:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
+    def from_integer_terms(field: Field, terms: dict[Monomial, int], den: int = 1) -> "Polynomial":
+        """The polynomial with integer numerators ``terms`` over ``den``
+        (positive; 1 over F_p) in canonical form: zeros dropped, and numerators
+        reduced mod p over F_p, divided with den by their gcd over QQ."""
+        p = field.characteristic
+        if p:
+            terms = {m: r for m, n in terms.items() if (r := n % p)}
+        else:
+            terms = {m: n for m, n in terms.items() if n}
+            if den != 1:
+                g = gcd(den, *terms.values())
+                if g != 1:
+                    terms = {m: n // g for m, n in terms.items()}
+                    den //= g
+        out = Polynomial.__new__(Polynomial)
+        out.field = field
+        out._terms = terms
+        out._den = den
+        out._plan = None
+        return out
+
+    @staticmethod
     def zero(field: Field) -> "Polynomial":
-        return Polynomial(field)
+        return Polynomial.from_integer_terms(field, {})
 
     @staticmethod
     def constant(field: Field, value) -> "Polynomial":
-        return Polynomial(field, {MONOMIAL_ONE: value})
+        c = field.normalize(value)  # a reduced Fraction over QQ, a residue over F_p
+        return Polynomial.from_integer_terms(field, {MONOMIAL_ONE: c.numerator}, c.denominator)
 
     @staticmethod
     def variable(field: Field, var: int) -> "Polynomial":
-        return Polynomial(field, {Monomial.of({var: 1}): field.one})
+        return Polynomial.from_integer_terms(field, {Monomial.of({var: 1}): 1})
 
     @staticmethod
     def monomial(field: Field, coeff, exps: Mapping[int, int]) -> "Polynomial":
@@ -236,25 +259,7 @@ class Polynomial:
         return self._wrap({m: n * a for m, n in self._terms.items()}, self._den * c.denominator)
 
     def _wrap(self, terms: dict[Monomial, int], den: int) -> "Polynomial":
-        """The polynomial of this field with integer numerators ``terms`` over
-        ``den`` (positive; 1 over F_p) in canonical form: zeros dropped, and
-        numerators reduced mod p over F_p, divided with den by their gcd over QQ."""
-        p = self.field.characteristic
-        if p:
-            terms = {m: r for m, n in terms.items() if (r := n % p)}
-        else:
-            terms = {m: n for m, n in terms.items() if n}
-            if den != 1:
-                g = gcd(den, *terms.values())
-                if g != 1:
-                    terms = {m: n // g for m, n in terms.items()}
-                    den //= g
-        out = Polynomial.__new__(Polynomial)
-        out.field = self.field
-        out._terms = terms
-        out._den = den
-        out._plan = None
-        return out
+        return Polynomial.from_integer_terms(self.field, terms, den)
 
     # -- evaluation / substitution -------------------------------------------
 
@@ -494,25 +499,24 @@ def parse_polynomial(text: str, field: Field, ns: Namespace) -> Polynomial:
     raises ParseError naming the position where reading stopped."""
     if not text.strip():
         raise ParseError("empty polynomial text")
-    minus_one = field.neg(field.one)
-    terms: dict[Monomial, FieldValue] = {}  # zero sums are dropped by the constructor
+    terms: dict[Monomial, FieldValue] = {}  # the constructor normalizes, dropping zeros
     pos = 0
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if m is None or pos and not m.group(1).strip():
             raise ParseError(f"syntax error at position {pos} in {text!r}")
         pos = m.end()
-        coeff = minus_one if m.group(1).count("-") % 2 else field.one
+        coeff = -1 if m.group(1).count("-") % 2 else 1
         exps: dict[int, int] = {}
         for name, exp, constant in _FACTOR_RE.findall(m.group(2)):
             if constant:
-                coeff = field.mul(coeff, field.parse_value(constant))
+                coeff *= field.parse_value(constant)
             else:
                 var = ns.id(name)
                 e = config.read_int(exp, f"the exponent of {name}") if exp else 1
                 exps[var] = exps.get(var, 0) + e
         mono = Monomial.of(exps)
-        terms[mono] = field.add(terms.get(mono, field.zero), coeff)
+        terms[mono] = terms.get(mono, 0) + coeff
     return Polynomial(field, terms)
 
 

@@ -206,17 +206,20 @@ def test_canonical_refutation_verifies_through_the_triangular_path():
 def near_triangular_maps(draw):
     """Output j < n is c*v_j + g with c sometimes zero and g mostly over
     v_<j, sometimes over any variable; outputs past n read any variable.
-    The former inverse is None on some of these maps."""
+    Coefficients such as 1/2 and -2/3 give a stored denominator other than
+    1 over QQ.  The former inverse is None on some of these maps."""
     field = draw(st.sampled_from(FIELDS))
     n = draw(st.integers(1, 4))
     outputs = []
     for j in range(draw(st.integers(max(n - 1, 1), n + 2))):
         diagonal = Monomial.of({j: 1} if j < n else {})
-        terms = {diagonal: draw(st.sampled_from([1, 1, 2, -3, 0]))}
+        terms = {diagonal: draw(st.sampled_from([1, 1, 2, -3, 0, Fraction(1, 2),
+                                                 Fraction(-2, 3)]))}
         reach = j if j < n and draw(st.integers(0, 4)) else n
         for _ in range(draw(st.integers(0, 3))):
             factors = draw(st.lists(st.integers(0, reach - 1), max_size=2)) if reach else []
-            terms[Monomial.of(Counter(factors))] = draw(st.integers(-3, 3))
+            terms[Monomial.of(Counter(factors))] = draw(st.integers(-3, 3) | st.sampled_from(
+                [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]))
         outputs.append(Polynomial(field, terms))
     return outputs, n
 

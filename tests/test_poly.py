@@ -360,3 +360,23 @@ def test_every_route_keeps_the_stored_form_canonical(field, raw_p, raw_q, c):
         assert_canonical(route)
     assert p.scale(c).scale(1 / c) == p
     assert (p + q) - q == p
+
+
+def test_variable_and_constant_build_the_stored_form_without_the_constructor(monkeypatch):
+    cases = [(field, value) for field in (QQ, GF7)
+             for value in (0, 1, -1, 9, Fraction(1, 2), Fraction(-2, 3))]
+    expected = [Polynomial(field, {Monomial(): value}) for field, value in cases]
+    x3 = [Polynomial(field, {Monomial.of({2: 1}): 1}) for field in (QQ, GF7)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Polynomial.__init__ ran")
+
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    built = [Polynomial.constant(field, value) for field, value in cases]
+    assert built == expected
+    assert [Polynomial.variable(field, 2) for field in (QQ, GF7)] == x3
+    assert Polynomial.zero(QQ).is_zero()
+    for p in built:
+        assert_canonical(p)
+    with pytest.raises(InputError, match=r"bad exponent entry \(-1, 1\)"):
+        Polynomial.variable(QQ, -1)
