@@ -514,6 +514,24 @@ def _scenarios(base: str) -> list[Scenario]:
     sc.put("sys.json", json.dumps({"equations": ["x1", "x2"], "n_vars": 2}))
     sc.put("wide_ref.json", json.dumps({"kind": "geometric", "r": f"z1^{nines}*z2^{nines} + 2"}))
     sc.run("ips-verify", "--system", "sys.json", "--refutation", "wide_ref.json")
+    # JSON numbers that are not integers, and integers written as booleans or strings.
+    for name, obj in [("float.json", {"seed_len": 2.7, "outputs": ["x1", "x2"]}),
+                      ("true.json", {"seed_len": True, "outputs": ["x1"]}),
+                      ("string.json", {"seed_len": "1", "outputs": ["x1"]}),
+                      ("inf.json", {"seed_len": 1, "outputs": ["x1"], "note": float("-inf")}),
+                      ("p_float.json", {"field": {"type": "prime", "p": 7.9}, "seed_len": 1,
+                                        "outputs": ["x1"]}),
+                      ("p_string.json", {"field": {"type": "prime", "p": "7"}, "seed_len": 1,
+                                         "outputs": ["x1"]}),
+                      ("p_true.json", {"field": {"type": "prime", "p": True}, "seed_len": 1,
+                                       "outputs": ["x1"]})]:
+        sc.put(name, json.dumps(obj))
+        sc.run("stretch", "--map", name, "--copies", "1", "--out", f"stretched_{name}")
+    sc.put("r.json", json.dumps({"kind": "geometric", "r": "1 - z1"}))
+    for name, n_vars in [("sys_true.json", True), ("sys_string.json", "1")]:
+        sc.put(name, json.dumps({"equations": ["x1"], "n_vars": n_vars}))
+        sc.run("ips-verify", "--system", name, "--refutation", "r.json")
+    sc.run("jacobian", "--polys", "polys.json", "--prime", "8")
     return scenarios
 
 
