@@ -532,6 +532,8 @@ def _scenarios(base: str) -> list[Scenario]:
         sc.put(name, json.dumps({"equations": ["x1"], "n_vars": n_vars}))
         sc.run("ips-verify", "--system", name, "--refutation", "r.json")
     sc.run("jacobian", "--polys", "polys.json", "--prime", "8")
+    sc.put("deep.json", "[" * 3000 + "]" * 3000)
+    sc.run("stretch", "--map", "deep.json", "--copies", "1")
     return scenarios
 
 

@@ -196,6 +196,8 @@ def random_circuit(
     b = CircuitBuilder(field, n_inputs, name=f"random_{seed}")
     for c in const_pool:
         b.const(c)
+    if not b.gates:
+        raise CircuitError("a random circuit needs an input or a constant to start from")
     for _ in range(size):
         op = rng.choice(("add", "mul"))
         left = rng.randrange(len(b.gates))

@@ -59,7 +59,16 @@ def _read(path: str) -> str:
 
 
 def _read_json(path: str) -> dict:
-    return json.loads(_read(path), parse_int=lambda s: config.read_int(s, f"{path}: an integer"))
+    """The JSON value in ``path``, with integers as its only numbers."""
+
+    def refuse(text: str):
+        raise ParseError(f"{path}: {text} is not a JSON integer")
+
+    try:
+        return json.loads(_read(path), parse_float=refuse, parse_constant=refuse,
+                          parse_int=lambda s: config.read_int(s, f"{path}: an integer"))
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
 
 
 def _write(path: str, text: str) -> None:
@@ -370,13 +379,14 @@ def cmd_instance(args) -> int:
         clauses, n_vars = parse_dimacs(_read(args.cnf))
         payload = dumps(system_to_json(encode_3cnf(clauses, n_vars, field)))
         desc = f"cnf3 with {len(clauses)} clauses on {n_vars} variables"
+    report = {"family": args.family}
     if args.out:
         _write(args.out, payload)
         lines = [f"wrote {desc} to {args.out}"]
-    else:
-        print(payload, end="")
-        lines = []
-    _emit(args, {"family": args.family}, lines)
+    else:  # the payload is the output, and with --json a field of the report
+        report["payload"] = payload
+        lines = [payload.removesuffix("\n")]
+    _emit(args, report, lines)
     return 0
 
 

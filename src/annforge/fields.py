@@ -226,11 +226,3 @@ def field_from_spec(spec: str) -> Field:
     except InputError as exc:
         raise InputError(f"--field {spec}: {exc}") from exc
     raise ParseError(f"unknown field spec {spec!r}")
-
-
-def field_from_json(obj: dict) -> Field:
-    if obj.get("type") == "rational":
-        return QQ
-    if obj.get("type") == "prime":
-        return PrimeField(int(obj["p"]))
-    raise ParseError(f"unknown field JSON {obj!r}")

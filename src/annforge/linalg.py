@@ -169,7 +169,10 @@ def rank_random_eval(
     if trials < 1:
         raise InputError("--trials must be >= 1")
     # Over F_q evaluate natively: a foreign modulus would be unsound.
-    gf = matrix.field if isinstance(matrix.field, PrimeField) else PrimeField(p)
+    try:
+        gf = matrix.field if isinstance(matrix.field, PrimeField) else PrimeField(p)
+    except InputError as exc:
+        raise InputError(f"--prime {p}: {exc}") from exc
     entries = matrix.nonzero_mod.get(gf.p)
     if entries is None:
         entries = matrix.nonzero_mod[gf.p] = [

@@ -19,7 +19,7 @@ from .annihilator import AnnihilatorCertificate
 from .circuit import parse_circuit, serialize_circuit
 from .encoding import BlockSpans, LocalEncoding, PolynomialMap, local_encode
 from .errors import ParseError
-from .fields import QQ, Field, check_same_field, field_from_json
+from .fields import QQ, Field, PrimeField, check_same_field
 from .ips import EquationSystem, Refutation
 from .poly import Namespace, format_polynomial, fresh_names, parse_polynomial
 
@@ -43,9 +43,21 @@ def _reader(read):
     return checked
 
 
+def _integer(value, what: str) -> int:
+    """``value``, which must be a JSON integer: not a boolean or a string."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be a JSON integer, not a {type(value).__name__}")
+    return value
+
+
 def _field(obj: dict) -> Field:
     """The field a file states; a file that states none is over QQ."""
-    return field_from_json(obj["field"]) if "field" in obj else QQ
+    spec = obj.get("field", {"type": "rational"})
+    if spec.get("type") == "rational":
+        return QQ
+    if spec.get("type") == "prime":
+        return PrimeField(_integer(spec["p"], "field.p"))
+    raise ParseError(f"unknown field JSON {spec!r}")
 
 
 # -- polynomial maps ----------------------------------------------------------
@@ -67,7 +79,7 @@ def map_to_json(pmap: PolynomialMap) -> dict:
 def map_from_json(obj: dict) -> PolynomialMap:
     field = _field(obj)
     texts = obj["outputs"]
-    seed_len = int(obj["seed_len"])
+    seed_len = _integer(obj["seed_len"], "seed_len")
     if "seed_names" in obj:
         names = list(obj["seed_names"])
     else:
@@ -166,7 +178,7 @@ def system_from_json(obj: dict) -> EquationSystem:
         names = list(obj["var_names"])
     else:
         names = list(Namespace.inferred(texts).names)
-    n_vars = int(obj.get("n_vars", len(names)))
+    n_vars = _integer(obj.get("n_vars", len(names)), "n_vars")
     if len(names) != n_vars:
         raise ParseError(f"var_names has {len(names)} entries, n_vars is {n_vars}")
     ns = Namespace(names)
@@ -198,7 +210,7 @@ def refutation_to_json(ref: Refutation, system: EquationSystem) -> dict:
 @_reader
 def refutation_from_json(obj: dict, system: EquationSystem) -> Refutation:
     if "field" in obj:
-        check_same_field(field_from_json(obj["field"]), system.field)
+        check_same_field(_field(obj), system.field)
     kind = obj["kind"]
     ns = _refutation_namespace(kind, system)
     return Refutation(kind=kind, r=parse_polynomial(obj["r"], system.field, ns))

@@ -153,6 +153,10 @@ def test_random_circuit_determinism():
     assert random_circuit(3, 1, seed=0).size == 1
     with pytest.raises(CircuitError):
         random_circuit(2, 0, seed=1)
+    # No input and no constant leaves no gate to draw the first operands from.
+    with pytest.raises(CircuitError, match="needs an input or a constant"):
+        random_circuit(0, 3, seed=1)
+    assert random_circuit(0, 3, seed=1, const_pool=(2,)).size == 3
 
 
 def test_random_circuit_eval_matches_expansion():

@@ -816,3 +816,23 @@ def test_double_dash_as_an_option_value_is_a_usage_error(capsys):
     assert main(["resultant", "--f=--", "--g=x", "--var=x"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "'--' is not an option value" in captured.err
+
+
+def test_jacobian_refused_prime_names_the_flag(tmp_path, capsys):
+    polys = tmp_path / "polys.json"
+    polys.write_text('["x1^2 + x2", "x1*x2"]')
+    assert main(["jacobian", "--polys", str(polys), "--prime", "8"]) == 2
+    assert capsys.readouterr() == ("", "error [input.invalid]: --prime 8: modulus 8 is not prime\n")
+    # Over GF(q) the rank is taken in q, and --prime is not read.
+    assert main(["jacobian", "--polys", str(polys), "--prime", "8", "--field", "prime:7"]) == 0
+
+
+@pytest.mark.parametrize("family", ["kayal", "masser-philippon", "det"])
+def test_instance_json_without_out_prints_one_json_document(capsys, family):
+    code, text = run(capsys, "instance", "--family", family)
+    assert code == 0
+    code, out = run(capsys, "instance", "--family", family, "--json")
+    assert code == 0
+    report = json.loads(out)  # one JSON value: the payload rides inside the report
+    assert report == {"schema_version": 1, "command": "instance", "family": family,
+                      "payload": text, "out": None}

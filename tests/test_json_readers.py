@@ -117,3 +117,38 @@ def test_unmutated_inputs_are_accepted(workdir):
     for name in INPUTS:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(command(workdir, name, workdir / name)) == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"seed_len": 2.7, "outputs": ["x1", "x2"]}', "{path}: 2.7 is not a JSON integer"),
+    ('{"seed_len": 1, "outputs": ["x1"], "w": NaN}', "{path}: NaN is not a JSON integer"),
+    ('{"seed_len": Infinity, "outputs": ["x1"]}', "{path}: Infinity is not a JSON integer"),
+    ('{"seed_len": 1, "outputs": ["x1"], "w": -Infinity}',
+     "{path}: -Infinity is not a JSON integer"),
+    ('{"seed_len": true, "outputs": ["x1"]}', "seed_len must be a JSON integer, not a bool"),
+    ('{"seed_len": "1", "outputs": ["x1"]}', "seed_len must be a JSON integer, not a str"),
+    ('{"field": {"type": "prime", "p": 7.9}, "seed_len": 1, "outputs": ["x1"]}',
+     "{path}: 7.9 is not a JSON integer"),
+    ('{"field": {"type": "prime", "p": "7"}, "seed_len": 1, "outputs": ["x1"]}',
+     "field.p must be a JSON integer, not a str"),
+    ('{"field": {"type": "prime", "p": false}, "seed_len": 1, "outputs": ["x1"]}',
+     "field.p must be a JSON integer, not a bool"),
+    ("[" * 3000 + "]" * 3000, "{path}: JSON nested too deeply"),
+], ids=["float", "nan", "infinity", "minus-infinity", "true", "string", "p-float", "p-string",
+        "p-false", "nested"])
+def test_a_map_file_must_write_its_integers_as_json_integers(tmp_path, capsys, text, message):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    assert main(["stretch", "--map", str(path), "--copies", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error [parse.error]: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("n_vars, kind", [("true", "bool"), ('"1"', "str")])
+def test_a_system_file_must_write_n_vars_as_a_json_integer(workdir, tmp_path, capsys,
+                                                           n_vars, kind):
+    path = tmp_path / "sys.json"
+    path.write_text(f'{{"equations": ["x1"], "n_vars": {n_vars}}}')
+    assert main(["ips-verify", "--system", str(path), "--refutation",
+                 str(workdir / "r.json")]) == 2
+    assert capsys.readouterr() == ("", "error [parse.error]: n_vars must be a JSON integer, "
+                                       f"not a {kind}\n")
