@@ -5,15 +5,19 @@ Pair i of a workload runs seed ``base + i`` on both revisions, the parent
 first on even i and the change first on odd i.  Every run is made in a fresh
 ``git archive`` of its revision, with the command and the run length
 (``--seconds``) that the change's ``BENCHMARK.json`` gives, plus
-``--workload`` and ``--seed``, and its last stdout line is kept as it is.  The results go to ``BENCH_<label>.json``, which is
-rewritten after each run, so a cut run keeps the pairs it finished:
+``--workload`` and ``--seed``, and its last stdout line is kept as it is.
+Each revision is recorded with its commit, its ``src/`` tree and the line
+count of the Python files under ``src/``.  The results go to
+``BENCH_<label>.json``, which is rewritten after each run, so a cut run
+keeps the pairs it finished:
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --label evalplan \\
         --workload evaluate:10:10301 --workload certify:5:10101
     python3 scripts/bench_pairs.py --summarize BENCH_evalplan.json
 
-``--summarize`` prints, per workload and end-to-end metric of
-``BENCHMARK.json``, the median and quartiles of each side, the pairs the
+``--summarize`` prints the ``src/`` line count of each side (files written
+before it was recorded have none), then, per workload and end-to-end metric
+of ``BENCHMARK.json``, the median and quartiles of each side, the pairs the
 change won, the metric's bound and the parent's spread (interquartile range
 over median).  A metric whose parent spread exceeds its bound is marked
 UNRESOLVED: the runs cannot tell a regression of that size from noise.  Run
@@ -49,7 +53,15 @@ def git(*args: str) -> bytes:
 
 def revision(rev: str) -> dict:
     return {"commit": git("rev-parse", f"{rev}^{{commit}}").decode().strip(),
-            "src_tree": git("rev-parse", f"{rev}:src").decode().strip()}
+            "src_tree": git("rev-parse", f"{rev}:src").decode().strip(),
+            "src_lines": src_lines(rev)}
+
+
+def src_lines(rev: str) -> int:
+    """The number of lines of the Python files under src/ at ``rev``."""
+    paths = git("ls-tree", "-r", "--name-only", rev, "--", "src").decode().splitlines()
+    return sum(git("show", f"{rev}:{path}").count(b"\n") for path in paths
+               if path.endswith(".py"))
 
 
 def run_once(commit: str, argv: list[str]) -> dict:
@@ -74,6 +86,8 @@ def layout_problems(doc: dict) -> list[str]:
     if set(doc["revisions"]) != set(SIDES) or not all(
             isinstance(doc["revisions"][s].get("src_tree"), str) for s in SIDES):
         problems.append("revisions need parent and change, each with a src_tree")
+    elif not all(type(doc["revisions"][s].get("src_lines", 0)) is int for s in SIDES):
+        problems.append("a revision's src_lines is not an integer")
     if not doc["python"].startswith("Python ") or type(doc["cpu_count"]) is not int:
         problems.append("python or cpu_count malformed")
     pairs: dict[tuple, list] = {}
@@ -137,7 +151,9 @@ def unresolved(doc: dict) -> list[str]:
 def summarize(doc: dict) -> str:
     """Median [quartiles] of each side, the pairs the change won, and the
     metrics whose parent spread leaves them unresolved."""
-    out = []
+    lines = {s: doc["revisions"][s].get("src_lines") for s in SIDES}
+    out = [f"src/ lines: {lines['parent']} -> {lines['change']}" if None not in lines.values()
+           else "src/ lines: not recorded"]
     for workload in doc["workloads"]:
         pairs = _pairs(doc, workload)
         out.append(f"{workload} ({len(pairs)} pairs)")

@@ -1,6 +1,7 @@
 """Every committed BENCH_*.json is in the one layout that
 scripts/bench_pairs.py writes: the workloads, the command, both revisions
-with their src/ trees, the Python version, the CPU count, the host, how the
+with their src/ trees (and, in files written since it was recorded, their
+src/ line counts), the Python version, the CPU count, the host, how the
 pairs were seeded and ordered, and one raw result line per run.  Only JSON
 is read; no benchmark runs."""
 
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -51,3 +53,26 @@ def test_unresolved_flags_a_metric_whose_parent_spread_exceeds_its_bound():
     assert bench_pairs.unresolved(doc) == ["certify/ops_per_s"]
     assert "ops_per_s" in next(line for line in bench_pairs.summarize(doc).splitlines()
                                if line.endswith("UNRESOLVED"))
+
+
+def test_src_line_counts_are_optional_integers_and_summarized():
+    doc = json.loads((ROOT / "BENCH_intcore.json").read_text())
+    assert "src_lines" not in doc["revisions"]["parent"]  # an older file
+    assert bench_pairs.summarize(doc).splitlines()[0] == "src/ lines: not recorded"
+    doc["revisions"]["parent"]["src_lines"] = 3538
+    doc["revisions"]["change"]["src_lines"] = 3530
+    assert bench_pairs.layout_problems(doc) == []
+    assert bench_pairs.summarize(doc).splitlines()[0] == "src/ lines: 3538 -> 3530"
+    doc["revisions"]["change"]["src_lines"] = "3530"
+    assert bench_pairs.layout_problems(doc) == ["a revision's src_lines is not an integer"]
+
+
+def test_src_lines_counts_the_python_lines_under_src():
+    head = sum(path.read_bytes().count(b"\n") for path in (ROOT / "src").rglob("*.py"))
+    try:
+        counted = bench_pairs.src_lines("HEAD")
+    except (subprocess.CalledProcessError, OSError):  # not a git checkout, or no git
+        pytest.skip("no git history to read")
+    if bench_pairs.git("status", "--porcelain", "--", "src").strip():
+        pytest.skip("src/ differs from HEAD")
+    assert counted == head
