@@ -534,6 +534,88 @@ def _scenarios(base: str) -> list[Scenario]:
     sc.run("jacobian", "--polys", "polys.json", "--prime", "8")
     sc.put("deep.json", "[" * 3000 + "]" * 3000)
     sc.run("stretch", "--map", "deep.json", "--copies", "1")
+    # jacobian's flags on polynomials that are all constant.
+    sc.put("consts.json", json.dumps(["5", "3"]))
+    sc.run("jacobian", "--polys", "consts.json", "--trials", "0")
+    sc.run("jacobian", "--polys", "consts.json", "--prime", "8")
+    # Each refusal of the circuit DSL.
+    for text in ["circuit\ninputs x1\ng1 = add x1 x1\noutput g1\n",
+                 "inputs x1\ninputs x2\ng1 = add x1 x1\noutput g1\n",
+                 "inputs x1 1x\ng1 = add x1 x1\noutput g1\n",
+                 "inputs x1 x1\ng1 = add x1 x1\noutput g1\n",
+                 "inputs x1\ng1 = add x1 x1\noutput\n",
+                 "inputs x1\n1g = add x1 x1\noutput 1g\n",
+                 "inputs x1\ng1 = add x1 x1\ng1 = mul x1 x1\noutput g1\n",
+                 "g1 = add x1 x1\ninputs x1\noutput g1\n",
+                 "inputs x1\ng1 add x1 x1\noutput g1\n",
+                 "inputs x1\ng1 = add x1 x1\n",
+                 "inputs x1\ng1 = add x1 x1\noutput g2\n",
+                 "inputs x1\ng1 = add x1 x1\ng2 = mul g1 g1\noutput g1\n",
+                 "inputs x1\ng1 = add x1 q\noutput g1\n",
+                 "inputs x1\ng1 = add x1 1/0\noutput g1\n"]:
+        sc.put("dsl.txt", text)
+        sc.run("metrics", "--circuit", "dsl.txt")
+    sc.put("id.txt", "circuit id\ninputs x1\noutput x1\n")
+    sc.run("encode", "--circuit", "id.txt", "--alpha", "1", "--beta", "0")
+    # Map, system and refutation files that the readers refuse.
+    sc.run("encode", "--circuit", "c.txt", "--alpha", "1,2", "--beta", "0", "--out", "enc.json")
+    tampered = json.loads(sc.read("enc.json"))
+    tampered["outputs"][0] = "x1 + 0"
+    sc.put("tampered.json", json.dumps(tampered))
+    sc.run("metrics", "--encoding", "tampered.json")
+    for name, obj in [("field_x.json", {"field": {"type": "x"}, "seed_len": 1,
+                                        "outputs": ["x1"]}),
+                      ("outputs_int.json", {"seed_len": 1, "outputs": [1]})]:
+        sc.put(name, json.dumps(obj))
+        sc.run("stretch", "--map", name, "--copies", "1")
+    sc.put("sys1.json", json.dumps({"equations": ["x1"], "n_vars": 1}))
+    for name, obj in [("kind.json", {"kind": "other", "r": "1"}),
+                      ("full_x.json", {"kind": "full", "r": "x1 + z1"}),
+                      ("r_gf7.json", {"kind": "geometric", "r": "1 - z1",
+                                      "field": {"type": "prime", "p": 7}})]:
+        sc.put(name, json.dumps(obj))
+        sc.run("ips-verify", "--system", "sys1.json", "--refutation", name)
+    sc.put("blank.txt", "  \n")
+    sc.run("verify", "--encoding", "enc.json", "--poly", "blank.txt")
+    sc.put("dup.json", json.dumps({"polynomials": ["x1"], "var_names": ["x1", "x1"]}))
+    sc.run("jacobian", "--polys", "dup.json")
+    sc.run("pit", "--circuit", "c.txt", "--map", "m.json")
+    sc.run("instance", "--family", "kayal-chain", "--n", "3", "--d", "0")
+    sc.run("instance", "--family", "masser-philippon", "--n", "1")
+    for name, text in [("novars.cnf", "p cnf 0 0\n"), ("lit.cnf", "p cnf 2 1\n1 2 3 0\n")]:
+        sc.put(name, text)
+        sc.run("instance", "--family", "cnf3", "--cnf", name)
+    sc.run("resultant", "--f=x^7 + 1", "--g=x^6 + 1", "--var", "x")
+    sc.put("third.json", json.dumps(["1/3*x1^2 + x2"]))
+    sc.run("jacobian", "--polys", "third.json", "--prime", "3")
+    # Numbers outside the ASCII integer grammar: underscores, non-ASCII
+    # digits and spaces, and a signed denominator.
+    sc.run("encode", "--circuit", "c.txt", "--alpha", "1_0,2", "--beta", "0")
+    sc.run("encode", "--circuit", "c.txt", "--alpha", "1,2", "--beta", "٣")
+    sc.run("encode", "--circuit", "c.txt", "--alpha", "1,2", "--beta", "1/-2")
+    sc.run("resultant", "--f=x + ٣", "--g=x^٢ + 1", "--var", "x")
+    sc.run("resultant", "--f=x + 3", "--g=x^٢ + 1", "--var", "x")
+    sc.run("resultant", "--f=x + 3", "--g=x - 1", "--var", "x")
+    sc.put("digit.txt", "circuit d\ninputs x1\ng1 = mul x1 ٣\noutput g1\n")
+    sc.run("metrics", "--circuit", "digit.txt")
+    sc.run("instance", "--family", "kayal", "--n", "1_0")
+    sc.run("metrics", "--circuit", "c.txt", "--field", "prime:1_000_003")
+    sc.run("metrics", "--circuit", "c.txt", env={"AF_TERM_BUDGET": " 1_000 "})
+    sc.put("digit.cnf", "p cnf 3 1\n1 2 ٣ 0\n")
+    sc.run("instance", "--family", "cnf3", "--cnf", "digit.cnf")
+    # Long inputs, which a refusal quotes cut.
+    digits = "1" * 5000
+    sc.run("encode", "--circuit", "c.txt", "--alpha", "1,2", "--beta", digits)
+    sc.run("search-ann", "--map", "m.json", "--degree", digits)
+    sc.run("metrics", "--circuit", "c.txt", "--field", f"prime:{digits}")
+    sc.run("metrics", "--circuit", "c.txt", env={"AF_TERM_BUDGET": digits})
+    sc.put("wide.txt", "circuit w\ninputs x1\ng1 = add x1 x1 " + "z" * 20000 + "\noutput g1\n")
+    sc.run("metrics", "--circuit", "wide.txt")
+    sc.put("field_big.json", json.dumps({"field": {"type": "x", "a": "y" * 2000},
+                                         "seed_len": 1, "outputs": ["x1"]}))
+    sc.run("stretch", "--map", "field_big.json", "--copies", "1")
+    sc.put("long_p.txt", "z1 + " * 20000 + "2 z1")
+    sc.run("verify", "--encoding", "enc.json", "--poly", "long_p.txt")
     return scenarios
 
 

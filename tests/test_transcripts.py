@@ -85,4 +85,4 @@ def test_every_refusal_prints_one_coded_error_line():
         *warnings, last = call["stderr"].splitlines()
         assert CODED_ERROR.match(last), call["argv"]
         assert all(line.startswith("warning: ") for line in warnings), call["argv"]
-    assert len(usage) == 2
+    assert len(usage) == 3
