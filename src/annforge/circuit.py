@@ -28,7 +28,7 @@ from .errors import CircuitError, ParseError
 from .fields import QQ, Field, FieldValue
 from .poly import _NAME_RE, Polynomial
 
-_LITERAL_RE = re.compile(r"-?\d+(/\d+)?")
+_LITERAL_RE = re.compile(r"-?\d+(/\d+)?", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -244,7 +244,7 @@ class CircuitBuilder:
         """Left-deep binary tree of fan-in-2 ``op`` gates over the operands;
         a single operand adds no gate."""
         if op not in ("add", "mul"):
-            raise CircuitError(f"unknown reduction op {op!r}")
+            raise CircuitError(f"unknown reduction op {config.quote(op)}")
         if not operands:
             raise CircuitError("tree_reduce over an empty operand list")
         acc = operands[0]
@@ -296,7 +296,7 @@ def parse_circuit(text: str, field: Field = QQ) -> Circuit:
         if _LITERAL_RE.fullmatch(ref):
             return b.const(field.parse_value(ref))
         if ref not in gate_ids:
-            raise ParseError(f"line {lineno}: undefined reference {ref!r}")
+            raise ParseError(f"line {lineno}: undefined reference {config.quote(ref)}")
         return gate_ids[ref]
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -313,9 +313,9 @@ def parse_circuit(text: str, field: Field = QQ) -> Circuit:
                 raise ParseError(f"line {lineno}: duplicate inputs line")
             for i, n in enumerate(parts[1:]):
                 if not _NAME_RE.fullmatch(n):
-                    raise ParseError(f"line {lineno}: bad input name {n!r}")
+                    raise ParseError(f"line {lineno}: bad input name {config.quote(n)}")
                 if n in gate_ids:
-                    raise ParseError(f"line {lineno}: duplicate input {n!r}")
+                    raise ParseError(f"line {lineno}: duplicate input {config.quote(n)}")
                 gate_ids[n] = i
             b = CircuitBuilder(field, len(parts) - 1, input_names=tuple(parts[1:]))
         elif parts[0] == "output":
@@ -325,22 +325,23 @@ def parse_circuit(text: str, field: Field = QQ) -> Circuit:
         elif len(parts) == 5 and parts[1] == "=":
             gname, _, op, ref1, ref2 = parts
             if op not in ("add", "mul"):
-                raise ParseError(f"line {lineno}: unknown op {op!r} (fan-in-2 add/mul only)")
+                raise ParseError(
+                    f"line {lineno}: unknown op {config.quote(op)} (fan-in-2 add/mul only)")
             if not _NAME_RE.fullmatch(gname):
-                raise ParseError(f"line {lineno}: bad gate name {gname!r}")
+                raise ParseError(f"line {lineno}: bad gate name {config.quote(gname)}")
             if gname in gate_ids:
-                raise ParseError(f"line {lineno}: duplicate gate {gname!r}")
+                raise ParseError(f"line {lineno}: duplicate gate {config.quote(gname)}")
             if b is None:
                 raise ParseError(f"line {lineno}: gate before inputs line")
             left, right = resolve(ref1, lineno), resolve(ref2, lineno)
             gate_ids[gname] = getattr(b, op)(left, right)
         else:
-            raise ParseError(f"line {lineno}: cannot parse {line!r}")
+            raise ParseError(f"line {lineno}: cannot parse {config.quote(line)}")
 
     if output_ref is None:
         raise ParseError("missing output line")
     if output_ref not in gate_ids:
-        raise ParseError(f"undefined output gate {output_ref!r}")
+        raise ParseError(f"undefined output gate {config.quote(output_ref)}")
     out = gate_ids[output_ref]
     # Constants enter just before the gate that reads them, so the last
     # gate is the last internal one whenever there is any.

@@ -62,13 +62,22 @@ def _read_json(path: str) -> dict:
     """The JSON value in ``path``, with integers as its only numbers."""
 
     def refuse(text: str):
-        raise ParseError(f"{path}: {text} is not a JSON integer")
+        raise ParseError(f"{path}: {config.quote(text, str)} is not a JSON integer")
 
     try:
         return json.loads(_read(path), parse_float=refuse, parse_constant=refuse,
                           parse_int=lambda s: config.read_int(s, f"{path}: an integer"))
     except RecursionError as exc:
         raise ParseError(f"{path}: JSON nested too deeply") from exc
+
+
+def _int_arg(text: str) -> int:
+    """An integer option, as config.read_int reads it; argparse refuses any
+    other value as a usage error."""
+    value = config.read_int(text, "the value", argparse.ArgumentTypeError)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {config.quote(text)}")
+    return value
 
 
 def _write(path: str, text: str) -> None:
@@ -467,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("search-ann", help="degree-bounded kernel search"))
     p.add_argument("--map", required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_int_arg, required=True)
     p.set_defaults(func=cmd_search_ann)
 
     p = common(sub.add_parser("verify", help="check that a polynomial annihilates"))
@@ -477,9 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("pit", help="polynomial identity testing"), field=True)
     p.add_argument("--circuit", required=True)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--grid", type=int, default=None, help="grid side (without --map)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int_arg, default=10)
+    p.add_argument("--grid", type=_int_arg, default=None, help="grid side (without --map)")
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--map", help="test the composition with this map instead")
     p.add_argument("--mode", choices=["symbolic", "randomized", "deterministic_grid"],
                    help="with --map only (default symbolic)")
@@ -494,9 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("jacobian", help="randomized Jacobian rank"), field=True)
     p.add_argument("--polys", required=True,
                    help="JSON file: [poly-text, ...] or {polynomials, var_names}")
-    p.add_argument("--trials", type=int, default=config.DEFAULT_TRIALS)
-    p.add_argument("--prime", type=int, default=config.DEFAULT_PRIME)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int_arg, default=config.DEFAULT_TRIALS)
+    p.add_argument("--prime", type=_int_arg, default=config.DEFAULT_PRIME)
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.set_defaults(func=cmd_jacobian)
 
     p = common(sub.add_parser("resultant", help="Sylvester resultant"), field=True)
@@ -522,16 +531,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("instance", help="build a named instance"), field=True)
     p.add_argument("--family", required=True,
                    choices=["kayal", "kayal-chain", "masser-philippon", "det", "cnf3"])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--n", type=_int_arg, default=2)
+    p.add_argument("--d", type=_int_arg, default=2)
     p.add_argument("--cnf", help="DIMACS-like 3CNF file (family cnf3)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_instance)
 
     p = common(sub.add_parser("stretch", help="parallel copies and padding"))
     p.add_argument("--map", required=True)
-    p.add_argument("--copies", type=int, required=True)
-    p.add_argument("--pad", type=int, default=None,
+    p.add_argument("--copies", type=_int_arg, required=True)
+    p.add_argument("--pad", type=_int_arg, default=None,
                    help="pad the result to this output length")
     p.add_argument("--out")
     p.set_defaults(func=cmd_stretch)

@@ -10,12 +10,15 @@ CPython converts no integer of more than sys.get_int_max_str_digits() (4300)
 decimal digits to or from text.  int_text, exact_text and read_int are the
 one rule for an integer of unbounded size: a message shows it by int_text,
 which never fails; a report or file writes it by exact_text and a reader
-reads it by read_int, which refuse one past the limit.
+reads it by read_int, which refuse one past the limit.  read_int is also
+the one place where text becomes an integer, and quote the one way a
+refusal repeats its input.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Callable
@@ -32,17 +35,18 @@ DEFAULT_POINT_BUDGET = 200_000
 DEFAULT_TRIALS = 2
 #: Guard on Sylvester/exact-determinant matrix size (cofactor expansion).
 DET_SIZE_LIMIT = 12
+#: The characters of an input that a refusal repeats (quote).
+QUOTE_LIMIT = 60
+#: An integer in text, a flag, the environment or a file (read_int).
+_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
 
 def env_limit(name: str) -> int:
     """The integer >= 1 in environment variable ``name``, else its default."""
     text = os.environ.get(name)
-    try:
-        value = int(text) if text else ENV_LIMITS[name]
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise InputError(f"{name}={text!r} is not an integer >= 1")
+    value = read_int(text, name, InputError) if text else ENV_LIMITS[name]
+    if value is None or value < 1:
+        raise InputError(f"{name}={quote(text)} is not an integer >= 1")
     return value
 
 
@@ -94,10 +98,23 @@ def exact_text(value: int | Fraction, what: str) -> str:
         raise InputError(f"{what} has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
-def read_int(digits: str, what: str) -> int:
-    """The integer that a string of decimal digits (and sign) writes; past the
-    digit limit a ParseError, "<what> has more than <limit> digits"."""
+def read_int(text: str, what: str, error: type[Exception] = ParseError) -> int | None:
+    """The integer that ``text`` writes as ASCII ``[+-]?[0-9]+``, with ASCII
+    whitespace around it, or None for any other text, which each caller
+    refuses in its own words; past the digit limit ``error``, "<what> has
+    more than <limit> digits"."""
+    if not _INT_RE.fullmatch(text):
+        return None
     try:
-        return int(digits)
+        return int(text)
     except ValueError as exc:
-        raise ParseError(f"{what} has more than {sys.get_int_max_str_digits()} digits") from exc
+        raise error(f"{what} has more than {sys.get_int_max_str_digits()} digits") from exc
+
+
+def quote(value, show: Callable[[object], str] = repr) -> str:
+    """``show(value)``, by default its repr, as a refusal repeats it: past
+    QUOTE_LIMIT characters cut there and followed by its full length."""
+    text = show(value)
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"

@@ -84,15 +84,17 @@ class Field:
         raise NotImplementedError
 
     def parse_value(self, text: str) -> FieldValue:
-        """Parse ``a`` or ``a/b`` with integer a, b."""
+        """Parse ``a`` or ``a/b``, integers as config.read_int reads them, b >= 1."""
         text = text.strip()
-        try:
-            if "/" in text:
-                num, den = text.split("/", 1)
-                return self.normalize(Fraction(int(num), int(den)))
-            return self.normalize(int(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"invalid field constant {text!r}") from exc
+        num, slash, den = text.partition("/")
+        a = config.read_int(num, "a field constant")
+        b = config.read_int(den, "a field constant") if slash else 1
+        if a is not None and b is not None and b >= 1:
+            try:
+                return self.normalize(Fraction(a, b) if slash else a)
+            except ModularReductionError:  # p divides b
+                pass
+        raise ParseError(f"invalid field constant {config.quote(text)}")
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -211,18 +213,18 @@ QQ = RationalField()
 
 def check_same_field(a: Field, b: Field) -> None:
     if a != b:
-        raise FieldMismatchError(f"field mismatch: {a!r} vs {b!r}")
+        raise FieldMismatchError(f"field mismatch: {config.quote(a)} vs {config.quote(b)}")
 
 
 def field_from_spec(spec: str) -> Field:
     """Parse "rational" or "prime:<p>" (CLI --field syntax), naming --field."""
     if spec == "rational":
         return QQ
+    kind, _, p = spec.partition(":")
+    modulus = config.read_int(p, "the --field modulus") if kind == "prime" else None
+    if modulus is None:
+        raise ParseError(f"unknown field spec {config.quote(spec)}")
     try:
-        if spec.startswith("prime:"):
-            return PrimeField(int(spec.split(":", 1)[1]))
-    except ValueError:  # no integer after "prime:": an unknown spec
-        pass
+        return PrimeField(modulus)
     except InputError as exc:
         raise InputError(f"--field {spec}: {exc}") from exc
-    raise ParseError(f"unknown field spec {spec!r}")

@@ -7,6 +7,7 @@ system, small determinant circuits, and the 3CNF-to-polynomial translation.
 
 from __future__ import annotations
 
+from . import config
 from .circuit import Circuit, CircuitBuilder
 from .encoding import PolynomialMap
 from .errors import InputError, ParseError
@@ -152,17 +153,17 @@ def parse_dimacs(text: str) -> tuple[list[Clause], int]:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        try:
-            if line.startswith("p"):
-                parts = line.split()
-                if len(parts) < 4 or parts[1] != "cnf":
-                    raise ParseError(f"bad problem line {line!r}")
-                n_vars = int(parts[2])
-                continue
-            literals = [int(tok) for tok in line.split()]
-        except ValueError as exc:
-            raise ParseError(f"line {line!r} has a token that is not an integer") from exc
-        for lit in literals:
+        parts, header = line.split(), line.startswith("p")
+        if header and (len(parts) < 4 or parts[1] != "cnf"):
+            raise ParseError(f"bad problem line {config.quote(line)}")
+        numbers = [config.read_int(tok, "a DIMACS number")
+                   for tok in (parts[2:3] if header else parts)]
+        if None in numbers:
+            raise ParseError(f"line {config.quote(line)} has a token that is not an integer")
+        if header:
+            n_vars = numbers[0]
+            continue
+        for lit in numbers:
             if lit == 0:
                 if len(current) != 3:
                     raise ParseError(f"clause {current} does not have 3 literals")

@@ -164,7 +164,7 @@ def generator_pit(
                   for raw in itertools.product(range(side), repeat=pmap.seed_len))
         # Vanishing on a full (d+1)-side grid forces the composition to zero.
         return _first_nonzero(f, points, value, Fraction(0), None, mode)
-    raise InputError(f"unknown --mode {mode!r}")
+    raise InputError(f"unknown --mode {config.quote(mode)}")
 
 
 class HitResult(Enum):

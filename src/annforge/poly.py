@@ -434,10 +434,11 @@ class _ProductSum:
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 #: One factor: a name with an optional ``^digits`` (groups 1, 2) or a
 #: constant ``a`` or ``a/b`` (group 3).
-_FACTOR_RE = re.compile(rf"({_NAME_RE.pattern})(?:\s*\^\s*(\d+))?|(\d+(?:/\d+)?)")
+_FACTOR_RE = re.compile(rf"({_NAME_RE.pattern})(?:\s*\^\s*(\d+))?|(\d+(?:/\d+)?)", re.ASCII)
 #: One term: its signs (group 1), then its ``*``-joined factors (group 2).
+#: Both read ASCII digits and whitespace only.
 _TERM_RE = re.compile(
-    rf"([-+\s]*)((?:{_FACTOR_RE.pattern})(?:\s*\*\s*(?:{_FACTOR_RE.pattern}))*)\s*"
+    rf"([-+\s]*)((?:{_FACTOR_RE.pattern})(?:\s*\*\s*(?:{_FACTOR_RE.pattern}))*)\s*", re.ASCII
 )
 
 
@@ -451,11 +452,11 @@ class Namespace:
             raise ParseError("duplicate variable names")
         for n in self.names:
             if not _NAME_RE.fullmatch(n):
-                raise ParseError(f"invalid variable name {n!r}")
+                raise ParseError(f"invalid variable name {config.quote(n)}")
 
     def id(self, name: str) -> int:
         if name not in self._ids:
-            raise ParseError(f"unknown variable {name!r}")
+            raise ParseError(f"unknown variable {config.quote(name)}")
         return self._ids[name]
 
     def name(self, var: int) -> str:
@@ -504,7 +505,7 @@ def parse_polynomial(text: str, field: Field, ns: Namespace) -> Polynomial:
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if m is None or pos and not m.group(1).strip():
-            raise ParseError(f"syntax error at position {pos} in {text!r}")
+            raise ParseError(f"syntax error at position {pos} in {config.quote(text)}")
         pos = m.end()
         coeff = -1 if m.group(1).count("-") % 2 else 1
         exps: dict[int, int] = {}

@@ -57,7 +57,7 @@ def _field(obj: dict) -> Field:
         return QQ
     if spec.get("type") == "prime":
         return PrimeField(_integer(spec["p"], "field.p"))
-    raise ParseError(f"unknown field JSON {spec!r}")
+    raise ParseError(f"unknown field JSON {config.quote(spec)}")
 
 
 # -- polynomial maps ----------------------------------------------------------
@@ -195,7 +195,7 @@ def _refutation_namespace(kind: str, system: EquationSystem) -> Namespace:
         return Namespace.outputs(m)
     if kind == "full":
         return system.namespace.extended(Namespace.outputs(m).names)
-    raise ParseError(f"unknown refutation kind {kind!r}")
+    raise ParseError(f"unknown refutation kind {config.quote(kind)}")
 
 
 def refutation_to_json(ref: Refutation, system: EquationSystem) -> dict:

@@ -4,7 +4,8 @@ Invariants in the package are typed AnnforgeErrors, never ``assert``
 statements, so they still hold under ``python -O``.  Arithmetic is exact:
 no float literal, no use of ``float`` and no float-valued ``math`` call.
 The term budget has one owner, ``config``, and the stored integer form of a
-polynomial one too, ``poly``."""
+polynomial one too, ``poly``.  ``config`` also owns how text becomes an
+integer (``read_int``) and how a refusal repeats its input (``quote``)."""
 
 from __future__ import annotations
 
@@ -71,3 +72,33 @@ def test_only_poly_reads_polynomial_storage():
              if isinstance(node, ast.Attribute) and node.attr in {"_terms", "_den"}
              and not where.startswith("poly.py:")]
     assert not found, f"Polynomial storage read outside poly: {found}"
+
+
+def allowed_lines(path: str, owners: set[str]) -> set[str]:
+    """The "<path>:<line>" of every line inside a function named in
+    ``owners`` ("<Class>.<function>" for a method) in ``path``."""
+    tree = ast.parse((PACKAGE / path).read_text(encoding="utf-8"))
+    found = set()
+    for scope in [tree, *[n for n in tree.body if isinstance(n, ast.ClassDef)]]:
+        prefix = f"{scope.name}." if isinstance(scope, ast.ClassDef) else ""
+        for node in scope.body:
+            if isinstance(node, ast.FunctionDef) and prefix + node.name in owners:
+                found |= {f"{path}:{i}" for i in range(node.lineno, node.end_lineno + 1)}
+    return found
+
+
+def test_only_read_int_turns_text_into_an_integer():
+    # PrimeField.normalize converts a number, never text, to a residue.
+    allowed = (allowed_lines("config.py", {"read_int"})
+               | allowed_lines("fields.py", {"PrimeField.normalize"}))
+    found = [where for where, node in package_nodes()
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "int" and where not in allowed]
+    assert not found, f"int() outside config.read_int: {found}"
+
+
+def test_refusals_repeat_input_only_through_quote():
+    found = [where for where, node in package_nodes() if isinstance(node, ast.Raise)
+             for part in ast.walk(node) if isinstance(part, ast.FormattedValue)
+             and part.conversion == ord("r")]
+    assert not found, f"!r in a raised message, not config.quote: {found}"

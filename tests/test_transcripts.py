@@ -85,4 +85,10 @@ def test_every_refusal_prints_one_coded_error_line():
         *warnings, last = call["stderr"].splitlines()
         assert CODED_ERROR.match(last), call["argv"]
         assert all(line.startswith("warning: ") for line in warnings), call["argv"]
-    assert len(usage) == 3
+    assert len(usage) == 4
+
+
+def test_every_stderr_line_is_short():
+    # A refusal quotes a long input cut (config.quote), so no line grows
+    # with its input; the longest is argparse's "invalid choice" usage line.
+    assert max(len(line) for call in CALLS for line in call["stderr"].splitlines()) <= 300
