@@ -35,7 +35,13 @@ from .instances import (
     parse_dimacs,
 )
 from .ips import canonical_geometric_refutation, system_of, verify_full_ips, verify_geometric
-from .linalg import jacobian, rank_random_eval, resultant, resultant_with_cofactors
+from .linalg import (
+    evaluation_field,
+    jacobian,
+    rank_random_eval,
+    resultant,
+    resultant_with_cofactors,
+)
 from .pit import HitResult, generator_pit, hit_test, sz_pit
 from .poly import Namespace, format_polynomial, parse_polynomial
 from .serialize import (
@@ -264,14 +270,13 @@ def cmd_jacobian(args) -> int:
         )
     ns = Namespace(names) if names is not None else Namespace.inferred(texts)
     polys = [parse_polynomial(t, field, ns) for t in texts]
+    prime = evaluation_field(field, args.trials, args.prime).p  # before the constant shortcut
     variables = sorted(set().union(set(), *[p.variables() for p in polys]))
     if not variables:
         _emit(args, {"rank_lower_bound": 0},
               ["all polynomials constant: rank 0"])
         return 0
     mat = jacobian(polys, variables)
-    # Over GF(q) the rank is evaluated in q itself, not in --prime.
-    prime = field.p if isinstance(field, PrimeField) else args.prime
     rank = rank_random_eval(mat, trials=args.trials, p=prime, seed=args.seed)
     # Schwartz-Zippel: each trial misses a nonzero minor with prob <= deg/p.
     deg = max(mat.max_entry_degree(), 0) * min(mat.rows, mat.cols)

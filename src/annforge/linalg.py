@@ -156,6 +156,20 @@ def rational_reconstruction(a: int, m: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
+def evaluation_field(field: Field, trials: int, p: int) -> PrimeField:
+    """The field rank_random_eval evaluates in: F_q itself over F_q, where a
+    foreign modulus would be unsound, and F_p over QQ.  Refuses trials < 1
+    and a p that is not prime, naming --trials and --prime."""
+    if trials < 1:
+        raise InputError("--trials must be >= 1")
+    if isinstance(field, PrimeField):
+        return field
+    try:
+        return PrimeField(p)
+    except InputError as exc:
+        raise InputError(f"--prime {p}: {exc}") from exc
+
+
 def rank_random_eval(
     matrix: PolyMatrix, trials: int = config.DEFAULT_TRIALS,
     p: int = config.DEFAULT_PRIME, seed: int = 0,
@@ -166,13 +180,7 @@ def rank_random_eval(
     a Jacobian is mostly structural zeros.  They are built over F_p once
     per matrix and prime and kept on it, with their evaluation plans; a
     refused prime keeps nothing, so it raises on every call."""
-    if trials < 1:
-        raise InputError("--trials must be >= 1")
-    # Over F_q evaluate natively: a foreign modulus would be unsound.
-    try:
-        gf = matrix.field if isinstance(matrix.field, PrimeField) else PrimeField(p)
-    except InputError as exc:
-        raise InputError(f"--prime {p}: {exc}") from exc
+    gf = evaluation_field(matrix.field, trials, p)
     entries = matrix.nonzero_mod.get(gf.p)
     if entries is None:
         entries = matrix.nonzero_mod[gf.p] = [
