@@ -20,19 +20,18 @@ CPython 3.11.)
 from __future__ import annotations
 
 import argparse
+import os
 import time
 
 from annforge import annihilator_basis_search, verify_annihilates
 from annforge.encoding import PolynomialMap
 from annforge.instances import kayal_chain_map, kayal_map
 
-CEILING = 100_000
-
 
 def minimal_degree(pmap: PolynomialMap, max_degree: int) -> tuple[int | None, int]:
     """(min degree with nonzero annihilator space, its exact dimension)."""
     for degree in range(1, max_degree + 1):
-        basis = annihilator_basis_search(pmap, degree, ceiling=CEILING)
+        basis = annihilator_basis_search(pmap, degree)
         if basis:
             if not all(verify_annihilates(q, pmap) for q in basis):
                 raise SystemExit(f"degree {degree}: a basis vector does not annihilate")
@@ -57,6 +56,9 @@ def main() -> None:
     parser.add_argument("--chain-max", type=int, default=6,
                         help="degree cap for the chain variant (default 6)")
     args = parser.parse_args()
+    # The searches below reach at most 495 candidates; a raised ceiling lets
+    # a larger --chain-max search past the default of 5,000.
+    os.environ.setdefault("AF_MONOMIAL_CEILING", "100000")
 
     print(f"{'family':<12}{'n':>3}{'d':>3}{'min degree':>12}{'dim':>6}"
           f"{'d^n':>6}{'time':>10}")

@@ -136,9 +136,7 @@ def monomials_up_to(n_vars: int, max_degree: int) -> list[Monomial]:
     return [m for level in by_degree for m in level]
 
 
-def annihilator_basis_search(
-    pmap: PolynomialMap, max_total_degree: int, ceiling: int | None = None
-) -> list[Polynomial]:
+def annihilator_basis_search(pmap: PolynomialMap, max_total_degree: int) -> list[Polynomial]:
     """Basis of the degree-bounded annihilator space by exact kernel search.
 
     Candidate monomials of total degree <= D over the out_len output
@@ -159,7 +157,7 @@ def annihilator_basis_search(
     """
     if max_total_degree < 0:
         raise InputError("--degree must be >= 0")
-    limit = config.monomial_ceiling() if ceiling is None else ceiling
+    limit = config.monomial_ceiling()
     n_cols = count_monomials(pmap.out_len, max_total_degree)
     if n_cols > limit:
         raise SearchSpaceTooLargeError(

@@ -228,9 +228,10 @@ def test_search_kayal_degree_gap():
         assert verify_annihilates(q, pmap)
 
 
-def test_search_space_guard(fig_encoding):
+def test_search_space_guard(fig_encoding, monkeypatch):
+    monkeypatch.setenv("AF_MONOMIAL_CEILING", "100")
     with pytest.raises(SearchSpaceTooLargeError):
-        annihilator_basis_search(fig_encoding.map, 12, ceiling=100)
+        annihilator_basis_search(fig_encoding.map, 12)
 
 
 # -- hard-multiple extraction ----------------------------------------------------------
