@@ -436,7 +436,6 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 #: constant ``a`` or ``a/b`` (group 3).
 _FACTOR_RE = re.compile(rf"({_NAME_RE.pattern})(?:\s*\^\s*(\d+))?|(\d+(?:/\d+)?)", re.ASCII)
 #: One term: its signs (group 1), then its ``*``-joined factors (group 2).
-#: Both read ASCII digits and whitespace only.
 _TERM_RE = re.compile(
     rf"([-+\s]*)((?:{_FACTOR_RE.pattern})(?:\s*\*\s*(?:{_FACTOR_RE.pattern}))*)\s*", re.ASCII
 )
