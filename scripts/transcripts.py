@@ -616,6 +616,13 @@ def _scenarios(base: str) -> list[Scenario]:
     sc.run("stretch", "--map", "field_big.json", "--copies", "1")
     sc.put("long_p.txt", "z1 + " * 20000 + "2 z1")
     sc.run("verify", "--encoding", "enc.json", "--poly", "long_p.txt")
+    # Integers of up to 4300 digits, and a long clause, that a refusal names.
+    ones = "1" * 4300
+    sc.run("metrics", "--circuit", "c.txt", "--field", f"prime:{ones}")
+    sc.run("jacobian", "--polys", "polys.json", "--prime", ones)
+    sc.run("stretch", "--map", "m.json", "--copies", "1", "--pad", f"-{ones}")
+    sc.put("long.cnf", "p cnf 3 1\n" + "1 " * 5000 + "0\n")
+    sc.run("instance", "--family", "cnf3", "--cnf", "long.cnf")
     return scenarios
 
 

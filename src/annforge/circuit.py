@@ -97,6 +97,30 @@ class Circuit:
     def size(self) -> int:
         return len(self.internal_order)
 
+    @cached_property
+    def _plan(self) -> tuple[list, tuple[tuple[int, bool, int, int], ...]]:
+        """The evaluation plan: a template of gate values, the constants read
+        as exact integers (Field.read_point) and 0 elsewhere, and (gate,
+        is_mul, left, right) for each internal gate in order."""
+        values = [g.value if g.op == "const" else 0 for g in self.gates]
+        template = self.field.read_point(values, range(len(values)))
+        steps = tuple((i, self.gates[i].op == "mul", self.gates[i].left, self.gates[i].right)
+                      for i in self.internal_order)
+        return template, steps
+
+    @cached_property
+    def _metrics(self) -> "CircuitMetrics":
+        depth = [0] * len(self.gates)
+        degree = [0] * len(self.gates)
+        for i, g in enumerate(self.gates):
+            if g.op == "input":
+                degree[i] = 1
+            elif g.is_internal:
+                depth[i] = 1 + max(depth[g.left], depth[g.right])
+                a, b = degree[g.left], degree[g.right]
+                degree[i] = a + b if g.op == "mul" else max(a, b)
+        return CircuitMetrics(self.size, depth[self.output], degree[self.output])
+
 
 @dataclass(frozen=True)
 class CircuitMetrics:
@@ -108,30 +132,24 @@ class CircuitMetrics:
 def evaluate_circuit(circuit: Circuit, point) -> FieldValue:
     """Gate-by-gate exact evaluation at a point of length n_inputs.
 
-    Inputs are normalized into the field.  Over F_p each gate reduces its
-    int value with ``%``; over QQ an integral value is carried as an int
-    (mixed int/Fraction arithmetic stays exact).  The output is normalized
-    once."""
+    A copy of the circuit's cached plan (Circuit._plan) gets the inputs,
+    read as exact integers by Field.read_point, and one loop over the
+    internal gates fills in the rest: over F_p each gate reduces its int
+    value with ``%``; over QQ an integral value stays an int (mixed
+    int/Fraction arithmetic stays exact).  The output is normalized once."""
     if len(point) != circuit.n_inputs:
         raise CircuitError(f"expected {circuit.n_inputs} inputs, got {len(point)}")
     f = circuit.field
     p = f.characteristic
-    vals: list[FieldValue] = []
-    for g in circuit.gates:
-        op = g.op
-        if op == "add":
-            x = vals[g.left] + vals[g.right]
-            if p:
-                x %= p
-        elif op == "mul":
-            x = vals[g.left] * vals[g.right]
-            if p:
-                x %= p
-        else:
-            x = f.normalize(point[g.var]) if op == "input" else g.value
-            if not p and x.denominator == 1:
-                x = x.numerator
-        vals.append(x)
+    template, steps = circuit._plan
+    vals = template.copy()
+    vals[:circuit.n_inputs] = f.read_point(point, range(circuit.n_inputs))
+    if p:
+        for i, is_mul, a, b in steps:
+            vals[i] = (vals[a] * vals[b] if is_mul else vals[a] + vals[b]) % p
+    else:
+        for i, is_mul, a, b in steps:
+            vals[i] = vals[a] * vals[b] if is_mul else vals[a] + vals[b]
     return f.normalize(vals[circuit.output])
 
 
@@ -160,25 +178,8 @@ def expand(circuit: Circuit) -> Polynomial:
 
 def metrics(circuit: Circuit) -> CircuitMetrics:
     """size = internal gate count; depth = longest input-to-output path;
-    degree bound by gate-wise propagation (add: max, mul: sum)."""
-    depth = [0] * len(circuit.gates)
-    degree = [0] * len(circuit.gates)
-    for i, g in enumerate(circuit.gates):
-        if g.op == "input":
-            degree[i] = 1
-        elif g.op == "const":
-            degree[i] = 0
-        elif g.op == "add":
-            depth[i] = 1 + max(depth[g.left], depth[g.right])
-            degree[i] = max(degree[g.left], degree[g.right])
-        else:
-            depth[i] = 1 + max(depth[g.left], depth[g.right])
-            degree[i] = degree[g.left] + degree[g.right]
-    return CircuitMetrics(
-        size=circuit.size,
-        depth=depth[circuit.output],
-        degree_bound=degree[circuit.output],
-    )
+    degree bound by gate-wise propagation (add: max, mul: sum), cached on the circuit."""
+    return circuit._metrics
 
 
 def random_circuit(

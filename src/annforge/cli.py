@@ -227,7 +227,8 @@ def cmd_pit(args) -> int:
             verdict = sz_pit(circuit, trials=args.trials, grid_size=args.grid, seed=args.seed)
         for caught_warning in caught:
             _warn(caught_warning.message)
-    bound = config.exact_text(verdict.failure_bound, f"--trials {args.trials}: the failure bound")
+    bound = config.exact_text(verdict.failure_bound,
+                              f"--trials {config.int_text(args.trials)}: the failure bound")
     report = {
         "verdict": verdict.verdict,
         "trials_run": verdict.trials_run,
@@ -281,7 +282,7 @@ def cmd_jacobian(args) -> int:
     # Schwartz-Zippel: each trial misses a nonzero minor with prob <= deg/p.
     deg = max(mat.max_entry_degree(), 0) * min(mat.rows, mat.cols)
     bound = config.exact_text(min(Fraction(max(deg, 1), prime), Fraction(1)) ** args.trials,
-                              f"--trials {args.trials}: the failure bound")
+                              f"--trials {config.int_text(args.trials)}: the failure bound")
     _emit(
         args,
         {

@@ -82,9 +82,10 @@ def check_map_size(stage: str, seed_len: int, out_len: int) -> None:
 
 
 def int_text(n: int) -> str:
-    """``n`` in decimal for a message or, past the digit limit, its size in bits."""
+    """``n`` in decimal for a message, cut as quote cuts it, or, past the
+    digit limit, its size in bits."""
     try:
-        return str(n)
+        return quote(n, str)
     except ValueError:
         return f"(a {n.bit_length()}-bit integer)"
 

@@ -155,7 +155,8 @@ def pad(pmap: PolynomialMap, target_out_len: int) -> PolynomialMap:
     """Pad with fresh seed variables emitted verbatim as new outputs."""
     extra = target_out_len - pmap.out_len
     if extra < 0:
-        raise InputError(f"--pad {target_out_len} is below the output length {pmap.out_len}")
+        raise InputError(f"--pad {config.int_text(target_out_len)} is below the output length "
+                         f"{pmap.out_len}")
     if extra == 0:
         return pmap
     config.check_map_size("pad", pmap.seed_len + extra, target_out_len)

@@ -30,7 +30,7 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n >= _MR_BOUND:
-        raise InputError(f"{n} >= {_MR_BOUND}, the bound of the exact prime test")
+        raise InputError(f"{config.int_text(n)} >= {_MR_BOUND}, the bound of the exact prime test")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -60,6 +60,12 @@ class Field:
     one: FieldValue
 
     def normalize(self, value) -> FieldValue:
+        raise NotImplementedError
+
+    def read_point(self, point, ids) -> list:
+        """The values of ``point`` at ``ids`` as exact integers: residues over
+        F_p; over QQ an int where the value is integral, else a Fraction.  It
+        reads what normalize reads and raises what normalize raises."""
         raise NotImplementedError
 
     def add(self, a: FieldValue, b: FieldValue) -> FieldValue:
@@ -110,6 +116,19 @@ class RationalField(Field):
     def normalize(self, value) -> Fraction:
         return value if type(value) is Fraction else Fraction(value)
 
+    def read_point(self, point, ids) -> list:
+        out = []
+        for v in ids:
+            x = point[v]
+            if type(x) is not int:
+                if type(x) is not Fraction:
+                    x = Fraction(x)
+                n, d = x.as_integer_ratio()
+                if d == 1:
+                    x = n
+            out.append(x)
+        return out
+
     def add(self, a, b):
         return a + b
 
@@ -155,7 +174,7 @@ class PrimeField(Field):
 
     def __init__(self, p: int):
         if not is_prime(p):
-            raise InputError(f"modulus {p} is not prime")
+            raise InputError(f"modulus {config.int_text(p)} is not prime")
         self.p = p
         self.characteristic = p
 
@@ -170,6 +189,9 @@ class PrimeField(Field):
                 )
             return value.numerator * pow(den, -1, self.p) % self.p
         return int(value) % self.p
+
+    def read_point(self, point, ids) -> list:
+        return [x % self.p if type(x := point[v]) is int else self.normalize(x) for v in ids]
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -227,4 +249,4 @@ def field_from_spec(spec: str) -> Field:
     try:
         return PrimeField(modulus)
     except InputError as exc:
-        raise InputError(f"--field {spec}: {exc}") from exc
+        raise InputError(f"--field {config.quote(spec, str)}: {exc}") from exc

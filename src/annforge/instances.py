@@ -166,7 +166,7 @@ def parse_dimacs(text: str) -> tuple[list[Clause], int]:
         for lit in numbers:
             if lit == 0:
                 if len(current) != 3:
-                    raise ParseError(f"clause {current} does not have 3 literals")
+                    raise ParseError(f"clause {config.quote(current)} does not have 3 literals")
                 clauses.append((current[0], current[1], current[2]))
                 current = []
             else:

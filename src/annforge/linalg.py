@@ -167,7 +167,7 @@ def evaluation_field(field: Field, trials: int, p: int) -> PrimeField:
     try:
         return PrimeField(p)
     except InputError as exc:
-        raise InputError(f"--prime {p}: {exc}") from exc
+        raise InputError(f"--prime {config.int_text(p)}: {exc}") from exc
 
 
 def rank_random_eval(

@@ -267,50 +267,54 @@ class Polynomial:
         """Exact value at a point indexed by variable id; every variable in
         the support must be assigned.
 
-        One loop over the polynomial's evaluation plan (see _compile), which
-        the first call builds and later calls reuse, sums the stored
-        numerators times the powers of the point's values.  Each value the
-        plan reads is normalized into the field once.  Over F_p a power is
-        taken mod p and the sum reduced once.  Over QQ the integral values
-        are read as ints and the others stay Fractions, so at a point of
-        integers the sum is an integer and the value is that sum over the
-        stored denominator d, the only Fraction built.  A short point or a
+        On the polynomial's evaluation plan (see _compile), built by the
+        first call: Field.read_point reads the values once as exact integers,
+        each power above 1 is taken once (mod p over F_p), and one loop sums
+        each stored numerator times its factors, with no branch per factor.
+        Over QQ, at a point of integers, the value is that integer sum over
+        the stored denominator, the only Fraction built.  A short point or a
         value with no image in the field raises the error a scan in term
         order meets first."""
         plan = self._plan
         if plan is None:
             plan = self._plan = self._compile()
-        variables, d, terms = plan
+        ids, powers, den, terms = plan
         f = self.field
-        if variables and variables[-1] >= len(point):
+        if ids and ids[-1] >= len(point):
             self._first_error(point)
         try:
-            xs = [f.normalize(point[v]) for v in variables]
+            xs = f.read_point(point, ids)
         except ModularReductionError:
             self._first_error(point)
             raise
         p = f.characteristic or None
-        if p is None:
-            xs = [x.numerator if x.denominator == 1 else x for x in xs]
+        if powers:
+            xs += [pow(xs[i], e, p) for i, e in powers]
         total = 0
-        for c, mono in terms:
-            for i, e in mono:
-                c *= xs[i] if e == 1 else pow(xs[i], e, p)
+        for c, slots in terms:
+            for i in slots:
+                c *= xs[i]
             total += c
         if p:
             return total % p
-        return Fraction(total, d) if total else f.zero
+        if not total:
+            return f.zero
+        return Fraction(total) if den == 1 else Fraction(total, den)
 
     def _compile(self) -> tuple:
-        """The evaluation plan, read straight from the stored form: the
-        sorted ids of the variables read, the denominator d and the terms as
-        (integer numerator, ((index into the ids, exp), ...)).  It depends
-        on the terms only, which no method changes after construction."""
-        variables = sorted(self.variables())
-        index = {v: i for i, v in enumerate(variables)}
-        terms = tuple((n, tuple((index[v], e) for v, e in mono))
-                      for mono, n in self._terms.items())
-        return tuple(variables), self._den, terms
+        """The evaluation plan (ids, powers, den, terms), read from the stored
+        form.  The values of the sorted variable ``ids`` fill the first slots
+        and the distinct ``powers`` (slot of a variable, exp > 1) the next;
+        each term is (integer numerator, (slot, ...)), one slot per factor.
+        It depends on the terms only, which nothing changes after construction."""
+        ids = sorted(self.variables())
+        slot = {(v, 1): i for i, v in enumerate(ids)}
+        for mono in self._terms:
+            for pair in mono:
+                slot.setdefault(pair, len(slot))
+        powers = tuple((slot[v, 1], e) for v, e in slot if e > 1)  # in slot order
+        terms = tuple((n, tuple(slot[pair] for pair in mono)) for mono, n in self._terms.items())
+        return tuple(ids), powers, self._den, terms
 
     def _first_error(self, point: Sequence[FieldValue]) -> None:
         """Raise the error that reading ``point`` in term order meets first:

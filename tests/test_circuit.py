@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -123,6 +124,13 @@ def test_metrics_fig(fig_circuit):
 def test_metrics_single_add(single_add_circuit):
     m = metrics(single_add_circuit)
     assert (m.size, m.depth, m.degree_bound) == (1, 1, 1)
+
+
+def test_metrics_are_computed_once_per_circuit(fig_circuit):
+    # pit's CLI path and sz_pit both ask; the second call reads the cache.
+    first = metrics(fig_circuit)
+    assert metrics(fig_circuit) is first
+    assert metrics(dataclasses.replace(fig_circuit)) == first
 
 
 def test_metrics_input_only_reference():

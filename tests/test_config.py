@@ -16,6 +16,12 @@ def test_int_text_shows_a_number_past_the_limit_by_its_bits():
     assert config.int_text(HUGE) == "(a 14301-bit integer)"
 
 
+def test_int_text_cuts_a_long_number_as_quote_does():
+    ones = int("1" * 4300)
+    assert config.int_text(ones) == "1" * config.QUOTE_LIMIT + "... (4300 characters)"
+    assert config.int_text(-(10**58)) == "-1" + "0" * 58  # 60 characters, the limit
+
+
 def test_exact_text_and_read_int_refuse_past_the_limit():
     assert config.exact_text(Fraction(3, 4), "the bound") == "3/4"
     with pytest.raises(InputError, match="^the bound has more than 4300 digits$"):

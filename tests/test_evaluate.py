@@ -1,6 +1,8 @@
 """Differential tests: the int-native point evaluators against the
 Field-call reference in ``evaluate_reference``, over QQ, GF(7) and
-GF(2^61 - 1).  Value, type and error type must all agree."""
+GF(2^61 - 1).  Value, type and error type must all agree.  Points hold
+ints, Fractions, bools and numeric strings, each as Field.normalize reads
+it, and exponents reach 40, so that terms share powers of a variable."""
 
 from __future__ import annotations
 
@@ -21,15 +23,19 @@ FIELDS = [QQ, PrimeField(7), PrimeField(2**61 - 1)]
 N_VARS = 4
 
 # Denominators stay below 7 so that every coefficient exists in GF(7);
-# points may carry a 7 and then have no value there.
+# points may carry a 7 and then have no value there.  Exponents are mostly
+# small, and otherwise one of a few up to 40, so that terms share a power.
 coeffs = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
-exps = st.lists(st.integers(0, 4), min_size=N_VARS, max_size=N_VARS)
+exps = st.lists(st.one_of(st.integers(0, 4), st.sampled_from([7, 40])),
+                min_size=N_VARS, max_size=N_VARS)
 term_lists = st.lists(st.tuples(coeffs, exps), max_size=8)
 values = st.one_of(
     st.just(0),
     st.integers(-50, 50),
     st.integers(-(2**70), 2**70),
     st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+    st.booleans(),
+    st.integers(-50, 50).map(str),  # read by every field, as int("-3") or Fraction("-3")
 )
 
 
@@ -41,16 +47,20 @@ def build(field, term_list) -> Polynomial:
 
 
 def outcome(fn, *args):
-    """The value and its type, or the type of the AnnforgeError raised."""
+    """The value and its type, or the type of the AnnforgeError raised, or
+    ValueError for a string that a prime field cannot read ("1/2")."""
     try:
         value = fn(*args)
-    except AnnforgeError as exc:
+    except (AnnforgeError, ValueError) as exc:
         return type(exc)
     return value, type(value)
 
 
 TERMS = [(Fraction(1, 2), [1, 0, 2, 0]), (Fraction(-3), [0, 1, 0, 1]),
          (Fraction(5, 6), [0, 0, 0, 0]), (Fraction(2, 3), [2, 1, 0, 3])]
+# x1^40, x3^2 and x4^40 each stand in more than one term.
+SHARED_POWERS = [(Fraction(1, 2), [40, 0, 2, 0]), (Fraction(-3), [40, 1, 0, 0]),
+                 (Fraction(5, 6), [0, 0, 2, 40]), (Fraction(2, 3), [1, 40, 2, 40])]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -59,6 +69,10 @@ TERMS = [(Fraction(1, 2), [1, 0, 2, 0]), (Fraction(-3), [0, 1, 0, 1]),
 @example(TERMS, [2, -3, 0, 5])  # integers
 @example(TERMS, [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(3, 5)])  # fractions
 @example(TERMS, [2, Fraction(-2, 3), 0, Fraction(5, 6)])  # mixed
+@example(SHARED_POWERS, [2, Fraction(-2, 3), 3, Fraction(5, 6)])
+@example(SHARED_POWERS, [2**61, 2**61 - 2, Fraction(3, 2), -5])
+@example(TERMS, [True, False, "3", " -4 "])  # bools and integer strings
+@example(TERMS, ["1/2", 2, "0.25", 3])  # over QQ only; a prime field refuses "1/2"
 def test_evaluate_matches_reference(field, term_list, point):
     p = build(field, term_list)
     assert outcome(p.evaluate, point) == outcome(reference_evaluate, p, point)
@@ -71,11 +85,41 @@ def test_evaluate_matches_reference(field, term_list, point):
     st.integers(1, 10),
     st.integers(0, 10**6),
     st.lists(coeffs, max_size=3),
-    st.lists(values, min_size=1, max_size=4),
+    st.lists(st.lists(values, min_size=1, max_size=4), min_size=1, max_size=12),
 )
-def test_evaluate_circuit_matches_reference(field, n_inputs, size, seed, pool, point):
+@example(2, 8, 5, [Fraction(1, 2), Fraction(-5, 3), 4], [[3, Fraction(2, 5)], [True, "7"]])
+def test_evaluate_circuit_matches_reference(field, n_inputs, size, seed, pool, point_list):
+    # One circuit, and with it one cached plan, at many points: as drawn and
+    # normalized into the field, the form pit._random_points gives.
     c = random_circuit(n_inputs, size, seed, const_pool=tuple(pool), field=field)
-    assert outcome(evaluate_circuit, c, point) == outcome(reference_evaluate_circuit, c, point)
+    for point in point_list:
+        assert outcome(evaluate_circuit, c, point) == outcome(reference_evaluate_circuit, c, point)
+        read = outcome(lambda: tuple(field.normalize(x) for x in point))
+        if type(read) is tuple:
+            normalized = read[0]
+            assert outcome(evaluate_circuit, c, normalized) == \
+                outcome(reference_evaluate_circuit, c, normalized)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(values, st.just("1/2"), st.just("0.25")), max_size=6))
+def test_read_point_matches_normalize(field, point):
+    # Value by value: the same value (an int for an integral one over QQ) or
+    # the same error as normalize.
+    for v, x in enumerate(point):
+        read = outcome(field.read_point, point, [v])
+        expected = outcome(field.normalize, x)
+        if type(expected) is tuple:
+            value = expected[0]
+            if not field.characteristic and value.denominator == 1:
+                value = value.numerator
+            expected = [value], list
+            assert type(read[0][0]) is type(value)
+        assert read == expected
+    ids = range(len(point))
+    if all(type(outcome(field.normalize, x)) is tuple for x in point):
+        assert field.read_point(point, ids) == [field.normalize(x) for x in point]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
