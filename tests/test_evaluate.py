@@ -94,29 +94,29 @@ def test_evaluate_circuit_matches_reference(field, n_inputs, size, seed, pool, p
     c = random_circuit(n_inputs, size, seed, const_pool=tuple(pool), field=field)
     for point in point_list:
         assert outcome(evaluate_circuit, c, point) == outcome(reference_evaluate_circuit, c, point)
-        read = outcome(lambda: tuple(field.normalize(x) for x in point))
-        if type(read) is tuple:
-            normalized = read[0]
-            assert outcome(evaluate_circuit, c, normalized) == \
-                outcome(reference_evaluate_circuit, c, normalized)
+        try:
+            normalized = tuple(field.normalize(x) for x in point)
+        except (AnnforgeError, ValueError):
+            continue
+        assert outcome(evaluate_circuit, c, normalized) == \
+            outcome(reference_evaluate_circuit, c, normalized)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(values, st.just("1/2"), st.just("0.25")), max_size=6))
 def test_read_point_matches_normalize(field, point):
-    # Value by value: the same value (an int for an integral one over QQ) or
-    # the same error as normalize.
+    # Value by value: the same error class as normalize, or its value, read
+    # as an int where it is integral over QQ.
     for v, x in enumerate(point):
-        read = outcome(field.read_point, point, [v])
-        expected = outcome(field.normalize, x)
-        if type(expected) is tuple:
-            value = expected[0]
-            if not field.characteristic and value.denominator == 1:
-                value = value.numerator
-            expected = [value], list
-            assert type(read[0][0]) is type(value)
-        assert read == expected
+        read, expected = outcome(field.read_point, point, [v]), outcome(field.normalize, x)
+        if type(expected) is not tuple:
+            assert read == expected
+            continue
+        value = expected[0]
+        if not field.characteristic and value.denominator == 1:
+            value = value.numerator
+        assert read == ([value], list) and type(read[0][0]) is type(value)
     ids = range(len(point))
     if all(type(outcome(field.normalize, x)) is tuple for x in point):
         assert field.read_point(point, ids) == [field.normalize(x) for x in point]
