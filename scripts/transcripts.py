@@ -623,6 +623,10 @@ def _scenarios(base: str) -> list[Scenario]:
     sc.run("stretch", "--map", "m.json", "--copies", "1", "--pad", f"-{ones}")
     sc.put("long.cnf", "p cnf 3 1\n" + "1 " * 5000 + "0\n")
     sc.run("instance", "--family", "cnf3", "--cnf", "long.cnf")
+    # Instance families past the term budget.
+    sc.run("instance", "--family", "kayal", "--n", "20", env={"AF_TERM_BUDGET": "10"})
+    sc.put("wide.cnf", "p cnf 20 1\n1 2 3 0\n")
+    sc.run("instance", "--family", "cnf3", "--cnf", "wide.cnf", env={"AF_TERM_BUDGET": "10"})
     return scenarios
 
 

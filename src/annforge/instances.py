@@ -13,7 +13,7 @@ from .encoding import PolynomialMap
 from .errors import InputError, ParseError
 from .fields import QQ, Field
 from .ips import EquationSystem
-from .poly import Polynomial
+from .poly import MONOMIAL_ONE, Monomial, Polynomial
 
 
 def kayal_map(n: int, d: int, field: Field = QQ) -> PolynomialMap:
@@ -22,12 +22,12 @@ def kayal_map(n: int, d: int, field: Field = QQ) -> PolynomialMap:
     d^n."""
     if n < 1 or d < 1:
         raise InputError("family kayal needs --n >= 1 and --d >= 1")
+    config.check_map_size("kayal_map", n, n + 1)
     one = Polynomial.constant(field, 1)
     outputs = [Polynomial.monomial(field, field.one, {i: d}) - one for i in range(n)]
-    total = Polynomial.zero(field)
-    for i in range(n):
-        total = total + Polynomial.variable(field, i)
-    outputs.append(total - Polynomial.constant(field, n))
+    linear = {Monomial.of({i: 1}): 1 for i in range(n)}
+    linear[MONOMIAL_ONE] = -n
+    outputs.append(Polynomial.from_integer_terms(field, linear))
     return PolynomialMap(
         outputs=tuple(outputs),
         seed_len=n,
@@ -43,6 +43,7 @@ def kayal_chain_map(n: int, d: int, field: Field = QQ) -> PolynomialMap:
         raise InputError("family kayal-chain needs --n >= 3")
     if d < 1:
         raise InputError("family kayal-chain needs --d >= 1")
+    config.check_map_size("kayal_chain_map", 2 * n - 2, 2 * n - 1)
     one = Polynomial.constant(field, 1)
     # Seed variables: x1..xn (ids 0..n-1), y2..y_{n-1} (ids n..2n-3).
     def y(j: int) -> Polynomial:  # j in 2..n-1
@@ -66,6 +67,7 @@ def masser_philippon_system(n: int, d: int, field: Field = QQ) -> EquationSystem
     """The tight-degree system: x_1^d, x_{i-1} - x_i^d, ..., 1 - x_{n-1}x_n^{d-1}."""
     if n < 2 or d < 2:
         raise InputError("family masser-philippon needs --n >= 2 and --d >= 2")
+    config.check_map_size("masser_philippon_system", n, n)
     eqs = [Polynomial.monomial(field, field.one, {0: d})]
     for i in range(2, n):
         eqs.append(
@@ -123,6 +125,7 @@ def encode_3cnf(clauses: list[Clause], n_vars: int, field: Field = QQ) -> Equati
     """
     if n_vars < 1:
         raise ParseError("a 3CNF needs at least one variable")
+    config.check_map_size("encode_3cnf", n_vars, n_vars + len(clauses))
     eqs = [
         Polynomial.monomial(field, field.one, {i: 2}) - Polynomial.variable(field, i)
         for i in range(n_vars)

@@ -15,13 +15,13 @@ from .annihilator import principal_generator
 from .circuit import evaluate_circuit
 from .encoding import LocalEncoding, PolynomialMap, annihilates
 from .errors import InputError, InvariantError, SupportOverflowError, SystemSatisfiableError
-from .poly import Namespace, Polynomial
+from .poly import Polynomial
 
 
 @dataclass(frozen=True)
 class EquationSystem:
     """The polynomials f_1..f_m of a map, each asserted equal to zero, over
-    the map's seed variables (ids 0..n_vars-1).
+    the map's seed variables (ids 0..map.seed_len-1).
 
     The system is its map: checks against it share the map's peel, and the
     map validates the equations."""
@@ -32,22 +32,6 @@ class EquationSystem:
     @property
     def equations(self) -> tuple[Polynomial, ...]:
         return self.map.outputs
-
-    @property
-    def n_vars(self) -> int:
-        return self.map.seed_len
-
-    @property
-    def var_names(self) -> tuple[str, ...]:
-        return self.map.seed_names
-
-    @property
-    def field(self):
-        return self.map.field
-
-    @property
-    def namespace(self) -> Namespace:
-        return self.map.seed_namespace
 
 
 @dataclass(frozen=True)
@@ -76,7 +60,7 @@ def verify_geometric(ref: Refutation, system: EquationSystem) -> VerifyResult:
             f"refutation uses z-ids {bad} but the system has {m} equations"
         )
     degree = r.degree()
-    if r.constant_term() != system.field.one:
+    if r.constant_term() != system.map.field.one:
         return VerifyResult(False, "constant-term", degree)
     if not annihilates(r, system.map):
         return VerifyResult(False, "composition-nonzero", degree)
@@ -85,12 +69,12 @@ def verify_geometric(ref: Refutation, system: EquationSystem) -> VerifyResult:
 
 def verify_full_ips(ref: Refutation, system: EquationSystem) -> VerifyResult:
     """Accept iff r(x, f(x)) = 1 and r(x, 0) = 0, both exact.  The z-block
-    occupies ids n_vars..n_vars+m-1."""
+    occupies ids n..n+m-1, n the map's seed length."""
     if ref.kind != "full":
         raise InputError("refutation kind must be full")
-    n = system.n_vars
+    n = system.map.seed_len
     m = len(system.equations)
-    f = system.field
+    f = system.map.field
     r = ref.r
     bad = [v for v in r.variables() if v >= n + m]
     if bad:

@@ -49,16 +49,16 @@ def _first_nonzero(
     f: Field, points, value, miss: Fraction, seed: int | None, mode: str
 ) -> PitVerdict:
     """Evaluate ``value`` at each of ``points`` in turn: "nonzero" with the
-    first point where it does not vanish as witness, else "zero" with the
-    failure bound min(miss, 1)^trials, ``miss`` bounding the chance that one
-    point misses a nonzero polynomial.  The bound is computed only for a
-    "zero" verdict: for a large trial count it is a large exact power."""
+    first point where it does not vanish as witness, as field values, else
+    "zero" with the failure bound min(miss, 1)^trials, ``miss`` bounding the
+    chance that one point misses a nonzero polynomial.  The bound is computed
+    only for a "zero" verdict: for a large trial count it is a large exact power."""
     trial = 0
     for trial, point in enumerate(points, start=1):
         if not f.is_zero(value(point)):
             return PitVerdict(
                 verdict="nonzero", trials_run=trial, failure_bound=Fraction(0),
-                witness=point, seed=seed, mode=mode,
+                witness=tuple(map(f.normalize, point)), seed=seed, mode=mode,
             )
     bound = min(miss, Fraction(1)) ** trial
     return PitVerdict(
@@ -66,13 +66,14 @@ def _first_nonzero(
     )
 
 
-def _random_points(f: Field, grid: int, n: int, trials: int, seed: int):
-    """``trials`` points of f^n drawn uniformly from the grid of side
-    ``grid`` by random.Random(seed), lazily; --trials below 1 is refused."""
+def _random_points(grid: int, n: int, trials: int, seed: int):
+    """``trials`` points of n ints drawn uniformly from range(grid) by
+    random.Random(seed), lazily; --trials below 1 is refused.  Once
+    _check_grid has passed, each int is already a field element."""
     if trials < 1:
         raise InputError("--trials must be >= 1")
     rng = random.Random(seed)
-    return (tuple(f.normalize(rng.randrange(grid)) for _ in range(n)) for _ in range(trials))
+    return (tuple(rng.randrange(grid) for _ in range(n)) for _ in range(trials))
 
 
 def sz_pit(
@@ -91,7 +92,7 @@ def sz_pit(
     d = max(metrics(circuit).degree_bound, 1)
     if grid_size is None:
         grid_size = 2 * d + 1
-    points = _random_points(f, grid_size, circuit.n_inputs, trials, seed)  # --trials first
+    points = _random_points(grid_size, circuit.n_inputs, trials, seed)  # --trials first
     if not f.characteristic:  # over QQ values grow with the degree
         config.check_degree("circuit degree bound", d)
     _check_grid(f, grid_size)
@@ -149,7 +150,7 @@ def generator_pit(
             config.check_degree("circuit degree bound", degree)
         grid = 2 * d + 1
         _check_grid(f, grid)
-        points = _random_points(f, grid, pmap.seed_len, trials, seed)
+        points = _random_points(grid, pmap.seed_len, trials, seed)
         return _first_nonzero(f, points, value, Fraction(d, grid), seed, mode)
     if mode == "deterministic_grid":
         side = d + 1
@@ -160,8 +161,7 @@ def generator_pit(
                 f"{config.DEFAULT_POINT_BUDGET}"
             )
         _check_grid(f, side)
-        points = (tuple(f.normalize(v) for v in raw)
-                  for raw in itertools.product(range(side), repeat=pmap.seed_len))
+        points = itertools.product(range(side), repeat=pmap.seed_len)
         # Vanishing on a full (d+1)-side grid forces the composition to zero.
         return _first_nonzero(f, points, value, Fraction(0), None, mode)
     raise InputError(f"unknown --mode {config.quote(mode)}")

@@ -33,7 +33,7 @@ from math import gcd, lcm
 from typing import ItemsView, Iterable, Iterator, Mapping, Sequence
 
 from . import config
-from .errors import InputError, MissingAssignmentError, ModularReductionError, ParseError
+from .errors import InputError, MissingAssignmentError, ParseError
 from .fields import Field, FieldValue, check_same_field
 
 
@@ -272,21 +272,21 @@ class Polynomial:
         each power above 1 is taken once (mod p over F_p), and one loop sums
         each stored numerator times its factors, with no branch per factor.
         Over QQ, at a point of integers, the value is that integer sum over
-        the stored denominator, the only Fraction built.  A short point or a
-        value with no image in the field raises the error a scan in term
+        the stored denominator, the only Fraction built.  The plan lists the
+        variables in the order the terms meet them, so the error of the one
+        read, MissingAssignmentError for a variable past the point's end or
+        the field's refusal of a value, is the one a scan of the terms in
         order meets first."""
         plan = self._plan
         if plan is None:
             plan = self._plan = self._compile()
         ids, powers, den, terms = plan
         f = self.field
-        if ids and ids[-1] >= len(point):
-            self._first_error(point)
         try:
             xs = f.read_point(point, ids)
-        except ModularReductionError:
-            self._first_error(point)
-            raise
+        except IndexError:
+            v = next(v for v in ids if v >= len(point))
+            raise MissingAssignmentError(f"no value for variable id {v}") from None
         p = f.characteristic or None
         if powers:
             xs += [pow(xs[i], e, p) for i, e in powers]
@@ -303,29 +303,19 @@ class Polynomial:
 
     def _compile(self) -> tuple:
         """The evaluation plan (ids, powers, den, terms), read from the stored
-        form.  The values of the sorted variable ``ids`` fill the first slots
-        and the distinct ``powers`` (slot of a variable, exp > 1) the next;
-        each term is (integer numerator, (slot, ...)), one slot per factor.
-        It depends on the terms only, which nothing changes after construction."""
-        ids = sorted(self.variables())
+        form.  The variable ``ids``, in the order a scan of the terms first
+        meets them, fill the first slots and the distinct ``powers`` (slot of
+        a variable, exp > 1) the next; each term is (integer numerator,
+        (slot, ...)), one slot per factor.  It depends on the terms only,
+        which nothing changes after construction."""
+        ids = tuple(dict.fromkeys(v for mono in self._terms for v, _ in mono))
         slot = {(v, 1): i for i, v in enumerate(ids)}
         for mono in self._terms:
             for pair in mono:
                 slot.setdefault(pair, len(slot))
         powers = tuple((slot[v, 1], e) for v, e in slot if e > 1)  # in slot order
         terms = tuple((n, tuple(slot[pair] for pair in mono)) for mono, n in self._terms.items())
-        return tuple(ids), powers, self._den, terms
-
-    def _first_error(self, point: Sequence[FieldValue]) -> None:
-        """Raise the error that reading ``point`` in term order meets first:
-        MissingAssignmentError for a variable past its end, or the error of
-        normalizing a value."""
-        f = self.field
-        for mono in self._terms:
-            for v, _ in mono:
-                if v >= len(point):
-                    raise MissingAssignmentError(f"no value for variable id {v}")
-                f.normalize(point[v])
+        return ids, powers, self._den, terms
 
     def compose(self, subst: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Simultaneous substitution var -> subst[var]; every variable in the

@@ -158,15 +158,16 @@ def certificate_to_json(cert: AnnihilatorCertificate) -> dict:
 
 
 def system_to_json(system: EquationSystem) -> dict:
-    ns = system.namespace
+    pmap = system.map
+    ns = pmap.seed_namespace
     return {
         "schema_version": 1,
         "kind": "equation_system",
-        "field": system.field.to_json(),
+        "field": pmap.field.to_json(),
         "name": system.name,
-        "n_vars": system.n_vars,
-        "var_names": list(system.var_names),
-        "equations": [format_polynomial(p, ns) for p in system.equations],
+        "n_vars": pmap.seed_len,
+        "var_names": list(pmap.seed_names),
+        "equations": [format_polynomial(p, ns) for p in pmap.outputs],
     }
 
 
@@ -194,7 +195,7 @@ def _refutation_namespace(kind: str, system: EquationSystem) -> Namespace:
     if kind == "geometric":
         return Namespace.outputs(m)
     if kind == "full":
-        return system.namespace.extended(Namespace.outputs(m).names)
+        return system.map.seed_namespace.extended(Namespace.outputs(m).names)
     raise ParseError(f"unknown refutation kind {config.quote(kind)}")
 
 
@@ -202,7 +203,7 @@ def refutation_to_json(ref: Refutation, system: EquationSystem) -> dict:
     return {
         "schema_version": 1,
         "kind": ref.kind,
-        "field": system.field.to_json(),
+        "field": system.map.field.to_json(),
         "r": format_polynomial(ref.r, _refutation_namespace(ref.kind, system)),
     }
 
@@ -210,7 +211,7 @@ def refutation_to_json(ref: Refutation, system: EquationSystem) -> dict:
 @_reader
 def refutation_from_json(obj: dict, system: EquationSystem) -> Refutation:
     if "field" in obj:
-        check_same_field(_field(obj), system.field)
+        check_same_field(_field(obj), system.map.field)
     kind = obj["kind"]
     ns = _refutation_namespace(kind, system)
-    return Refutation(kind=kind, r=parse_polynomial(obj["r"], system.field, ns))
+    return Refutation(kind=kind, r=parse_polynomial(obj["r"], system.map.field, ns))

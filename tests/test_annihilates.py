@@ -184,7 +184,7 @@ def test_verify_geometric_on_a_non_triangular_system():
     names = ["x1", "x2"]
     system = EquationSystem(PolynomialMap(
         outputs=(P("x1 - 1", names), P("x1 - 2", names)), seed_len=2, seed_names=tuple(names)))
-    assert triangular_inverse(system.equations, system.n_vars) is None
+    assert triangular_inverse(system.equations, system.map.seed_len) is None
     assert system.map.inverse[1] == frozenset({0})
     zs = ["z1", "z2"]
     assert verify_geometric(Refutation("geometric", P("1 - z1 + z2", zs)), system).accepted

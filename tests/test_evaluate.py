@@ -73,6 +73,8 @@ SHARED_POWERS = [(Fraction(1, 2), [40, 0, 2, 0]), (Fraction(-3), [40, 1, 0, 0]),
 @example(SHARED_POWERS, [2**61, 2**61 - 2, Fraction(3, 2), -5])
 @example(TERMS, [True, False, "3", " -4 "])  # bools and integer strings
 @example(TERMS, ["1/2", 2, "0.25", 3])  # over QQ only; a prime field refuses "1/2"
+# x2 before x1 in term order: over GF(7) the reference meets 1/7 first.
+@example([(Fraction(1), [0, 1, 0, 0]), (Fraction(1), [1, 0, 0, 0])], ["1/2", Fraction(1, 7)])
 def test_evaluate_matches_reference(field, term_list, point):
     p = build(field, term_list)
     assert outcome(p.evaluate, point) == outcome(reference_evaluate, p, point)
@@ -129,6 +131,12 @@ def test_short_point_raises_missing_assignment(field):
         p.evaluate([1, 2, 3])
     with pytest.raises(MissingAssignmentError):
         reference_evaluate(p, [1, 2, 3])
+    # x4 comes first in term order, then x2*x3: the error names x4's id, as
+    # the reference's does, though x2 and x3 are past the end too.
+    q = Polynomial(field, {Monomial.of({3: 1}): 1, Monomial.of({1: 1, 2: 1}): 1})
+    for fn in (q.evaluate, lambda point: reference_evaluate(q, point)):
+        with pytest.raises(MissingAssignmentError, match="^no value for variable id 3$"):
+            fn([1])
 
 
 def test_point_without_value_mod_7_raises_modular_reduction():

@@ -6,8 +6,8 @@ import pytest
 from annforge.annihilator import annihilator_basis_search
 from annforge.circuit import evaluate_circuit, expand
 from annforge.encoding import compose_polynomial
-from annforge.errors import InputError, ParseError
-from annforge.fields import QQ, Field
+from annforge.errors import BudgetExceededError, InputError, ParseError
+from annforge.fields import QQ, Field, PrimeField
 from annforge.instances import (
     det_circuit,
     encode_3cnf,
@@ -63,6 +63,31 @@ def test_kayal_outputs_algebraically_dependent():
     for n, d in [(2, 2), (3, 2)]:
         pmap = kayal_map(n, d)
         assert rank_random_eval(jacobian(list(pmap.outputs), list(range(n)))) <= n
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+def test_kayal_map_equals_the_former_sum(field):
+    # The linear output was once built by n additions; n = 7 over GF(7)
+    # loses its constant.  The terms must also keep their order.
+    for n in range(1, 10):
+        for d in (1, 2, 3):
+            total = Polynomial.zero(field)
+            for i in range(n):
+                total = total + Polynomial.variable(field, i)
+            linear = kayal_map(n, d, field).outputs[-1]
+            former = total - Polynomial.constant(field, n)
+            assert linear == former
+            assert list(linear.integer_terms()[0]) == list(former.integer_terms()[0])
+
+
+def test_families_refuse_a_map_past_the_term_budget(monkeypatch):
+    monkeypatch.setenv("AF_TERM_BUDGET", "10")
+    kayal_map(9, 2)  # 10 outputs
+    for build in (lambda: kayal_map(10, 2), lambda: kayal_chain_map(6, 2),
+                  lambda: masser_philippon_system(11, 2),
+                  lambda: encode_3cnf([(1, 2, 3)], 10)):
+        with pytest.raises(BudgetExceededError, match="exceeds budget 10"):
+            build()
 
 
 def test_kayal_chain_n3_d2():

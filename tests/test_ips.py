@@ -187,7 +187,7 @@ def test_tampered_refutations_rejected():
 def test_system_of_worked_example(fig_encoding):
     system = system_of(fig_encoding.map)
     assert len(system.equations) == 7
-    assert system.n_vars == 6
+    assert system.map.seed_len == 6
     assert system.equations == fig_encoding.map.outputs
 
 

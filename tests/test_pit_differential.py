@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import warnings
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,3 +128,20 @@ def test_zero_verdicts_of_both_sampling_modes_match_reference():
         expected = outcome(reference_generator_pit, generator, pmap, mode=mode, seed=4)
         assert expected[0][0] == ("verdict", "zero", str)
         assert outcome(generator_pit, generator, pmap, mode=mode, seed=4) == expected
+
+
+def test_witnesses_are_field_values():
+    # The sampled points are grid ints; a witness is normalized into the
+    # field: Fractions over QQ, ints over GF(p).  Fraction(3) == 3, so the
+    # verdict comparison alone does not see a change of type.
+    for field in FIELDS:
+        kind = int if field.characteristic else Fraction
+        b = CircuitBuilder(field, 2)
+        circuit = b.build(b.add(b.mul(b.input(0), b.input(1)), b.const(2)))
+        pmap = kayal_map(2, 1, field)  # degree 2 in all: every grid fits in GF(7)
+        verdicts = [sz_pit(circuit, seed=1)] + [
+            generator_pit(circuit, pmap, mode=mode, seed=1)
+            for mode in ("randomized", "deterministic_grid")]
+        for verdict in verdicts:
+            assert verdict.verdict == "nonzero"
+            assert [type(v) for v in verdict.witness] == [kind] * len(verdict.witness)

@@ -1,13 +1,13 @@
 """Every annforge function that ``perfbench/tracing.py`` wraps still exists,
 so ``perfbench/run.py --trace 1`` keeps installing after a name is deleted
-or renamed in ``src/``.  The tracer module is only loaded, not installed."""
+or renamed in ``src/``.  The tracer module is only loaded, not installed,
+and each layer is imported by name, so the test also passes on its own."""
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 from pathlib import Path
-
-import annforge
 
 TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
 
@@ -26,5 +26,5 @@ def test_every_traced_function_exists():
     targets += [("instances", name) for name in tracing._INSTANCES]
     assert len(targets) > 20
     missing = [f"{mod}.{attr}" for mod, attr in targets
-               if not callable(getattr(getattr(annforge, mod), attr, None))]
+               if not callable(getattr(importlib.import_module(f"annforge.{mod}"), attr, None))]
     assert missing == []
