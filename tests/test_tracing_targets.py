@@ -5,7 +5,6 @@ and each layer is imported by name, so the test also passes on its own."""
 
 from __future__ import annotations
 
-import importlib
 import importlib.util
 from pathlib import Path
 
