@@ -627,6 +627,19 @@ def _scenarios(base: str) -> list[Scenario]:
     sc.run("instance", "--family", "kayal", "--n", "20", env={"AF_TERM_BUDGET": "10"})
     sc.put("wide.cnf", "p cnf 20 1\n1 2 3 0\n")
     sc.run("instance", "--family", "cnf3", "--cnf", "wide.cnf", env={"AF_TERM_BUDGET": "10"})
+    # Inputs named like the writer's gate names, which must not collide.
+    sc.put("gnames.txt", "circuit c\ninputs g1 x2\nh = add g1 x2\nk = mul h g1\noutput k\n")
+    sc.run("encode", "--circuit", "gnames.txt", "--alpha", "1,2", "--beta", "5",
+           "--out", "gnames.json")
+    sc.run("annihilate", "--encoding", "gnames.json")
+    # The zero polynomial, a composite modulus, a circuit with no inputs and
+    # padding to the length a map already has.
+    sc.put("zero_p.txt", "0")
+    sc.run("hit", "--map", "m.json", "--poly", "zero_p.txt")
+    sc.run("pit", "--circuit", "c.txt", "--field", "prime:10403")
+    sc.put("noinputs.txt", "circuit k\ninputs\ng1 = add 1 2\noutput g1\n")
+    sc.run("encode", "--circuit", "noinputs.txt", "--alpha", "", "--beta", "3")
+    sc.run("stretch", "--map", "m.json", "--copies", "1", "--pad", "1")
     return scenarios
 
 

@@ -5,7 +5,9 @@ inputs, and every add/mul gate references strictly smaller ids.  Constants
 are gates (input gates labeled by a field element), not edge weights.
 internal_order is the definition order of the add/mul gates; the designated
 output must be the last of them (degenerate circuits with no internal gates
-are allowed so that metrics/evaluate work on bare references).
+are allowed so that metrics/evaluate work on bare references).  Circuit.fold
+is the one walk over the gates: expand, the metrics, serialize_circuit and
+the local encoding are folds, and evaluate_circuit keeps its flat plan.
 
 Circuit DSL::
 
@@ -22,6 +24,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, TypeVar
 
 from . import config
 from .errors import CircuitError, ParseError
@@ -29,6 +32,7 @@ from .fields import QQ, Field, FieldValue
 from .poly import _NAME_RE, Polynomial
 
 _LITERAL_RE = re.compile(r"-?\d+(/\d+)?", re.ASCII)
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -46,14 +50,6 @@ class Gate:
     @staticmethod
     def const(value: FieldValue) -> "Gate":
         return Gate("const", value=value)
-
-    @staticmethod
-    def add(left: int, right: int) -> "Gate":
-        return Gate("add", left=left, right=right)
-
-    @staticmethod
-    def mul(left: int, right: int) -> "Gate":
-        return Gate("mul", left=left, right=right)
 
     @property
     def is_internal(self) -> bool:
@@ -108,18 +104,29 @@ class Circuit:
                       for i in self.internal_order)
         return template, steps
 
+    def fold(self, leaf: Callable[[int, Gate], T], add: Callable[[int, T, T], T],
+             mul: Callable[[int, T, T], T]) -> T:
+        """One pass over the gates in id order: input or const gate ``i``
+        takes ``leaf(i, gate)``, and internal gate ``i`` takes ``add(i, a, b)``
+        or ``mul(i, a, b)`` of its children's values ``a`` and ``b``.  Returns
+        the output gate's value, a leaf's when no gate is internal."""
+        values: list[T] = []
+        for i, g in enumerate(self.gates):
+            if g.op == "add":
+                values.append(add(i, values[g.left], values[g.right]))
+            elif g.op == "mul":
+                values.append(mul(i, values[g.left], values[g.right]))
+            else:
+                values.append(leaf(i, g))
+        return values[self.output]
+
     @cached_property
     def _metrics(self) -> "CircuitMetrics":
-        depth = [0] * len(self.gates)
-        degree = [0] * len(self.gates)
-        for i, g in enumerate(self.gates):
-            if g.op == "input":
-                degree[i] = 1
-            elif g.is_internal:
-                depth[i] = 1 + max(depth[g.left], depth[g.right])
-                a, b = degree[g.left], degree[g.right]
-                degree[i] = a + b if g.op == "mul" else max(a, b)
-        return CircuitMetrics(self.size, depth[self.output], degree[self.output])
+        depth, degree = self.fold(
+            lambda i, g: (0, 1 if g.op == "input" else 0),
+            lambda i, a, b: (1 + max(a[0], b[0]), max(a[1], b[1])),
+            lambda i, a, b: (1 + max(a[0], b[0]), a[1] + b[1]))
+        return CircuitMetrics(self.size, depth, degree)
 
 
 @dataclass(frozen=True)
@@ -154,26 +161,24 @@ def evaluate_circuit(circuit: Circuit, point) -> FieldValue:
 
 
 def expand(circuit: Circuit) -> Polynomial:
-    """The polynomial computed by the circuit, by gate-order accumulation.
+    """The polynomial computed by the circuit, by a fold over its gates.
 
     Aborts with BudgetExceededError as soon as any intermediate polynomial
     exceeds the term budget; expansion is an oracle, not a scalable path.
     """
-    f = circuit.field
-    polys: list[Polynomial] = []
-    for i, g in enumerate(circuit.gates):
-        if g.op == "input":
-            p = Polynomial.variable(f, g.var)
-        elif g.op == "const":
-            p = Polynomial.constant(f, g.value)
-        elif g.op == "add":
-            p = polys[g.left] + polys[g.right]
-        else:
-            p = polys[g.left] * polys[g.right]
+    def gate(i: int, p: Polynomial) -> Polynomial:
         n = p.term_count()
         config.check_budget(f"gate {i}: {n} terms", n)
-        polys.append(p)
-    return polys[circuit.output]
+        return p
+
+    return circuit.fold(lambda i, g: gate(i, leaf_polynomial(circuit.field, g)),
+                        lambda i, a, b: gate(i, a + b), lambda i, a, b: gate(i, a * b))
+
+
+def leaf_polynomial(field: Field, g: Gate) -> Polynomial:
+    """An input gate's variable or a const gate's constant."""
+    return Polynomial.variable(field, g.var) if g.op == "input" \
+        else Polynomial.constant(field, g.value)
 
 
 def metrics(circuit: Circuit) -> CircuitMetrics:
@@ -234,11 +239,11 @@ class CircuitBuilder:
         return self._const_ids[v]
 
     def add(self, a: int, b: int) -> int:
-        self.gates.append(Gate.add(a, b))
+        self.gates.append(Gate("add", left=a, right=b))
         return len(self.gates) - 1
 
     def mul(self, a: int, b: int) -> int:
-        self.gates.append(Gate.mul(a, b))
+        self.gates.append(Gate("mul", left=a, right=b))
         return len(self.gates) - 1
 
     def tree_reduce(self, op: str, operands: list[int]) -> int:
@@ -353,25 +358,20 @@ def parse_circuit(text: str, field: Field = QQ) -> Circuit:
 
 
 def serialize_circuit(circuit: Circuit) -> str:
-    """Canonical DSL text: gates renamed g1..gs in internal order."""
-    gate_names = {}
-    for pos, gid in enumerate(circuit.internal_order, start=1):
-        gate_names[gid] = f"g{pos}"
+    """Canonical DSL text: gates renamed g1..gs in internal order, the prefix
+    taking one more "g" while an input is named by it and digits."""
+    prefix = "g"
+    while any(re.fullmatch(prefix + "[0-9]+", name) for name in circuit.input_names):
+        prefix += "g"
+    lines = [f"circuit {circuit.name}", " ".join(["inputs", *circuit.input_names])]
 
-    def ref(gid: int) -> str:
-        g = circuit.gates[gid]
-        if g.op == "input":
-            return circuit.input_names[g.var]
-        if g.op == "const":
-            return circuit.field.format_value(g.value)
-        return gate_names[gid]
+    def gate(op: str, a: str, b: str) -> str:
+        name = f"{prefix}{len(lines) - 1}"  # the two header lines come first
+        lines.append(f"{name} = {op} {a} {b}")
+        return name
 
-    lines = [f"circuit {circuit.name}", "inputs " + " ".join(circuit.input_names)]
-    if circuit.n_inputs == 0:
-        lines[1] = "inputs"
-    for gid in circuit.internal_order:
-        g = circuit.gates[gid]
-        lines.append(f"{gate_names[gid]} = {g.op} {ref(g.left)} {ref(g.right)}")
-    lines.append(f"output {ref(circuit.output)}")
+    out = circuit.fold(lambda i, g: circuit.input_names[g.var] if g.op == "input"
+                       else circuit.field.format_value(g.value),
+                       lambda i, a, b: gate("add", a, b), lambda i, a, b: gate("mul", a, b))
+    lines.append(f"output {out}")
     return "\n".join(lines) + "\n"
-

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import config
-from .circuit import Circuit
+from .circuit import Circuit, leaf_polynomial
 from .errors import CircuitError, InputError, SupportOverflowError
 from .fields import FieldValue
 from .poly import Monomial, Namespace, Polynomial, fresh_names
@@ -102,26 +102,18 @@ class LocalEncoding:
             raise CircuitError("cannot encode a circuit with no internal gates")
         object.__setattr__(self, "alpha", tuple(f.normalize(a) for a in self.alpha))
         object.__setattr__(self, "beta", f.normalize(self.beta))
-        # L(gate) as a polynomial over the seed variables x1..xn, y1..ys.
-        position = {gid: j for j, gid in enumerate(circuit.internal_order, start=1)}
-        lfun: dict[int, Polynomial] = {}
-        for gid, gate in enumerate(circuit.gates):
-            if gate.op == "input":
-                lfun[gid] = Polynomial.variable(f, gate.var)
-            elif gate.op == "const":
-                lfun[gid] = Polynomial.constant(f, gate.value)
-            else:
-                lfun[gid] = Polynomial.variable(f, n + position[gid] - 1)
+        # The k-th internal gate's y_k has id n + k - 1, which is len(outputs).
+        outputs = [Polynomial.variable(f, i) - Polynomial.constant(f, a)
+                   for i, a in enumerate(self.alpha)]
 
-        outputs: list[Polynomial] = []
-        for i in range(n):
-            outputs.append(Polynomial.variable(f, i) - Polynomial.constant(f, self.alpha[i]))
-        for gid in circuit.internal_order:
-            gate = circuit.gates[gid]
-            child = lfun[gate.left] + lfun[gate.right] if gate.op == "add" \
-                else lfun[gate.left] * lfun[gate.right]
-            outputs.append(lfun[gid] - child)
-        outputs.append(Polynomial.variable(f, n + s - 1) - Polynomial.constant(f, self.beta))
+        def gate(child: Polynomial) -> Polynomial:
+            y = Polynomial.variable(f, len(outputs))
+            outputs.append(y - child)
+            return y
+
+        last = circuit.fold(lambda i, g: leaf_polynomial(f, g),
+                            lambda i, a, b: gate(a + b), lambda i, a, b: gate(a * b))
+        outputs.append(last - Polynomial.constant(f, self.beta))
 
         names = tuple(circuit.input_names) + tuple(f"y{j}" for j in range(1, s + 1))
         object.__setattr__(self, "map", PolynomialMap(
