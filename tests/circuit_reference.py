@@ -1,12 +1,18 @@
-"""Circuit parsing and random circuits as the package built them before
-both went through ``CircuitBuilder``, kept as the reference oracle.
+"""Circuit code as the package wrote it before, kept as reference oracles.
 
-The bodies are the earlier ``circuit.parse_circuit`` and
-``circuit.random_circuit``, unchanged but for their names: each keeps its
-own gate list and calls ``Circuit`` itself, and ``random_circuit`` gives
-every pool constant a gate of its own.  The differential tests in
-``test_circuit_differential.py`` require the package to build equal
-circuits, or to raise the same error with the same message.
+``reference_parse_circuit`` and ``reference_random_circuit`` are the
+earlier ``circuit.parse_circuit`` and ``circuit.random_circuit``, from
+before both went through ``CircuitBuilder``, unchanged but for their names:
+each keeps its own gate list and calls ``Circuit`` itself, and
+``random_circuit`` gives every pool constant a gate of its own.  The
+differential tests in ``test_circuit_differential.py`` require the package
+to build equal circuits, or to raise the same error with the same message.
+
+``reference_expand``, ``reference_metrics`` and
+``reference_serialize_circuit`` are ``expand``, ``metrics`` and
+``serialize_circuit`` as each walked the gates with its own loop, before
+all three became folds (``Circuit.fold``); ``test_fold_differential.py``
+compares them with the package.
 """
 
 from __future__ import annotations
@@ -14,9 +20,11 @@ from __future__ import annotations
 import random
 import re
 
-from annforge.circuit import _LITERAL_RE, Circuit, Gate
+from annforge import config
+from annforge.circuit import _LITERAL_RE, Circuit, CircuitMetrics, Gate
 from annforge.errors import CircuitError, ParseError
 from annforge.fields import QQ, Field, FieldValue
+from annforge.poly import Polynomial
 
 #: The input-name rule as the circuit module wrote it for itself.
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -128,3 +136,66 @@ def reference_parse_circuit(text: str, field: Field = QQ) -> Circuit:
         name=name,
         input_names=tuple(input_names),
     )
+
+
+def reference_expand(circuit: Circuit) -> Polynomial:
+    """The polynomial computed by the circuit, by gate-order accumulation.
+
+    Aborts with BudgetExceededError as soon as any intermediate polynomial
+    exceeds the term budget; expansion is an oracle, not a scalable path.
+    """
+    f = circuit.field
+    polys: list[Polynomial] = []
+    for i, g in enumerate(circuit.gates):
+        if g.op == "input":
+            p = Polynomial.variable(f, g.var)
+        elif g.op == "const":
+            p = Polynomial.constant(f, g.value)
+        elif g.op == "add":
+            p = polys[g.left] + polys[g.right]
+        else:
+            p = polys[g.left] * polys[g.right]
+        n = p.term_count()
+        config.check_budget(f"gate {i}: {n} terms", n)
+        polys.append(p)
+    return polys[circuit.output]
+
+
+def reference_metrics(circuit: Circuit) -> CircuitMetrics:
+    """size = internal gate count; depth = longest input-to-output path;
+    degree bound by gate-wise propagation (add: max, mul: sum)."""
+    depth = [0] * len(circuit.gates)
+    degree = [0] * len(circuit.gates)
+    for i, g in enumerate(circuit.gates):
+        if g.op == "input":
+            degree[i] = 1
+        elif g.is_internal:
+            depth[i] = 1 + max(depth[g.left], depth[g.right])
+            a, b = degree[g.left], degree[g.right]
+            degree[i] = a + b if g.op == "mul" else max(a, b)
+    return CircuitMetrics(circuit.size, depth[circuit.output], degree[circuit.output])
+
+
+def reference_serialize_circuit(circuit: Circuit) -> str:
+    """Canonical DSL text: gates renamed g1..gs in internal order (even when
+    an input already has one of those names)."""
+    gate_names = {}
+    for pos, gid in enumerate(circuit.internal_order, start=1):
+        gate_names[gid] = f"g{pos}"
+
+    def ref(gid: int) -> str:
+        g = circuit.gates[gid]
+        if g.op == "input":
+            return circuit.input_names[g.var]
+        if g.op == "const":
+            return circuit.field.format_value(g.value)
+        return gate_names[gid]
+
+    lines = [f"circuit {circuit.name}", "inputs " + " ".join(circuit.input_names)]
+    if circuit.n_inputs == 0:
+        lines[1] = "inputs"
+    for gid in circuit.internal_order:
+        g = circuit.gates[gid]
+        lines.append(f"{gate_names[gid]} = {g.op} {ref(g.left)} {ref(g.right)}")
+    lines.append(f"output {ref(circuit.output)}")
+    return "\n".join(lines) + "\n"

@@ -214,10 +214,15 @@ def test_tree_reduce_empty_rejected():
 
 
 def test_serialize_parse_identity(fig_circuit):
-    text = serialize_circuit(fig_circuit)
-    again = parse_circuit(text)
-    assert again == fig_circuit
-    assert serialize_circuit(again) == text
+    # Gates are named g1.., or by a prefix with one more "g" while an input
+    # is named by the prefix and digits.
+    for names, prefix in [(("x1", "x2"), "g"), (("g1", "g2"), "gg"), (("g1", "gg2"), "ggg")]:
+        circuit = dataclasses.replace(fig_circuit, input_names=names)
+        text = serialize_circuit(circuit)
+        assert f"\noutput {prefix}4\n" in text
+        again = parse_circuit(text)
+        assert again == circuit
+        assert serialize_circuit(again) == text
 
 
 def test_circuit_from_polynomial_roundtrip():

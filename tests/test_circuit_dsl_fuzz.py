@@ -1,7 +1,8 @@
 """Circuit DSL text fuzzed through the CLI: ``metrics``, ``pit`` and
 ``encode`` read it, and every text must end in a defined exit code (0, 2 or
 3; none of these commands has a verdict to mismatch without ``--expect``)
-and never in a traceback."""
+and never in a traceback.  An encoding that ``encode`` writes for two
+inputs must be one that ``annihilate`` reads back and certifies (exit 0)."""
 
 from __future__ import annotations
 
@@ -66,7 +67,15 @@ COMMANDS = {
     "pit-gf7": ["--trials", "3", "--field", "prime:7"],
     "encode": ["--alpha", "1,2", "--beta", "0"],
     "encode-one-input": ["--alpha", "3", "--beta", "1/2", "--field", "prime:101"],
+    "encode-annihilate": ["--alpha", "1,2", "--beta", "5"],
 }
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    """The exit code and stderr of ``main(argv)``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
 
 
 @settings(max_examples=300, deadline=None)
@@ -80,14 +89,15 @@ COMMANDS = {
 @example("pit-gf7", squaring_chain(40))
 @example("metrics", squaring_chain(200))
 @example("encode-one-input", squaring_chain(200, str(10**40)))
+@example("encode-annihilate", "circuit c\ninputs g1 x2\nh = add g1 x2\nk = mul h g1\noutput k\n")
 def test_fuzzed_circuit_text_exits_with_a_defined_code(tmp_path_factory, command, text):
     root = tmp_path_factory.mktemp("dsl")
     (root / "c.txt").write_text(text)
     argv = [command.split("-")[0], "--circuit", str(root / "c.txt"), *COMMANDS[command]]
     if argv[0] == "encode":
         argv += ["--out", str(root / "enc.json")]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 2, 3), (command, text, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    code, err = run(argv)
+    assert code in (0, 2, 3), (command, text, err)
+    assert "Traceback" not in err
+    if command == "encode-annihilate" and code == 0:
+        assert run(["annihilate", "--encoding", str(root / "enc.json")]) == (0, ""), text

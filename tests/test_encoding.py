@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annforge import config
@@ -149,6 +149,8 @@ def claims(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(claims())
+@example((random_circuit(0, 3, seed=5, const_pool=(2, -1)), [], 4))
+@example((random_circuit(0, 4, seed=9, const_pool=(3,), field=PrimeField(7)), [], 1))
 def test_derived_map_equals_reference_encoding(claim):
     circuit, alpha, beta = claim
     enc = local_encode(circuit, alpha, beta)
