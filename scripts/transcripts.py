@@ -640,6 +640,12 @@ def _scenarios(base: str) -> list[Scenario]:
     sc.put("noinputs.txt", "circuit k\ninputs\ng1 = add 1 2\noutput g1\n")
     sc.run("encode", "--circuit", "noinputs.txt", "--alpha", "", "--beta", "3")
     sc.run("stretch", "--map", "m.json", "--copies", "1", "--pad", "1")
+    # Inputs named like the local encoding's seed names y1..ys: y1 takes
+    # internal gate 1's name, and y3 is past the two gates.
+    for name in ("y1", "y3"):
+        sc.put("ynames.txt", f"circuit c\ninputs {name} x2\nh = add {name} x2\n"
+                             f"k = mul h {name}\noutput k\n")
+        sc.run("encode", "--circuit", "ynames.txt", "--alpha", "1,2", "--beta", "5")
     return scenarios
 
 
