@@ -100,6 +100,11 @@ class LocalEncoding:
             raise CircuitError(f"alpha has length {len(self.alpha)}, circuit has {n} inputs")
         if s == 0:
             raise CircuitError("cannot encode a circuit with no internal gates")
+        seeds = {f"y{k}": k for k in range(1, s + 1)}  # y_k names the k-th internal gate
+        for name in circuit.input_names:
+            if name in seeds:
+                raise CircuitError(f"input {config.quote(name)} is the seed name of "
+                                   f"internal gate {seeds[name]} of {s}")
         object.__setattr__(self, "alpha", tuple(f.normalize(a) for a in self.alpha))
         object.__setattr__(self, "beta", f.normalize(self.beta))
         # The k-th internal gate's y_k has id n + k - 1, which is len(outputs).
@@ -115,7 +120,7 @@ class LocalEncoding:
                             lambda i, a, b: gate(a + b), lambda i, a, b: gate(a * b))
         outputs.append(last - Polynomial.constant(f, self.beta))
 
-        names = tuple(circuit.input_names) + tuple(f"y{j}" for j in range(1, s + 1))
+        names = tuple(circuit.input_names) + tuple(seeds)
         object.__setattr__(self, "map", PolynomialMap(
             outputs=tuple(outputs), seed_len=n + s, seed_names=names))
 
@@ -209,6 +214,7 @@ def peel(outputs: Sequence[Polynomial], n_vars: int) -> tuple[dict, frozenset[in
     output and a heap of the outputs at count one spare rescans.  Outputs
     triangular in seed order pair v_j with output j."""
     f = outputs[0].field
+    p = f.characteristic
     reads = [out.variables() for out in outputs]
     readers: list[list[int]] = [[] for _ in range(n_vars)]
     for j, vs in enumerate(reads):
@@ -234,9 +240,13 @@ def peel(outputs: Sequence[Polynomial], n_vars: int) -> tuple[dict, frozenset[in
             else:
                 step[mono] = -n
         else:
-            # (den*v - g) / c with v kept as z_j and the paired variables by sigma.
+            # (den*v - g) / c, v kept as z_j and the paired variables by sigma:
+            # over |c| with c's sign in the numerators, or times c^-1 over F_p.
+            up, over = (pow(c, -1, p), 1) if p else (1 if c > 0 else -1, abs(c))
+            if up != 1:
+                step = {m: n * up for m, n in step.items()}
             sigma[v] = Polynomial.variable(f, j)
-            sigma[v] = Polynomial.from_integer_terms(f, step).compose(sigma).scale(f.inv(c))
+            sigma[v] = Polynomial.from_integer_terms(f, step, over).compose(sigma)
             paired.add(j)
             for k in readers[v]:
                 unpaired[k] -= 1

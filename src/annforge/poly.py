@@ -6,15 +6,17 @@ stored as integer numerators, in a dict keyed by Monomial (a tuple subclass
 of sorted (var, exp) pairs, so keys hash and compare in C), over one
 positive denominator: over F_p residues over 1, over QQ numerators with no
 factor in common with it.  No zero is stored, so the form is canonical.
-The constructor clears field values to it, from_integer_terms builds it from
-integers, and field values (Fractions over QQ) appear only at the API
-edge.  Products (``*``, ``compose``, ``substitute``) go through one integer
-loop, _ProductSum.  ``evaluate`` runs on a plan that the first call
+from_integer_terms builds it from integers, and the general constructor
+clears field values (Fractions over QQ) to it; field values appear only at
+the API edge.  Products (``*``, ``compose``, ``substitute``) go through one
+integer loop, _ProductSum.  ``evaluate`` runs on a plan that the first call
 compiles and the polynomial keeps.  Nothing changes a polynomial's terms
 after construction, so a plan never goes stale.  The canonical order is
-graded lexicographic with lower variable ids more significant.  Printing
-always emits terms in descending canonical order, so serialize -> parse ->
-serialize is a fixed point.
+graded lexicographic with lower variable ids more significant (graded_lex).
+Text is read into and written from the stored integers: the reader sums
+each term's sign times its constants' numerators over the lcm of their
+denominators, and the writer prints terms in descending canonical order, so
+serialize -> parse -> serialize is a fixed point.
 
 Text grammar: signed terms ``c*v1^e1*...*vk^ek`` with rational ``c``
 written ``a`` or ``a/b``, e.g. ``x1^2 - x2^2 + 1/2*x3``.  Every term after
@@ -35,6 +37,12 @@ from typing import ItemsView, Iterable, Iterator, Mapping, Sequence
 from . import config
 from .errors import InputError, MissingAssignmentError, ParseError
 from .fields import Field, FieldValue, check_same_field
+
+
+def graded_lex(mono: tuple) -> tuple:
+    """The canonical order's key: degree, then the (-var, exp) pairs, so a
+    larger key is a larger monomial.  terms() and the writer sort by it."""
+    return sum([e for _, e in mono]), tuple([(-v, e) for v, e in mono])
 
 
 class Monomial(tuple):
@@ -58,20 +66,13 @@ class Monomial(tuple):
     def degree(self) -> int:
         return sum(e for _, e in self)
 
-    @property
-    def sort_key(self) -> tuple:
-        # Graded lex, variable 0 most significant: compare degree first,
-        # then (-var, exp) pairs so that a larger key means a larger monomial.
-        return (self.degree, tuple((-v, e) for v, e in self))
+    sort_key = property(graded_lex)
 
     def degree_in(self, var: int) -> int:
         for v, e in self:
             if v == var:
                 return e
         return 0
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self)
 
     def mul(self, other: "Monomial") -> "Monomial":
         """The product, by a merge of the two sorted pair lists."""
@@ -176,7 +177,8 @@ class Polynomial:
 
     def terms(self) -> Iterator[tuple[Monomial, FieldValue]]:
         """Terms in descending canonical (graded-lex) order."""
-        return iter(sorted(self.iter_terms(), key=lambda t: t[0].sort_key, reverse=True))
+        order = sorted(self._terms, key=graded_lex, reverse=True)
+        return ((m, self.coefficient(m)) for m in order)
 
     def iter_terms(self) -> Iterator[tuple[Monomial, FieldValue]]:
         """Terms in arbitrary order (no sorting cost)."""
@@ -201,10 +203,7 @@ class Polynomial:
         return max((m.degree_in(var) for m in self._terms), default=0)
 
     def variables(self) -> set[int]:
-        out: set[int] = set()
-        for mono in self._terms:
-            out.update(mono.variables())
-        return out
+        return {v for mono in self._terms for v, _ in mono}
 
     def constant_term(self) -> FieldValue:
         return self.coefficient(MONOMIAL_ONE)
@@ -342,7 +341,7 @@ class Polynomial:
 
         # Each term's last factor is multiplied straight into the sum; self's
         # numerators go in as ints, and its denominator divides the total once.
-        unit = Polynomial.constant(f, 1)
+        unit = Polynomial.from_integer_terms(f, {MONOMIAL_ONE: 1})
         products = _ProductSum()
         for mono, n in self._terms.items():
             if not mono:
@@ -489,29 +488,34 @@ def fresh_names(taken: Iterable[str], n: int) -> list[str]:
 
 
 def parse_polynomial(text: str, field: Field, ns: Namespace) -> Polynomial:
-    """Parse the term grammar, one _TERM_RE match per term; a syntax error
-    raises ParseError naming the position where reading stopped."""
+    """Parse the term grammar, one _TERM_RE match per term, into the stored
+    form; a syntax error raises ParseError naming where reading stopped."""
     if not text.strip():
         raise ParseError("empty polynomial text")
-    terms: dict[Monomial, FieldValue] = {}  # the constructor normalizes, dropping zeros
+    read: list[tuple[Monomial, int, int]] = []
     pos = 0
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if m is None or pos and not m.group(1).strip():
             raise ParseError(f"syntax error at position {pos} in {config.quote(text)}")
         pos = m.end()
-        coeff = -1 if m.group(1).count("-") % 2 else 1
+        num, den = (-1 if m.group(1).count("-") % 2 else 1), 1
         exps: dict[int, int] = {}
         for name, exp, constant in _FACTOR_RE.findall(m.group(2)):
             if constant:
-                coeff *= field.parse_value(constant)
+                a, b = field.parse_value(constant).as_integer_ratio()  # b is 1 over F_p
+                num *= a
+                den *= b
             else:
                 var = ns.id(name)
                 e = config.read_int(exp, f"the exponent of {name}") if exp else 1
                 exps[var] = exps.get(var, 0) + e
-        mono = Monomial.of(exps)
-        terms[mono] = terms.get(mono, 0) + coeff
-    return Polynomial(field, terms)
+        read.append((Monomial.of(exps), num, den))
+    den = lcm(*[d for _, _, d in read])
+    terms: dict[Monomial, int] = {}
+    for mono, num, d in read:
+        terms[mono] = terms.get(mono, 0) + num * (den // d)
+    return Polynomial.from_integer_terms(field, terms, den)
 
 
 def format_polynomial(p: Polynomial, ns: Namespace | None = None) -> str:
@@ -519,17 +523,22 @@ def format_polynomial(p: Polynomial, ns: Namespace | None = None) -> str:
     if p.is_zero():
         return "0"
     name = ns.name if ns is not None else (lambda v: f"v{v + 1}")
+    factors: dict[tuple[int, int], str] = {}  # (var, exp) -> its text
     parts: list[str] = []
-    den = p._den
-    for mono, n in sorted(p._terms.items(), key=lambda t: t[0].sort_key, reverse=True):
-        # The coefficient n/den in lowest terms; over F_p den is 1.
-        g = gcd(n, den)
+    terms, den = p._terms, p._den
+    for mono in sorted(terms, key=graded_lex, reverse=True):
+        n = terms[mono]
+        g = gcd(n, den) if den != 1 else 1  # den is 1 over F_p
         c = config.exact_text(abs(n) // g, "a coefficient")
         if g != den:
             c += "/" + config.exact_text(den // g, "a coefficient's denominator")
-        factors = [c] if c != "1" or not mono else []
-        factors += [name(v) if e == 1 else f"{name(v)}^{config.exact_text(e, 'an exponent')}"
-                    for v, e in mono]
-        parts.append(f"{'-' if n < 0 else '+'} {'*'.join(factors)}")
+        body = [c] if c != "1" or not mono else []
+        for pair in mono:
+            if pair not in factors:
+                v, e = pair
+                factors[pair] = name(v) if e == 1 else \
+                    f"{name(v)}^{config.exact_text(e, 'an exponent')}"
+        body += [factors[pair] for pair in mono]
+        parts.append(f"{'-' if n < 0 else '+'} {'*'.join(body)}")
     text = " ".join(parts)
     return text[2:] if text[0] == "+" else "-" + text[2:]

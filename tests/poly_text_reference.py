@@ -1,89 +1,62 @@
-"""Polynomial text as the package read and wrote it before the term regex,
-kept as the reference oracle.
+"""Polynomial text as the package read and wrote it before the reader and the
+writer worked on the stored integers, kept as the reference oracle.
 
 ``reference_parse_polynomial`` is the earlier ``poly.parse_polynomial`` and
 ``reference_format_polynomial`` the earlier ``poly.format_polynomial``,
-unchanged but for their names: the parser tokenizes the whole text with
-``_TOKEN_RE`` and then runs a sign/factor state machine over the tokens,
-and the formatter formats each coefficient, negates it and formats it
-again.  The differential tests in ``test_poly_text.py`` require the
-package's reader to give an equal polynomial or raise the same exception
-class, and its writer to give the same text.
+unchanged but for their names, their own copy of the term regexes and the
+graded-lex key written out: the reader multiplies each term's sign by its
+``parse_value`` constants as field values, adds like terms as field values
+and hands the sum to the general constructor, and the writer reduces every
+coefficient by its gcd with the denominator and builds every factor's text
+anew.  The differential tests in ``test_poly_text.py`` require the package's
+reader to give an equal polynomial or raise the same exception with the same
+message, and its writer to give the same text or the same refusal.
 """
 
 from __future__ import annotations
 
 import re
+from math import gcd
 
+from annforge import config
 from annforge.errors import ParseError
 from annforge.fields import Field, FieldValue
 from annforge.poly import Monomial, Namespace, Polynomial
 
-_TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|\d+/\d+|\d+|\^|\*|\+|-)")
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_FACTOR_RE = re.compile(rf"({_NAME_RE.pattern})(?:\s*\^\s*(\d+))?|(\d+(?:/\d+)?)", re.ASCII)
+_TERM_RE = re.compile(
+    rf"([-+\s]*)((?:{_FACTOR_RE.pattern})(?:\s*\*\s*(?:{_FACTOR_RE.pattern}))*)\s*", re.ASCII
+)
+
+
+def _sort_key(mono: Monomial) -> tuple:
+    return (sum(e for _, e in mono), tuple((-v, e) for v, e in mono))
 
 
 def reference_parse_polynomial(text: str, field: Field, ns: Namespace) -> Polynomial:
-    """Parse the term grammar; raises ParseError with position context."""
-    tokens: list[str] = []
+    """Parse the term grammar, one _TERM_RE match per term; a syntax error
+    raises ParseError naming the position where reading stopped."""
+    if not text.strip():
+        raise ParseError("empty polynomial text")
+    terms: dict[Monomial, FieldValue] = {}  # the constructor normalizes, dropping zeros
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"bad character at position {pos} in {text!r}")
-        tokens.append(m.group(1))
+        m = _TERM_RE.match(text, pos)
+        if m is None or pos and not m.group(1).strip():
+            raise ParseError(f"syntax error at position {pos} in {config.quote(text)}")
         pos = m.end()
-    if not tokens:
-        raise ParseError("empty polynomial text")
-
-    terms: dict[Monomial, FieldValue] = {}
-    i = 0
-    while i < len(tokens):
-        sign = 1
-        start = i
-        while i < len(tokens) and tokens[i] in "+-":
-            if tokens[i] == "-":
-                sign = -sign
-            i += 1
-        if i >= len(tokens):
-            raise ParseError(f"dangling sign in {text!r}")
-        if 0 < start == i:
-            raise ParseError(f"missing + or - before {tokens[i]!r} in {text!r}")
-        coeff = field.one if sign == 1 else field.neg(field.one)
+        coeff = -1 if m.group(1).count("-") % 2 else 1
         exps: dict[int, int] = {}
-        saw_factor = False
-        while True:
-            tok = tokens[i]
-            if tok[0].isdigit():
-                coeff = field.mul(coeff, field.parse_value(tok))
+        for name, exp, constant in _FACTOR_RE.findall(m.group(2)):
+            if constant:
+                coeff *= field.parse_value(constant)
             else:
-                var = ns.id(tok)
-                exp = 1
-                if i + 2 < len(tokens) and tokens[i + 1] == "^":
-                    if not tokens[i + 2].isdigit():
-                        raise ParseError(f"bad exponent after {tok} in {text!r}")
-                    exp = int(tokens[i + 2])
-                    i += 2
-                elif i + 1 < len(tokens) and tokens[i + 1] == "^":
-                    raise ParseError(f"dangling ^ in {text!r}")
-                exps[var] = exps.get(var, 0) + exp
-            saw_factor = True
-            i += 1
-            if i < len(tokens) and tokens[i] == "*":
-                i += 1
-                if i >= len(tokens):
-                    raise ParseError(f"dangling * in {text!r}")
-                continue
-            break
-        if not saw_factor:
-            raise ParseError(f"empty term in {text!r}")
+                var = ns.id(name)
+                e = config.read_int(exp, f"the exponent of {name}") if exp else 1
+                exps[var] = exps.get(var, 0) + e
         mono = Monomial.of(exps)
-        c = field.add(terms.get(mono, field.zero), coeff)
-        if field.is_zero(c):
-            terms.pop(mono, None)
-        else:
-            terms[mono] = c
+        terms[mono] = terms.get(mono, 0) + coeff
     return Polynomial(field, terms)
 
 
@@ -91,21 +64,18 @@ def reference_format_polynomial(p: Polynomial, ns: Namespace | None = None) -> s
     """Canonical text: descending graded-lex terms, exact round trip."""
     if p.is_zero():
         return "0"
-    f = p.field
+    name = ns.name if ns is not None else (lambda v: f"v{v + 1}")
     parts: list[str] = []
-    for idx, (mono, coeff) in enumerate(p.terms()):
-        neg = f.format_value(coeff).startswith("-")
-        mag = f.neg(coeff) if neg else coeff
-        factors = []
-        mag_text = f.format_value(mag)
-        if mag_text != "1" or not mono:
-            factors.append(mag_text)
-        for v, e in mono:
-            name = ns.name(v) if ns is not None else f"v{v + 1}"
-            factors.append(name if e == 1 else f"{name}^{e}")
-        body = "*".join(factors)
-        if idx == 0:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(parts)
+    den = p._den
+    for mono, n in sorted(p._terms.items(), key=lambda t: _sort_key(t[0]), reverse=True):
+        # The coefficient n/den in lowest terms; over F_p den is 1.
+        g = gcd(n, den)
+        c = config.exact_text(abs(n) // g, "a coefficient")
+        if g != den:
+            c += "/" + config.exact_text(den // g, "a coefficient's denominator")
+        factors = [c] if c != "1" or not mono else []
+        factors += [name(v) if e == 1 else f"{name(v)}^{config.exact_text(e, 'an exponent')}"
+                    for v, e in mono]
+        parts.append(f"{'-' if n < 0 else '+'} {'*'.join(factors)}")
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]

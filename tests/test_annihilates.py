@@ -1,5 +1,5 @@
 """The peel and the annihilation check against full expansion of p o F,
-and the peel against the former triangular inverse."""
+and the peel against the former triangular inverse and the former peel."""
 
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from annforge.ips import EquationSystem, Refutation, system_of, verify_geometric
 from annforge.poly import Monomial, Polynomial
 
 from conftest import FIG_TEXT, P
+from peel_reference import reference_peel
 from triangular_reference import triangular_inverse
 
 FIELDS = [QQ, PrimeField(7), PrimeField(config.DEFAULT_PRIME)]
@@ -236,6 +237,14 @@ def test_peel_equals_the_former_inverse(case):
     # Every paired output maps back to its own z_j, whatever the shape.
     for j in paired:
         assert outputs[j].compose(sigma) == Polynomial.variable(outputs[0].field, j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_triangular_maps())
+def test_peel_equals_the_former_peel(case):
+    # The step over |c| (times c^-1 over F_p) against compose, then scale by 1/c.
+    outputs, n = case
+    assert peel(outputs, n) == reference_peel(outputs, n)
 
 
 def derived(pmap: PolynomialMap, draw) -> tuple[PolynomialMap, Polynomial]:

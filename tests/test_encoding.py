@@ -93,6 +93,22 @@ def test_encode_rejects_gateless_circuit():
         local_encode(degenerate, [0], 0)
 
 
+def test_encode_refuses_an_input_named_like_a_gate_seed():
+    # y_k is the seed name of the k-th internal gate; an input may take a
+    # y-name only past the last gate.
+    def circuit(name: str):
+        return parse_circuit(f"circuit c\ninputs x1 {name}\nh = add x1 {name}\n"
+                             f"k = mul h {name}\noutput k\n")
+
+    for name, k in (("y1", 1), ("y2", 2)):
+        with pytest.raises(CircuitError) as info:
+            local_encode(circuit(name), [1, 2], 5)
+        assert str(info.value) == f"input '{name}' is the seed name of internal gate {k} of 2"
+    enc = local_encode(circuit("y3"), [1, 2], 5)
+    assert enc.map.seed_names == ("x1", "y3", "y1", "y2")
+    assert local_encode(circuit("y01"), [1, 2], 5).map.seed_names[1] == "y01"
+
+
 def test_encoding_metrics_fig(fig_encoding):
     m = fig_encoding.map
     assert (m.seed_len, m.out_len, m.stretch, m.degree) == (6, 7, 1, 2)
