@@ -646,6 +646,29 @@ def _scenarios(base: str) -> list[Scenario]:
         sc.put("ynames.txt", f"circuit c\ninputs {name} x2\nh = add {name} x2\n"
                              f"k = mul h {name}\noutput k\n")
         sc.run("encode", "--circuit", "ynames.txt", "--alpha", "1,2", "--beta", "5")
+    # Moduli below 2, composite past the small-prime divisions (43 * 47) and
+    # prime past them, which run the Miller-Rabin rounds; a constant that
+    # has no value mod p.
+    for modulus in ("1", "2021", "53"):
+        sc.run("metrics", "--circuit", "c.txt", "--field", f"prime:{modulus}")
+    sc.run("encode", "--circuit", "c.txt", "--field", "prime:7", "--alpha", "1/7,1",
+           "--beta", "0")
+    # A circuit file with a comment line and a blank line.
+    sc.put("commented.txt", SQUARES_DIFF.replace("g1 = ", "# x2 negated\n\ng1 = "))
+    sc.run("metrics", "--circuit", "commented.txt")
+    sc.run("instance", "--family", "kayal-chain", "--n", "4")
+    # DIMACS text with no problem line, and with literals after the last 0.
+    sc.put("nop.cnf", "c no problem line\n1 -2 3 0\n")
+    sc.run("instance", "--family", "cnf3", "--cnf", "nop.cnf")
+    sc.put("trail.cnf", "p cnf 3 1\n1 2 3 0\n1 2\n")
+    sc.run("instance", "--family", "cnf3", "--cnf", "trail.cnf")
+    # Maps whose output paired with x1 reads it with a coefficient other than
+    # 1: -3 over QQ and 3 over GF(7), so the peel scales its step.
+    for name, field, text in [("neg.json", {"type": "rational"}, "x2^2 - 3*x1"),
+                              ("gf7.json", {"type": "prime", "p": 7}, "3*x1 + x2^2")]:
+        sc.put(name, json.dumps({"field": field, "seed_len": 2, "outputs": [text, "x2"]}))
+        sc.put("hit_p.txt", "z1 - z2^2")
+        sc.run("hit", "--map", name, "--poly", "hit_p.txt")
     return scenarios
 
 
