@@ -669,6 +669,13 @@ def _scenarios(base: str) -> list[Scenario]:
         sc.put(name, json.dumps({"field": field, "seed_len": 2, "outputs": [text, "x2"]}))
         sc.put("hit_p.txt", "z1 - z2^2")
         sc.run("hit", "--map", name, "--poly", "hit_p.txt")
+    # QQ maps whose annihilator the kernel search cannot take from its mod-p
+    # basis: -1/(10^12 + 39) has no small reconstruction, and p + 1 = 2^61
+    # reduces to 1, whose reconstruction is not in the rational kernel.
+    for name, c in [("norecon.json", 10**12 + 39), ("wrap.json", 2**61)]:
+        sc.put(name, json.dumps({"field": {"type": "rational"}, "seed_len": 1,
+                                 "outputs": ["x1", f"{c}*x1"]}))
+        sc.run("search-ann", "--map", name, "--degree", "1")
     return scenarios
 
 
