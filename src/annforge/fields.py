@@ -52,42 +52,19 @@ def is_prime(n: int) -> bool:
 
 
 class Field:
-    """Interface shared by RationalField and PrimeField."""
+    """Interface shared by RationalField and PrimeField, which both define
+    normalize, read_point, add, sub, mul, neg, inv, is_zero, format_value
+    and to_json.
+
+    ``read_point(point, ids)`` gives the values of ``point`` at ``ids`` as
+    exact integers: residues over F_p; over QQ an int where the value is
+    integral, else a Fraction.  It reads what normalize reads and raises
+    what normalize raises."""
 
     characteristic: int
     #: Normalized constants (shared; field values are immutable).
     zero: FieldValue
     one: FieldValue
-
-    def normalize(self, value) -> FieldValue:
-        raise NotImplementedError
-
-    def read_point(self, point, ids) -> list:
-        """The values of ``point`` at ``ids`` as exact integers: residues over
-        F_p; over QQ an int where the value is integral, else a Fraction.  It
-        reads what normalize reads and raises what normalize raises."""
-        raise NotImplementedError
-
-    def add(self, a: FieldValue, b: FieldValue) -> FieldValue:
-        raise NotImplementedError
-
-    def sub(self, a: FieldValue, b: FieldValue) -> FieldValue:
-        raise NotImplementedError
-
-    def mul(self, a: FieldValue, b: FieldValue) -> FieldValue:
-        raise NotImplementedError
-
-    def neg(self, a: FieldValue) -> FieldValue:
-        raise NotImplementedError
-
-    def inv(self, a: FieldValue) -> FieldValue:
-        raise NotImplementedError
-
-    def is_zero(self, a: FieldValue) -> bool:
-        return a == self.zero
-
-    def format_value(self, a: FieldValue) -> str:
-        raise NotImplementedError
 
     def parse_value(self, text: str) -> FieldValue:
         """Parse ``a`` or ``a/b``, integers as config.read_int reads them, b >= 1."""
@@ -101,9 +78,6 @@ class Field:
             except ModularReductionError:  # p divides b
                 pass
         raise ParseError(f"invalid field constant {config.quote(text)}")
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
 
 
 class RationalField(Field):

@@ -68,13 +68,17 @@ def verify_geometric(ref: Refutation, system: EquationSystem) -> VerifyResult:
 
 
 def verify_full_ips(ref: Refutation, system: EquationSystem) -> VerifyResult:
-    """Accept iff r(x, f(x)) = 1 and r(x, 0) = 0, both exact.  The z-block
-    occupies ids n..n+m-1, n the map's seed length."""
+    """Accept iff r(x, 0) = 0 and r(x, f(x)) = 1, both exact.  The z-block
+    occupies ids n..n+m-1, n the map's seed length.  r(x, 0) = 0 iff every
+    term of r reads a z variable; r(x, f(x)) = 1 iff r - 1 annihilates the
+    map (x_1..x_n, f_1..f_m), decided by encoding.annihilates as for a
+    Geometric refutation."""
     if ref.kind != "full":
         raise InputError("refutation kind must be full")
-    n = system.map.seed_len
+    pmap = system.map
+    n = pmap.seed_len
     m = len(system.equations)
-    f = system.map.field
+    f = pmap.field
     r = ref.r
     bad = [v for v in r.variables() if v >= n + m]
     if bad:
@@ -82,12 +86,12 @@ def verify_full_ips(ref: Refutation, system: EquationSystem) -> VerifyResult:
             f"refutation uses ids {bad} but the system allows ids < {n + m}"
         )
     degree = r.degree()
-    zero = Polynomial.zero(f)
-    at_zero = r.substitute({n + j: zero for j in range(m)})
-    if not at_zero.is_zero():
+    terms, _ = r.integer_terms()
+    if any(all(v < n for v, _ in mono) for mono, _ in terms):
         return VerifyResult(False, "zero-substitution-nonzero", degree)
-    composed = r.substitute({n + j: system.equations[j] for j in range(m)})
-    if composed != Polynomial.constant(f, 1):
+    seeds = tuple(Polynomial.variable(f, i) for i in range(n))
+    graph = PolynomialMap(seeds + system.equations, n, pmap.seed_names)
+    if not annihilates(r - Polynomial.constant(f, 1), graph):
         return VerifyResult(False, "composition-not-one", degree)
     return VerifyResult(True, None, degree)
 

@@ -32,10 +32,6 @@ class PitVerdict:
     seed: int | None = None
     mode: str = "randomized"
 
-    @property
-    def is_zero(self) -> bool:
-        return self.verdict == "zero"
-
 
 def _check_grid(field: Field, grid_size: int) -> None:
     if grid_size < 1:

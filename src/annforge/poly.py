@@ -35,7 +35,7 @@ from math import gcd, lcm
 from typing import ItemsView, Iterable, Iterator, Mapping, Sequence
 
 from . import config
-from .errors import InputError, MissingAssignmentError, ParseError
+from .errors import InputError, InvariantError, MissingAssignmentError, ParseError
 from .fields import Field, FieldValue, check_same_field
 
 
@@ -222,7 +222,11 @@ class Polynomial:
         return not self.is_zero()
 
     def __repr__(self) -> str:
-        return f"Polynomial({format_polynomial(self)})"
+        try:
+            return f"Polynomial({format_polynomial(self)})"
+        except InputError:  # a number past the digit limit: the size instead
+            degree = config.int_text(self.degree())
+            return f"Polynomial(<terms: {len(self._terms)}, degree: {degree}>)"
 
     # -- ring operations ----------------------------------------------------
 
@@ -453,7 +457,7 @@ class Namespace:
 
     def name(self, var: int) -> str:
         if var >= len(self.names):
-            raise KeyError(f"variable id {var} outside namespace")
+            raise InvariantError(f"variable id {var} outside namespace")
         return self.names[var]
 
     def extended(self, extra: Iterable[str]) -> "Namespace":

@@ -215,7 +215,7 @@ def test_criterion_8_schwartz_zippel_behavior():
         b.add(b.input(0), b.mul(b.const(-1), b.input(0)))
         zero_circuit = b.build()
         for s in range(25):
-            assert sz_pit(zero_circuit, trials=4, seed=s).is_zero
+            assert sz_pit(zero_circuit, trials=4, seed=s).verdict == "zero"
 
 
 def test_criterion_9_geometric_ips_end_to_end():

@@ -1,13 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from annforge import config
 
 from annforge.annihilator import principal_generator, verify_annihilates
 from annforge.circuit import parse_circuit
 from annforge.encoding import PolynomialMap, local_encode, pad, parallel_compose
 from annforge import ips
 from annforge.errors import InvariantError, SupportOverflowError, SystemSatisfiableError
-from annforge.fields import QQ
+from annforge.fields import QQ, PrimeField
 from annforge.instances import det_circuit, masser_philippon_system
 from annforge.ips import (
     EquationSystem,
@@ -21,6 +25,9 @@ from annforge.poly import Monomial, Namespace, Polynomial
 
 from conftest import SINGLE_ADD_TEXT, P, Z
 from division_reference import exact_divide
+from ips_reference import reference_verify_full_ips
+
+FIELDS = [QQ, PrimeField(7), PrimeField(config.DEFAULT_PRIME)]
 
 
 def simple_system():
@@ -117,6 +124,68 @@ def test_full_ips_masser_philippon_hand_refutation():
     r = P("z1*x2^2 + z2 + z2*x1*x2", ns)
     result = verify_full_ips(Refutation("full", r), system)
     assert result.accepted
+
+
+def _random_poly(draw, f, ids: int, terms: int) -> Polynomial:
+    """``terms`` random terms over the ids 0..ids-1, small coefficients."""
+    out = Polynomial.zero(f)
+    for _ in range(terms):
+        exps = {draw(st.integers(0, ids - 1)): draw(st.integers(1, 2))
+                for _ in range(draw(st.integers(0, 2)))}
+        out = out + Polynomial.monomial(f, f.normalize(draw(st.integers(-3, 3))), exps)
+    return out
+
+
+@st.composite
+def full_cases(draw):
+    """A system over x1..xn and a candidate Full refutation r(x, z).  Half
+    the systems start with x1 and x1 - 1, refuted by z1 - z2; r is that,
+    plus syzygies z_j*f_k - z_k*f_j, which compose to zero, plus random
+    terms, which may be constant, read x alone or read z."""
+    f = draw(st.sampled_from(FIELDS))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    eqs = [_random_poly(draw, f, n, draw(st.integers(1, 3))) for _ in range(m)]
+    eqs = [e if e else Polynomial.variable(f, 0) for e in eqs]
+    z = [Polynomial.variable(f, n + j) for j in range(m)]
+    r = Polynomial.zero(f)
+    if draw(st.booleans()):
+        x1 = Polynomial.variable(f, 0)
+        eqs[:2] = [x1, x1 - Polynomial.constant(f, 1)]
+        r = z[0] - z[1]
+    for _ in range(draw(st.integers(0, 2))):
+        j, k = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        r = r + z[j] * eqs[k] - z[k] * eqs[j]
+    r = r + _random_poly(draw, f, n + m, draw(st.integers(0, 2)))
+    names = tuple(f"x{i}" for i in range(1, n + 1))
+    return EquationSystem(PolynomialMap(tuple(eqs), n, names)), Refutation("full", r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_cases())
+def test_full_ips_equals_the_former_check(case):
+    system, ref = case
+    assert verify_full_ips(ref, system) == reference_verify_full_ips(ref, system)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+@pytest.mark.parametrize("text", ["1", "0", "3", "z1 - z2 + x1", "z1 - z2 + x1^2 - 2",
+                                  "z1 - z2 + x1*z1", "z1 - z2 + x1*z2 - x1*z1 + z1*z2"])
+def test_full_ips_equals_the_former_check_by_hand(f, text):
+    # Constants, x-only terms and z terms over the simple system.
+    x1 = Polynomial.variable(f, 0)
+    system = EquationSystem(PolynomialMap((x1, x1 - Polynomial.constant(f, 1)), 1, ("x1",)))
+    ref = Refutation("full", P(text, ["x1", "z1", "z2"], f))
+    assert verify_full_ips(ref, system) == reference_verify_full_ips(ref, system)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+def test_full_ips_masser_philippon_equals_the_former_check(f):
+    system = masser_philippon_system(2, 2, f)
+    for text in ("z1*x2^2 + z2 + z2*x1*x2", "z1*x2^2 + z2", "z1*x2^2 + z2 + z2*x1*x2 + x1"):
+        ref = Refutation("full", P(text, ["x1", "x2", "z1", "z2"], f))
+        result = verify_full_ips(ref, system)
+        assert result == reference_verify_full_ips(ref, system)
+        assert result.accepted == (text == "z1*x2^2 + z2 + z2*x1*x2")
 
 
 # -- canonical refutations ----------------------------------------------------------

@@ -32,7 +32,7 @@ def zero_circuit():
 def test_sz_zero_circuit_always_zero():
     for seed in range(20):
         verdict = sz_pit(zero_circuit(), trials=5, seed=seed)
-        assert verdict.is_zero
+        assert verdict.verdict == "zero"
         assert verdict.failure_bound < 1
 
 
@@ -46,7 +46,7 @@ def test_sz_qq_degree_budget_boundary(fig_circuit, monkeypatch, budget, refused)
                            match="^circuit degree bound 2 exceeds budget 2$"):
             sz_pit(fig_circuit, trials=3, seed=1)
     else:
-        assert not sz_pit(fig_circuit, trials=3, seed=1).is_zero
+        assert sz_pit(fig_circuit, trials=3, seed=1).verdict == "nonzero"
 
 
 def test_sz_fig_circuit_nonzero_with_witness(fig_circuit):
@@ -101,7 +101,7 @@ def test_sz_detection_frequency():
 def test_generator_pit_fooled_by_own_annihilator(fig_encoding, fig_cert):
     c = circuit_from_polynomial(fig_cert.h, 7, name="h_circuit")
     verdict = generator_pit(c, fig_encoding.map, mode="symbolic")
-    assert verdict.is_zero
+    assert verdict.verdict == "zero"
     assert verdict.failure_bound == 0
 
 

@@ -107,6 +107,14 @@ def test_evaluate_missing_assignment():
         poly("x1 + x3").evaluate([1])
 
 
+def test_repr_past_the_digit_limit_shows_the_size():
+    x1 = Monomial.of({0: 1})
+    assert repr(poly("x1^2 - 1/2")) == "Polynomial(v1^2 - 1/2)"
+    assert repr(Polynomial(QQ, {x1: 10**4301})) == "Polynomial(<terms: 1, degree: 1>)"
+    big = Polynomial(QQ, {Monomial.of({0: 10**4301}): 1, Monomial(): 1})
+    assert repr(big) == "Polynomial(<terms: 2, degree: (a 14288-bit integer)>)"
+
+
 # -- composition ------------------------------------------------------------------
 
 

@@ -152,7 +152,7 @@ def test_format_matches_reference(p):
 
 
 def test_format_refusals_match_reference():
-    # Built here, not drawn: a polynomial that cannot be written has no repr.
+    # Built here: each polynomial holds a number past the digit limit.
     x1, one = Monomial.of({0: 1}), Monomial()
     for terms in ({x1: 10**4301, one: Fraction(1, 3)}, {x1: Fraction(1, 10**4301)},
                   {Monomial.of({0: 10**4301}): 1, one: 10**4301}):
