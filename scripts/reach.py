@@ -4,17 +4,18 @@ no benchmark op runs.
 
     PYTHONPATH=src python3 scripts/reach.py
 
-It replays the transcript corpus (``tests/fixtures/cli_transcripts.json``)
-and one round of each benchmark corpus (``certify``, ``kernel`` and
-``evaluate``, seed ``SEED``: build, op and check, as ``perfbench/run.py``
-runs them) in-process under a ``sys.settrace`` line tracer, then prints,
-per function, each statement line that never ran.  A statement line is
-the first line of a statement in a function body, the docstring excluded;
-a nested function's body belongs to the nested function.  The package is
-imported under the tracer, so lines that run at import (a decorator's
-body) count as run; the transcript harness is not traced, only each CLI
-call.  ``tests/test_reach.py`` holds the unrun lines equal to its
-allow-list.
+It runs every call of the transcript corpus
+(``tests/fixtures/cli_transcripts.json``), each scenario's calls in turn
+in one directory, and one round of each benchmark corpus (``certify``,
+``kernel`` and ``evaluate``, seed ``SEED``: build, op and check, as
+``perfbench/run.py`` runs them) in-process under a ``sys.settrace`` line
+tracer, then prints, per function, each statement line that never ran.
+A statement line is the first line of a statement in a function body,
+the docstring excluded; a nested function's body belongs to the nested
+function.  The package is imported under the tracer, so lines that run
+at import (a decorator's body) count as run; the transcript harness is
+not traced, only each CLI call.  ``tests/test_reach.py`` holds the
+unrun lines equal to its allow-list.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ PACKAGE = ROOT / "src" / "annforge"
 #: The benchmark seed of the one round that is traced.
 SEED = 1
 
-FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
-
 
 def _body_statements(body: list, prefix: str, owner: str | None):
     """(owner, statement) for each statement under ``body``, where owner is
@@ -48,7 +47,7 @@ def _body_statements(body: list, prefix: str, owner: str | None):
             yield owner, stmt
         if isinstance(stmt, ast.ClassDef):
             yield from _body_statements(stmt.body, f"{prefix}{stmt.name}.", None)
-        elif isinstance(stmt, FUNCTIONS):
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = stmt.body
             if isinstance(inner[0], ast.Expr) and isinstance(inner[0].value, ast.Constant) \
                     and isinstance(inner[0].value.value, str):
@@ -63,24 +62,13 @@ def _body_statements(body: list, prefix: str, owner: str | None):
                 yield from _body_statements(block, prefix, owner)
 
 
-def _code_lines(code) -> set[int]:
-    """The lines that ``code`` and the code objects nested in it run."""
-    lines = {line for _, _, line in code.co_lines() if line is not None}
-    for const in code.co_consts:
-        if hasattr(const, "co_lines"):
-            lines |= _code_lines(const)
-    return lines
-
-
 def statement_lines(path: Path) -> dict[int, tuple[str, str]]:
     """line -> (module.qualname, stripped text) for every statement line in a
-    function body of ``path`` that holds bytecode."""
+    function body of ``path``."""
     source = path.read_text(encoding="utf-8")
     text = source.splitlines()
-    compiled = _code_lines(compile(source, str(path), "exec"))
     return {stmt.lineno: (f"{path.stem}.{owner}", text[stmt.lineno - 1].strip())
-            for owner, stmt in _body_statements(ast.parse(source).body, "", None)
-            if stmt.lineno in compiled}
+            for owner, stmt in _body_statements(ast.parse(source).body, "", None)}
 
 
 class Tracer:

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annforge import config
-
 from annforge.annihilator import principal_generator, verify_annihilates
 from annforge.circuit import parse_circuit
 from annforge.encoding import PolynomialMap, local_encode, pad, parallel_compose

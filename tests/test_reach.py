@@ -26,7 +26,6 @@ import annforge
 
 REACH = Path(__file__).resolve().parents[1] / "scripts" / "reach.py"
 
-_PEEL = "InvariantError: the peel pairs every seed of a local encoding"
 _IPS_GUARD = ("a library-entry guard: ips-verify picks the check by the file's kind and "
               "reads r in the system's names, so neither can fail from a command")
 
@@ -67,8 +66,9 @@ ALLOWED = {
          "min_power = min(m.degree_in(w) for m, _ in image.iter_terms())",
          "return image.coefficients_in(w)[min_power]"]),
     "annihilator.synthesize_gate_lifts": (
-        _PEEL,
-        ['raise InvariantError("the peel leaves a seed variable of the local encoding unpaired")']),
+        "InvariantError: the peel pairs every seed of a local encoding",
+        ['raise InvariantError("the peel leaves a seed variable of the local encoding '
+         'unpaired")']),
     "circuit.Circuit.__post_init__": (
         "library-entry guards: parse_circuit and CircuitBuilder build only valid circuits, "
         "so only a Circuit built by hand fails them",
